@@ -50,7 +50,6 @@ from .minkowski import (
     canonical_summand,
     cayley_cone,
     decomposition_from_json_dict,
-    decomposition_of,
     enumerate_decompositions,
     summand_from_vertices,
     verify_decomposition,
@@ -114,7 +113,6 @@ __all__ = [
     "cayley_cone",
     "chamber_uv",
     "decomposition_from_json_dict",
-    "decomposition_of",
     "disc_potential",
     "dual_fan_check",
     "edge_profile",

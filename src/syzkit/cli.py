@@ -130,7 +130,7 @@ def _cmd_gw(args):
             "invariant": gw_invariant(decomposition, chamber, beta),
         }
     sector = args.sector if args.sector is not None else SECTOR_D0
-    classes = enumerate_gw_classes(decomposition, chamber, sector)
+    classes = enumerate_gw_classes(decomposition, chamber, sector, _resolve_budget(args))
     return {
         "chamber": chamber,
         "sector": sector,
@@ -214,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sector", choices=("D0", "Dinf"), default=None)
     p.add_argument("--class", dest="disc_class", default=None,
                    help="disc class JSON file; report its single invariant")
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on the number of listed classes (default 10^7, or SYZKIT_BUDGET)")
     p.set_defaults(handler=_cmd_gw)
 
     p = sub.add_parser("transition", help="match the mirror against the toric family")

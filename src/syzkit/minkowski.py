@@ -103,14 +103,6 @@ class MinkowskiDecomposition:
         }
 
 
-def decomposition_of(polytope: LatticePolytope, summands) -> MinkowskiDecomposition:
-    """Package summands of an arbitrarily placed polytope, rooting it at its
-    lexicographic minimum vertex."""
-    shift = polytope.lexmin
-    base = polytope.translate(vec_neg(shift))
-    return MinkowskiDecomposition(base, shift, tuple(summands))
-
-
 def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
     poly = polytope_from_json_dict(data["polytope"])
     translation = tuple(int(x) for x in data.get("translation", (0,) * poly.dim))

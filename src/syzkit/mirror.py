@@ -10,12 +10,13 @@ all walls).
 import warnings
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, newton_polytope
-from .errors import ShapeMismatchError
+from .errors import SearchBudgetExceededError, ShapeMismatchError, VerificationFailedError
 from .lattice import IntVec, UnimodularSimplex
-from .minkowski import MinkowskiDecomposition
+from .minkowski import DEFAULT_SEARCH_BUDGET, MinkowskiDecomposition
 
 SECTOR_D0 = "D0"
 SECTOR_DINF = "Dinf"
@@ -108,6 +109,58 @@ def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
     return LaurentPolynomial(summand.dim, terms)
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed coefficient: every value up to ``bound``, plus a spare bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _wall_product(dim: int, summands) -> dict[IntVec, int]:
+    """Nonzero coefficients of the product of the summands' wall factors.
+
+    Kronecker substitution: each factor is shifted to nonnegative exponents,
+    an exponent e in the bounding box of the product becomes the mixed-radix
+    index sum(e_j * stride_j), and a polynomial becomes the integer
+    sum(c_e * 2^(w * index)).  Every coefficient is a nonnegative integer at
+    most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
+    other and one bigint product multiplies all the factors.  The first
+    coordinate has the largest stride, so the result comes out in
+    lexicographic order of exponents.
+    """
+    offset = [0] * dim
+    radix = [1] * dim
+    shifted = []
+    for s in summands:
+        exps = ((0,) * dim,) + s.generators
+        low = [min(e[j] for e in exps) for j in range(dim)]
+        for j in range(dim):
+            offset[j] += low[j]
+            radix[j] += max(e[j] for e in exps) - low[j]
+        shifted.append([[x - m for x, m in zip(e, low)] for e in exps])
+    stride = [1] * dim
+    for j in range(dim - 2, -1, -1):
+        stride[j] = stride[j + 1] * radix[j + 1]
+    bound = prod(1 + s.k for s in summands)
+    width = _slot_bytes(bound)
+    bits = 8 * width
+    packed = prod(
+        sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps)
+        for exps in shifted
+    )
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    total = sum(slots)
+    if total != bound:
+        raise VerificationFailedError(
+            f"the coefficients of g sum to {total}, not g(1, ..., 1) = {bound}; "
+            "this indicates an implementation bug"
+        )
+    return {
+        tuple(m + index // t % r for m, t, r in zip(offset, stride, radix)): n
+        for index, n in enumerate(slots)
+        if n
+    }
+
+
 def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """Wall factors in summand order, their exact product g, and the invariant table.
 
@@ -116,16 +169,14 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """
     d = decomposition.polytope.dim
     factored = tuple(wall_factor(s) for s in decomposition.summands)
-    expanded = LaurentPolynomial.constant(d, 1)
-    for f in factored:
-        expanded = expanded * f
-    entries = {}
-    for v, q in expanded.rational_terms().items():
-        assert q.denominator == 1
-        entries[v] = q.numerator
-    table = GWTable(entries)
-    assert newton_polytope(expanded) == decomposition.polytope
-    return SYZMirror(factored, expanded, table)
+    coefficients = _wall_product(d, decomposition.summands)
+    expanded = LaurentPolynomial(d, coefficients)
+    if newton_polytope(expanded) != decomposition.polytope:
+        raise VerificationFailedError(
+            "the Newton polytope of g is not the decomposition's polytope; "
+            "this indicates an implementation bug"
+        )
+    return SYZMirror(factored, expanded, GWTable(coefficients))
 
 
 def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:
@@ -181,22 +232,34 @@ def gw_invariant(
 
 
 def enumerate_gw_classes(
-    decomposition: MinkowskiDecomposition, chamber: int, sector: str
+    decomposition: MinkowskiDecomposition,
+    chamber: int,
+    sector: str,
+    budget: int | None = None,
 ) -> list[DiscClass]:
     """All classes in the sector with invariant 1, in deterministic order.
 
     The count is the product of (1 + k_i) over the walls on the sector's side
-    of the fiber.
+    of the fiber.  ``budget`` caps that count (default 10^7); a larger count
+    raises SearchBudgetExceededError before any class is built.
     """
     if sector not in (SECTOR_D0, SECTOR_DINF):
         raise ValueError("sector must be 'D0' or 'Dinf'")
     _check_chamber(decomposition, chamber)
     lower = sector == SECTOR_D0
+    ks = decomposition.ks
+    active = [(i <= chamber) if lower else (i > chamber) for i in range(len(ks))]
+    max_classes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
+    count = prod(1 + k for k, on in zip(ks, active) if on)
+    if count > max_classes:
+        raise SearchBudgetExceededError(
+            f"{count} classes in sector {sector} at chamber {chamber} "
+            f"exceed the budget of {max_classes}"
+        )
     options = []
-    for i, k in enumerate(decomposition.ks):
+    for k, on in zip(ks, active):
         zero = (0,) * k
-        active = (i <= chamber) if lower else (i > chamber)
-        if active:
+        if on:
             rows = [zero] + [
                 tuple(1 if j == t else 0 for j in range(k)) for t in range(k)
             ]
@@ -217,11 +280,9 @@ def chamber_uv(
     """
     _check_chamber(decomposition, chamber)
     d = decomposition.polytope.dim
-    low = LaurentPolynomial.constant(d, 1)
-    high = LaurentPolynomial.constant(d, 1)
-    for i, s in enumerate(decomposition.summands):
-        if i <= chamber:
-            low = low * wall_factor(s)
-        else:
-            high = high * wall_factor(s)
-    return low.prepend_variable(1), high.prepend_variable(-1)
+    below = _wall_product(d, decomposition.summands[: chamber + 1])
+    above = _wall_product(d, decomposition.summands[chamber + 1 :])
+    return (
+        LaurentPolynomial(d + 1, {(1,) + e: n for e, n in below.items()}),
+        LaurentPolynomial(d + 1, {(-1,) + e: n for e, n in above.items()}),
+    )

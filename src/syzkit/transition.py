@@ -189,7 +189,11 @@ def match_transition(
         solved.append(value)
     character = Character(solved[0], tuple(solved[1:]))
     for v, t in zip(basis.points, targets):
-        assert character.weight(v) == t
+        if character.weight(v) != t:
+            raise VerificationFailedError(
+                f"the solved character gives weight {character.weight(v)} at basis "
+                f"point {v}, not n_v = {t}; this indicates an implementation bug"
+            )
 
     chosen = set(basis.points)
     others = [p for p in lattice_points(polytope) if p not in chosen]

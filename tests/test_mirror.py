@@ -1,33 +1,85 @@
+import json
 import math
 import random
-from itertools import product
+import subprocess
+import sys
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzkit import (
     DiscClass,
+    GWTable,
     LaurentPolynomial,
     MinkowskiDecomposition,
     SECTOR_D0,
     SECTOR_DINF,
     SECTOR_NONE,
+    SearchBudgetExceededError,
     ShapeMismatchError,
+    UnimodularSimplex,
+    VerificationFailedError,
     chamber_uv,
     disc_potential,
+    enumerate_decompositions,
     enumerate_gw_classes,
     gw_invariant,
     hull,
     lattice_points,
+    match_transition,
     minkowski_sum_all,
     newton_polytope,
     syz_mirror,
     wall_factor,
 )
-from conftest import ap_decomposition, random_unimodular_simplex, seg, tri
+from syzkit import mirror as mirror_module
+from syzkit import transition as transition_module
+from syzkit.cli import main
+from conftest import (
+    HEXAGON_CORNERS,
+    ap_decomposition,
+    random_unimodular_simplex,
+    seg,
+    tri,
+)
 
 
 def rational_dict(poly):
     return {e: int(c) for e, c in poly.rational_terms().items()}
+
+
+def oracle_product(dim, summands):
+    """The wall-factor product as a schoolbook fold of LaurentPolynomial.__mul__."""
+    g = LaurentPolynomial.constant(dim, 1)
+    for s in summands:
+        g = g * wall_factor(s)
+    return g
+
+
+def zonotope(m, n):
+    """Minkowski sum of the segments [0, n*d] over the first m directions d."""
+    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)][:m]
+    corners = [(0, 0)]
+    for d in dirs:
+        corners = [(x + t * n * d[0], y + t * n * d[1]) for x, y in corners for t in (0, 1)]
+    return hull(corners)
+
+
+def _box_simplices():
+    """Every unimodular segment and triangle with generators in [-2, 2]^2,
+    rooted at the origin but not at a lexicographic minimum."""
+    box = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    out = [UnimodularSimplex(2, (u,)) for u in box if math.gcd(*u) == 1]
+    out += [
+        UnimodularSimplex(2, (u, v))
+        for u, v in combinations(box, 2)
+        if abs(u[0] * v[1] - u[1] * v[0]) == 1
+    ]
+    return out
+
+
+BOX_SIMPLICES = _box_simplices()
 
 
 def brute_invariant(sector, rows, chamber):
@@ -283,6 +335,177 @@ class TestChamberUV:
             for chamber in range(-1, dec.p + 1):
                 u, v = chamber_uv(dec, chamber)
                 assert u * v == g
+
+
+class TestWallProductKernel:
+    """The packed-integer kernel against the schoolbook fold it replaced."""
+
+    @pytest.mark.parametrize("p", [*range(1, 51), 200])
+    def test_ap_matches_fold(self, p):
+        dec = ap_decomposition(p)
+        mirror = syz_mirror(dec)
+        assert mirror.expanded == oracle_product(1, dec.summands)
+        assert mirror.expanded.evaluate((1,)) == 2 ** (p + 1)
+
+    @pytest.mark.parametrize(
+        "polytope", [hull(HEXAGON_CORNERS), zonotope(4, 5)], ids=["hexagon", "Z(4,5)"]
+    )
+    def test_every_decomposition_matches_fold(self, polytope):
+        decompositions = enumerate_decompositions(polytope)
+        assert decompositions
+        for dec in decompositions:
+            g = oracle_product(2, dec.summands)
+            mirror = syz_mirror(dec)
+            assert mirror.expanded == g
+            assert mirror.table.total() == math.prod(1 + k for k in dec.ks)
+            assert disc_potential(dec) == g.prepend_variable(1)
+            below = LaurentPolynomial.constant(2, 1)
+            for chamber in range(-1, dec.p + 1):
+                if chamber >= 0:
+                    below = below * wall_factor(dec.summands[chamber])
+                u, v = chamber_uv(dec, chamber)
+                assert u == below.prepend_variable(1)
+                assert u * v == g.prepend_variable(0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(BOX_SIMPLICES), max_size=6))
+    def test_random_sums_match_fold(self, parts):
+        got = mirror_module._wall_product(2, parts)
+        want = oracle_product(2, parts)
+        assert LaurentPolynomial(2, got) == want
+        assert list(got) == sorted(got)
+        assert sum(got.values()) == math.prod(1 + s.k for s in parts)
+        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+        shift = polytope.lexmin
+        dec = MinkowskiDecomposition(
+            polytope.translate(tuple(-x for x in shift)), shift, tuple(parts)
+        )
+        g = syz_mirror(dec).expanded
+        assert g == oracle_product(2, dec.summands)
+        for chamber in range(-1, dec.p + 1):
+            u, v = chamber_uv(dec, chamber)
+            assert u * v == g.prepend_variable(0)
+
+    def test_no_summands_is_one(self):
+        assert mirror_module._wall_product(2, ()) == {(0, 0): 1}
+
+
+class TestCliMatchesOracle:
+    """CLI stdout against JSON built from the schoolbook product, byte for byte."""
+
+    DECOMPOSITIONS = {
+        "A_30": ap_decomposition(30),
+        "hexagon": MinkowskiDecomposition(
+            hull(HEXAGON_CORNERS), (0, 0), (tri((1, 0), (1, 1)), tri((0, 1), (1, 1)))
+        ),
+        "rotated_square": MinkowskiDecomposition(
+            hull([(0, 0), (1, 1), (2, 0), (1, -1)]), (0, 0), (seg((1, 1)), seg((1, -1)))
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+    def test_mirror_and_potential_stdout(self, name, tmp_path, capsys):
+        dec = self.DECOMPOSITIONS[name]
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(dec.to_json_dict()))
+        g = oracle_product(dec.polytope.dim, dec.summands)
+        table = GWTable({e: int(q) for e, q in g.rational_terms().items()})
+        mirror_report = {
+            "factored": [wall_factor(s).to_json_dict() for s in dec.summands],
+            "expanded": g.to_json_dict(),
+            "gw_table": table.to_json_dict(),
+        }
+        potential_report = g.prepend_variable(1).to_json_dict()
+        for argv, report in (
+            (["mirror", "--decomposition", str(path), "--format", "json"], mirror_report),
+            (["potential", "--decomposition", str(path)], potential_report),
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+class TestIdentityChecks:
+    """Each identity check raises on corrupted input, also under python -O."""
+
+    def test_carry_between_slots_is_caught(self, monkeypatch):
+        # one-byte slots cannot hold C(21, 10) = 352716
+        monkeypatch.setattr(mirror_module, "_slot_bytes", lambda bound: 1)
+        with pytest.raises(VerificationFailedError):
+            syz_mirror(ap_decomposition(20))
+        with pytest.raises(VerificationFailedError):
+            chamber_uv(ap_decomposition(20), 20)
+
+    def test_newton_polytope_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
+        real = mirror_module._wall_product
+
+        def drop_top_vertex(dim, summands):
+            terms = real(dim, summands)
+            del terms[max(terms)]
+            return terms
+
+        monkeypatch.setattr(mirror_module, "_wall_product", drop_top_vertex)
+        with pytest.raises(VerificationFailedError):
+            syz_mirror(hexagon_triangles)
+
+    def test_basis_weight_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
+        real = transition_module.invert_unimodular
+
+        def doubled(matrix):
+            return [[2 * x for x in row] for row in real(matrix)]
+
+        monkeypatch.setattr(transition_module, "invert_unimodular", doubled)
+        with pytest.raises(VerificationFailedError):
+            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
+
+    def test_checks_survive_python_O(self):
+        script = "\n".join([
+            "import sys",
+            "assert False, 'asserts are live'",
+            "from syzkit import VerificationFailedError, UnimodularSimplex, hull",
+            "from syzkit import MinkowskiDecomposition, syz_mirror",
+            "import syzkit.mirror as m",
+            "step = UnimodularSimplex(1, ((1,),))",
+            "dec = MinkowskiDecomposition(hull([(0,), (21,)]), (0,), (step,) * 21)",
+            "m._slot_bytes = lambda bound: 1",
+            "try:",
+            "    syz_mirror(dec)",
+            "except VerificationFailedError:",
+            "    print('caught', sys.flags.optimize)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "caught 1"
+
+
+class TestGwClassBudget:
+    def test_count_past_budget_raises_before_building(self):
+        # 2^41 classes: only a count taken up front can answer this quickly
+        with pytest.raises(SearchBudgetExceededError):
+            enumerate_gw_classes(ap_decomposition(40), 40, SECTOR_D0)
+        with pytest.raises(SearchBudgetExceededError):
+            enumerate_gw_classes(ap_decomposition(5), 5, SECTOR_D0, budget=63)
+
+    def test_count_at_budget_is_listed(self):
+        assert len(enumerate_gw_classes(ap_decomposition(5), 5, SECTOR_D0, budget=64)) == 64
+        # the inactive side does not count against the budget
+        assert len(enumerate_gw_classes(ap_decomposition(40), 40, SECTOR_DINF, budget=1)) == 1
+
+    def test_cli_budget_flag_and_env(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a40.json"
+        path.write_text(json.dumps(ap_decomposition(40).to_json_dict()))
+        for argv in (
+            ["gw", "--decomposition", str(path)],
+            ["gw", "--decomposition", str(path), "--chamber", "5", "--budget", "63"],
+        ):
+            assert main(argv) == 1
+            assert json.loads(capsys.readouterr().out)["error"] == "SearchBudgetExceeded"
+        monkeypatch.setenv("SYZKIT_BUDGET", "63")
+        assert main(["gw", "--decomposition", str(path), "--chamber", "5"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "SearchBudgetExceeded"
+        assert main(["gw", "--decomposition", str(path), "--chamber", "5", "--budget", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 64
 
 
 class TestGWTableJson:
