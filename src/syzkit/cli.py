@@ -51,7 +51,7 @@ def _parse(kind, parser, data):
         return parser(data)
     except SyzkitError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"malformed {kind}: {exc}") from exc
 
 

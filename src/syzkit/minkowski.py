@@ -1,14 +1,14 @@
 """Minkowski decompositions of lattice polytopes into unimodular simplices,
 and the Cayley cone attached to a decomposition.
 
-The enumeration backtracks over the polytope's edge budget: every edge vector
-of a summand must be an edge direction of the polytope, and the lattice
-lengths add up exactly.  A multiset of summands exhausting the budget always
-sums back to the polytope, which a final exact Minkowski sum confirms.
+Decompositions rest on the edge-budget law: Minkowski sums add edge profiles,
+and a polytope pinned at its lexicographic minimum is fixed by its profile.
+So the sum invariant is checked by comparing profiles, and the enumeration
+searches triangle multiplicities only: what they leave of the polytope's edge
+budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DimensionMismatchError, SearchBudgetExceededError
 from .lattice import (
@@ -18,7 +18,6 @@ from .lattice import (
     cross,
     edge_profile,
     hull,
-    minkowski_sum_all,
     polytope_from_json_dict,
     vec_add,
     vec_neg,
@@ -79,8 +78,11 @@ class MinkowskiDecomposition:
         for s in summands:
             if s.dim != d:
                 raise DimensionMismatchError("summand rank differs from the polytope rank")
-        total = minkowski_sum_all((hull(s.vertex_set()) for s in summands), d)
-        if total != self.polytope:
+        total: dict[IntVec, int] = {}
+        for s in summands:
+            for e, n in edge_profile(hull(s.vertex_set())).items():
+                total[e] = total.get(e, 0) + n
+        if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
         object.__setattr__(self, "_ks", tuple(s.k for s in summands))
 
@@ -119,37 +121,23 @@ def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
 
 
 def verify_decomposition(polytope: LatticePolytope, summands) -> bool:
-    """Exact check that the summands are unimodular simplices whose Minkowski
-    sum is the translate of the polytope rooted at its lexicographic minimum."""
+    """Exact check, the one ``MinkowskiDecomposition`` makes, that the summands
+    are unimodular simplices whose Minkowski sum is the translate of the
+    polytope rooted at its lexicographic minimum."""
+    shift = polytope.lexmin
     try:
-        canon = [canonical_summand(s) for s in summands]
+        MinkowskiDecomposition(polytope.translate(vec_neg(shift)), shift, tuple(summands))
     except ValueError:
         return False
-    for s in canon:
-        if s.dim != polytope.dim:
-            raise DimensionMismatchError("summand rank differs from the polytope rank")
-    base = polytope.translate(vec_neg(polytope.lexmin))
-    return minkowski_sum_all((hull(s.vertex_set()) for s in canon), polytope.dim) == base
+    return True
 
 
-def _candidate_summands(dim: int, profile: dict[IntVec, int]) -> list[UnimodularSimplex]:
-    """Unimodular simplices whose counterclockwise edges fit the polytope's
-    edge directions: segments need both antipodal directions, triangles need
-    three directions summing to zero with unit determinant."""
-    dirs = set(profile)
-    zero = (0,) * dim
-    found = set()
-    for u in dirs:
-        if vec_neg(u) in dirs:
-            found.add(summand_from_vertices(dim, (zero, u)))
-    if dim == 2:
-        for a, b in combinations(sorted(dirs), 2):
-            if abs(cross(a, b)) != 1:
-                continue
-            if vec_neg(vec_add(a, b)) not in dirs:
-                continue
-            found.add(summand_from_vertices(dim, (zero, a, vec_add(a, b))))
-    return sorted(found, key=summand_sort_key)
+def _unimodular_triangles(profile: dict[IntVec, int]) -> list[tuple[IntVec, IntVec, IntVec]]:
+    """Counterclockwise edge triples ``(a, b, -(a+b))`` with ``cross(a, b) == 1``
+    and all three edges among the profile's directions.  Each triangle is
+    listed once, as the rotation that starts at its least edge."""
+    triples = ((a, b, vec_neg(vec_add(a, b))) for a in profile for b in profile if cross(a, b) == 1)
+    return sorted(t for t in triples if t[2] in profile and t[0] == min(t))
 
 
 def enumerate_decompositions(
@@ -158,46 +146,56 @@ def enumerate_decompositions(
     """All decompositions of the polytope into origin-rooted unimodular
     simplices, up to summand reordering, in deterministic canonical order.
 
-    ``budget`` caps the number of search nodes (default 10^7); exceeding it
-    raises SearchBudgetExceededError.
+    The search walks each unimodular triangle's multiplicity, bounded by the
+    edge budget left, one triangle type per level.  Once the last triangle
+    touching a direction pair ``{u, -u}`` is placed, the budget left on the
+    pair must be symmetric, and it is spent on that many unit segments.
+    ``budget`` caps the search nodes (default 10^7), one node per choice of
+    one triangle's multiplicity; past it, SearchBudgetExceededError is raised.
     """
     max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
     d = polytope.dim
     shift = polytope.lexmin
     base = polytope.translate(vec_neg(shift))
-    profile = edge_profile(base)
-    if not profile:
-        return [MinkowskiDecomposition(base, shift, ())]
-    candidates = _candidate_summands(d, profile)
-    costs = [edge_profile(hull(c.vertex_set())) for c in candidates]
-    remaining = dict(profile)
+    left = edge_profile(base)
+    triangles = _unimodular_triangles(left) if d == 2 else []
+    simplices = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
+    units = {u: UnimodularSimplex(d, (u,)) for u in left if u > vec_neg(u)}
+    # settle[i]: the directions whose pair no triangle from the i-th on touches
+    settle: list[list[IntVec]] = [[] for _ in range(len(triangles) + 1)]
+    for u in left:
+        last = max((i + 1 for i, t in enumerate(triangles) if {u, vec_neg(u)} & set(t)), default=0)
+        settle[last].append(u)
     found: list[MinkowskiDecomposition] = []
     chosen: list[UnimodularSimplex] = []
     nodes = 0
 
-    def search(start: int, left: int) -> None:
+    def place(i: int) -> None:
         nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise SearchBudgetExceededError(
-                f"decomposition search exceeded {max_nodes} nodes"
-            )
-        if left == 0:
-            found.append(MinkowskiDecomposition(base, shift, tuple(chosen)))
+        if any(left[u] != left.get(vec_neg(u), 0) for u in settle[i]):
             return
-        for idx in range(start, len(candidates)):
-            cost = costs[idx]
-            if any(remaining.get(e, 0) < c for e, c in cost.items()):
-                continue
-            for e, c in cost.items():
-                remaining[e] -= c
-            chosen.append(candidates[idx])
-            search(idx, left - sum(cost.values()))
-            chosen.pop()
-            for e, c in cost.items():
-                remaining[e] += c
+        if i == len(triangles):
+            summands = list(chosen)
+            for u, unit in units.items():
+                summands += [unit] * left[u]
+            found.append(MinkowskiDecomposition(base, shift, tuple(summands)))
+            return
+        edges = triangles[i]
+        top = min(left[e] for e in edges)
+        for m in range(top + 1):
+            nodes += 1
+            if nodes > max_nodes:
+                raise SearchBudgetExceededError(f"decomposition search exceeded {max_nodes} nodes")
+            if m:
+                for e in edges:
+                    left[e] -= 1
+                chosen.append(simplices[i])
+            place(i + 1)
+        for e in edges:
+            left[e] += top
+        del chosen[len(chosen) - top:]
 
-    search(0, sum(profile.values()))
+    place(0)
     found.sort(key=MinkowskiDecomposition.sort_key)
     return found
 

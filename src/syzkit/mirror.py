@@ -192,9 +192,7 @@ def _check_chamber(decomposition: MinkowskiDecomposition, chamber: int) -> None:
 
 
 def _check_shape(decomposition: MinkowskiDecomposition, beta: DiscClass) -> None:
-    ks = decomposition.ks
-    rows = beta.multiplicities
-    if len(rows) != len(ks) or any(len(row) != k for row, k in zip(rows, ks)):
+    if tuple(map(len, beta.multiplicities)) != decomposition.ks:
         raise ShapeMismatchError(
             "multiplicity table shape does not match the decomposition"
         )

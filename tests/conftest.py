@@ -75,3 +75,12 @@ def random_unimodular_simplex(rng: random.Random, lo=-2, hi=2) -> UnimodularSimp
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
             continue
         return summand_from_vertices(2, ((0, 0), u, v))
+
+
+def zonotope(m, n):
+    """Minkowski sum of the segments [0, n*d] over the first m directions d."""
+    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)][:m]
+    corners = [(0, 0)]
+    for d in dirs:
+        corners = [(x + t * n * d[0], y + t * n * d[1]) for x, y in corners for t in (0, 1)]
+    return hull(corners)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from syzkit import decomposition_from_json_dict, verify_decomposition
 from syzkit.cli import main
@@ -92,6 +98,68 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", hexagon_file)
         assert code == 2
         assert "SYZKIT_BUDGET" in err
+
+    def test_long_segment_has_no_traceback(self, tmp_path):
+        # the search once recursed one level per summand and died here
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"dim": 1, "vertices": [[0], [1200]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "decompose", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        (entry,) = json.loads(proc.stdout)
+        assert entry["summands"] == [{"generators": [[1]]}] * 1200
+
+
+COORD = st.integers(-6, 6)
+NON_INTEGER = st.one_of(
+    st.floats(-6, 6),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.lists(COORD, max_size=2),
+)
+
+
+def rank_vertices(d, min_size=0):
+    return st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=min_size, max_size=8)
+
+
+# well-formed polytopes of rank 1, 2 and 3, then malformed documents: empty,
+# ragged or non-integer vertex lists, and a missing or wrong dim
+POLYTOPE_DOCS = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda d: st.fixed_dictionaries({"dim": st.just(d), "vertices": rank_vertices(d, 1)})
+    ),
+    st.fixed_dictionaries(
+        {"vertices": st.one_of(
+            *(rank_vertices(d) for d in (1, 2, 3)),
+            st.lists(st.lists(COORD, max_size=4), max_size=6),
+            st.lists(st.lists(st.one_of(COORD, NON_INTEGER), min_size=1, max_size=3), max_size=5),
+        )},
+        optional={"dim": st.one_of(st.integers(0, 4), st.just("two"), st.none())},
+    ),
+)
+
+
+class TestDecomposeFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(POLYTOPE_DOCS)
+    @example({"dim": 1, "vertices": [[math.inf]]})  # int() raises OverflowError
+    def test_exit_code_without_exception(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "polytope.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["decompose", path])
+        assert code in (0, 1, 2)
+        if code == 0:
+            json.loads(out.getvalue())
 
 
 class TestMirror:

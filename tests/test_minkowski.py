@@ -1,26 +1,39 @@
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzkit import (
+    DEFAULT_SEARCH_BUDGET,
     MinkowskiDecomposition,
     SearchBudgetExceededError,
+    UnimodularSimplex,
     cayley_cone,
     decomposition_from_json_dict,
     edge_profile,
     enumerate_decompositions,
     hull,
+    is_unimodular_simplex,
     lattice_points,
     minkowski_sum_all,
     summand_from_vertices,
     verify_decomposition,
 )
-from conftest import ap_decomposition, random_unimodular_simplex, seg, tri
+from syzkit.lattice import cross, vec_add, vec_neg
+from syzkit.minkowski import summand_sort_key
+from conftest import (
+    HEXAGON_CORNERS,
+    ap_decomposition,
+    random_unimodular_simplex,
+    seg,
+    tri,
+    zonotope,
+)
 
 
 def brute_decompositions(polytope):
-    """Exhaustive multiset search, independent of the edge-budget backtracking.
+    """Exhaustive multiset search, independent of both edge-budget searches.
 
     Candidate simplices are built from differences of lattice points; every
     multiset whose summand perimeters add to the polytope's is checked by an
@@ -55,6 +68,89 @@ def brute_decompositions(polytope):
     return results
 
 
+def _candidate_summands(dim, profile):
+    """Unimodular simplices whose counterclockwise edges fit the polytope's
+    edge directions: segments need both antipodal directions, triangles need
+    three directions summing to zero with unit determinant."""
+    dirs = set(profile)
+    zero = (0,) * dim
+    found = set()
+    for u in dirs:
+        if vec_neg(u) in dirs:
+            found.add(summand_from_vertices(dim, (zero, u)))
+    if dim == 2:
+        for a, b in combinations(sorted(dirs), 2):
+            if abs(cross(a, b)) != 1:
+                continue
+            if vec_neg(vec_add(a, b)) not in dirs:
+                continue
+            found.add(summand_from_vertices(dim, (zero, a, vec_add(a, b))))
+    return sorted(found, key=summand_sort_key)
+
+
+def backtrack_decompositions(polytope, budget=None):
+    """The summand-by-summand backtracking search that the triangle-multiplicity
+    search replaced, kept as an oracle: it spends the edge budget one summand
+    at a time, with every candidate segment and triangle, and recurses once
+    per summand."""
+    max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
+    d = polytope.dim
+    shift = polytope.lexmin
+    base = polytope.translate(vec_neg(shift))
+    profile = edge_profile(base)
+    if not profile:
+        return [MinkowskiDecomposition(base, shift, ())]
+    candidates = _candidate_summands(d, profile)
+    costs = [edge_profile(hull(c.vertex_set())) for c in candidates]
+    remaining = dict(profile)
+    found = []
+    chosen = []
+    nodes = 0
+
+    def search(start, left):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchBudgetExceededError(
+                f"decomposition search exceeded {max_nodes} nodes"
+            )
+        if left == 0:
+            found.append(MinkowskiDecomposition(base, shift, tuple(chosen)))
+            return
+        for idx in range(start, len(candidates)):
+            cost = costs[idx]
+            if any(remaining.get(e, 0) < c for e, c in cost.items()):
+                continue
+            for e, c in cost.items():
+                remaining[e] -= c
+            chosen.append(candidates[idx])
+            search(idx, left - sum(cost.values()))
+            chosen.pop()
+            for e, c in cost.items():
+                remaining[e] += c
+
+    search(0, sum(profile.values()))
+    found.sort(key=MinkowskiDecomposition.sort_key)
+    return found
+
+
+def unimodular_simplices(dim, lo=-3, hi=3):
+    """Every unimodular segment and, in rank two, triangle with generators in
+    [lo, hi]^dim, rooted at the origin but not at a lexicographic minimum."""
+    box = [v for v in product(range(lo, hi + 1), repeat=dim) if any(v)]
+    gens = [(u,) for u in box]
+    if dim == 2:
+        gens += list(combinations(box, 2))
+    return [UnimodularSimplex(dim, g) for g in gens if is_unimodular_simplex(g)]
+
+
+SIMPLICES = {dim: unimodular_simplices(dim) for dim in (1, 2)}
+
+
+def pinned(polytope):
+    return polytope.translate(vec_neg(polytope.lexmin))
+
+
 class TestVerify:
     def test_hexagon_three_segments(self, hexagon):
         assert verify_decomposition(hexagon, (seg((1, 0)), seg((0, 1)), seg((1, 1))))
@@ -64,6 +160,24 @@ class TestVerify:
 
     def test_wrong_sum_rejected(self, unit_square):
         assert not verify_decomposition(unit_square, (seg((1, 0)), seg((1, 0))))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_profile_check_matches_exact_sum(self, data):
+        """The edge-profile check against the exact Minkowski sum it replaced."""
+        dim = data.draw(st.sampled_from((1, 2)))
+        multisets = st.lists(st.sampled_from(SIMPLICES[dim]), max_size=4)
+        summands = data.draw(multisets)
+        kind = data.draw(st.sampled_from(("own sum", "other sum", "hull")))
+        if kind == "hull":
+            point = st.tuples(*[st.integers(-6, 6)] * dim)
+            polytope = hull(data.draw(st.lists(point, min_size=1, max_size=6)))
+        else:
+            parts = summands if kind == "own sum" else data.draw(multisets)
+            polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim)
+        polytope = polytope.translate(data.draw(st.tuples(*[st.integers(-5, 5)] * dim)))
+        exact = minkowski_sum_all((hull(s.vertex_set()) for s in summands), dim)
+        assert verify_decomposition(polytope, summands) == (pinned(exact) == pinned(polytope))
 
     def test_translation_invariance(self, hexagon):
         shifted = hexagon.translate((5, -7))
@@ -85,11 +199,17 @@ class TestEnumerate:
         assert len(decs) == 1
         assert [s.generators for s in decs[0].summands] == [((1, 0),), ((0, 1),)]
 
-    @pytest.mark.parametrize("p", [0, 1, 2, 4])
+    # 1199: a search that recursed once per summand died near 1000 steps
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 1199])
     def test_segment_decomposes_into_unit_steps(self, p):
         decs = enumerate_decompositions(hull([(0,), (p + 1,)]))
         assert len(decs) == 1
         assert decs[0].summands == tuple(seg((1,)) for _ in range(p + 1))
+
+    def test_long_diagonal_segment_decomposes_into_unit_steps(self):
+        decs = enumerate_decompositions(hull([(0, 0), (1500, 1500)]))
+        assert len(decs) == 1
+        assert decs[0].summands == (seg((1, 1)),) * 1500
 
     def test_unimodular_triangle_is_its_own_decomposition(self):
         t = hull([(0, 0), (1, 0), (1, 1)])
@@ -111,10 +231,31 @@ class TestEnumerate:
         with pytest.raises(SearchBudgetExceededError):
             enumerate_decompositions(hexagon, budget=2)
 
+    @pytest.mark.parametrize(
+        "polytope, nodes",
+        [
+            # two triangle types, each placed 0 or 1 times: 2 + 2 * 2 choices
+            (hull(HEXAGON_CORNERS), 6),
+            (zonotope(6, 3), 311),
+            # no triangle fits a segment, and forced segments cost no nodes
+            (hull([(0,), (1200,)]), 0),
+        ],
+        ids=["hexagon", "Z(6,3)", "segment"],
+    )
+    def test_budget_counts_triangle_choices(self, polytope, nodes):
+        enumerate_decompositions(polytope, budget=nodes)
+        if nodes:
+            with pytest.raises(SearchBudgetExceededError):
+                enumerate_decompositions(polytope, budget=nodes - 1)
+
     def test_deterministic_order(self, hexagon):
         first = enumerate_decompositions(hexagon)
         second = enumerate_decompositions(hexagon)
         assert first == second
+
+    @pytest.mark.parametrize("m, n, count", [(6, 3, 39), (8, 2, 45), (8, 3, 159)])
+    def test_zonotope_counts(self, m, n, count):
+        assert len(enumerate_decompositions(zonotope(m, n))) == count
 
     def test_translated_input(self, hexagon):
         decs = enumerate_decompositions(hexagon.translate((3, 9)))
@@ -154,6 +295,29 @@ class TestAgainstBruteForce:
             )
             if len(lattice_points(p)) <= 8:
                 assert decs == brute_decompositions(p)
+
+
+class TestAgainstBacktracking:
+    """The triangle-multiplicity search against the summand backtracking."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_dilated_hexagon(self, hexagon, k):
+        p = hull([(k * x, k * y) for x, y in hexagon.vertices])
+        decs = enumerate_decompositions(p)
+        assert len(decs) == k + 1
+        assert decs == backtrack_decompositions(p)
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (5, 2), (5, 3), (6, 2), (4, 5), (6, 3)])
+    def test_zonotope(self, m, n):
+        p = zonotope(m, n).translate((3, -2))
+        assert enumerate_decompositions(p) == backtrack_decompositions(p)
+
+    def test_random_sums(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            parts = [random_unimodular_simplex(rng) for _ in range(rng.randint(1, 3))]
+            p = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+            assert enumerate_decompositions(p) == backtrack_decompositions(p)
 
 
 class TestEdgeBudgetLaw:

@@ -42,6 +42,7 @@ from conftest import (
     random_unimodular_simplex,
     seg,
     tri,
+    zonotope,
 )
 
 
@@ -55,15 +56,6 @@ def oracle_product(dim, summands):
     for s in summands:
         g = g * wall_factor(s)
     return g
-
-
-def zonotope(m, n):
-    """Minkowski sum of the segments [0, n*d] over the first m directions d."""
-    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)][:m]
-    corners = [(0, 0)]
-    for d in dirs:
-        corners = [(x + t * n * d[0], y + t * n * d[1]) for x, y in corners for t in (0, 1)]
-    return hull(corners)
 
 
 def _box_simplices():
