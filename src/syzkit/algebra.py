@@ -48,7 +48,10 @@ class Coefficient:
 
     @classmethod
     def rational(cls, value, nparams: int = 0) -> "Coefficient":
-        return cls({(0,) * nparams: Fraction(value)})
+        q = Fraction(value)
+        coeff = cls.__new__(cls)
+        coeff.terms = {(0,) * nparams: q} if q else {}
+        return coeff
 
     @classmethod
     def parameter(cls, index: int, nparams: int) -> "Coefficient":
@@ -225,7 +228,7 @@ class LaurentPolynomial:
             total = Fraction(0)
             for pexp, q in coeff.terms.items():
                 total += q * prod(
-                    (r**e for r, e in zip(rates, pexp)), start=Fraction(1)
+                    (r**e for r, e in zip(rates, pexp) if e), start=Fraction(1)
                 )
             if total != 0:
                 out[exp] = total

@@ -158,15 +158,18 @@ def lattice_points(polytope: LatticePolytope) -> list[IntVec]:
             tuple(v + t * s for v, s in zip(verts[0], step))
             for t in range(lattice_length(span) + 1)
         )
-    edges = list(zip(verts, verts[1:] + verts[:1]))
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
+    # Column by column: the interior lies left of each counterclockwise edge
+    # a -> a + e, i.e. e_x * (y - a_y) >= e_y * (x - a_x).  Edges going right
+    # bound y from below, edges going left from above, and vertical edges
+    # only bound x, which the vertices already do.
+    edges = [(a, vec_sub(b, a)) for a, b in zip(verts, verts[1:] + verts[:1])]
+    lower = [(a, e) for a, e in edges if e[0] > 0]
+    upper = [(a, e) for a, e in edges if e[0] < 0]
     out = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if all(cross(vec_sub(b, a), vec_sub(p, a)) >= 0 for a, b in edges):
-                out.append(p)
+    for x in range(verts[0][0], max(v[0] for v in verts) + 1):
+        lo = max(ay - ey * (ax - x) // ex for (ax, ay), (ex, ey) in lower)
+        hi = min(ay + ey * (x - ax) // ex for (ax, ay), (ex, ey) in upper)
+        out.extend((x, y) for y in range(lo, hi + 1))
     return out
 
 

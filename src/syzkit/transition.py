@@ -15,7 +15,6 @@ from .algebra import (
     Character,
     Coefficient,
     LaurentPolynomial,
-    apply_character,
     fraction_str,
 )
 from .errors import InvalidBasisError, VerificationFailedError
@@ -158,13 +157,15 @@ def match_transition(
 
     The character is pinned by requiring weight(v_i) = n_{v_i} at the basis
     points; each remaining lattice point v then gets the specialization
-    q_v = n_v / weight(v).  The result is verified by an exact polynomial
-    identity; failure would indicate a bug and raises VerificationFailedError.
+    q_v = n_v / weight(v).  The specialized family, rescaled by the character,
+    is checked against g term by term, support included; failure would
+    indicate a bug and raises VerificationFailedError.
     """
     polytope = decomposition.polytope
     mirror = syz_mirror(decomposition)
+    points = lattice_points(polytope)
     if basis is None:
-        positive = [v for v in lattice_points(polytope) if mirror.table.count(v) > 0]
+        positive = [v for v in points if mirror.table.count(v) > 0]
         basis = BasisSimplex.default_for(polytope, allowed=positive)
     else:
         basis = _as_basis(basis)
@@ -188,23 +189,24 @@ def match_transition(
             value *= targets[i] ** inverse[r][i]
         solved.append(value)
     character = Character(solved[0], tuple(solved[1:]))
+    weights = {v: character.weight(v) for v in points}
     for v, t in zip(basis.points, targets):
-        if character.weight(v) != t:
+        if weights[v] != t:
             raise VerificationFailedError(
-                f"the solved character gives weight {character.weight(v)} at basis "
+                f"the solved character gives weight {weights[v]} at basis "
                 f"point {v}, not n_v = {t}; this indicates an implementation bug"
             )
 
     chosen = set(basis.points)
-    others = [p for p in lattice_points(polytope) if p not in chosen]
     specialization = {
-        v: Fraction(mirror.table.count(v)) / character.weight(v) for v in others
+        v: Fraction(mirror.table.count(v)) / weights[v] for v in points if v not in chosen
     }
-    family = toric_family(polytope, basis)
-    specialized = family.specialize(
-        {parameter_name(v): q for v, q in specialization.items()}
-    )
-    if apply_character(specialized, character) != mirror.expanded:
+    # Coefficient 1 on the basis and q_v elsewhere; under the character this
+    # must be g term by term, support included, since g may miss interior
+    # points (q_v = 0 there).
+    coefficients = dict.fromkeys(basis.points, Fraction(1)) | specialization
+    family = {v: weights[v] * c for v, c in coefficients.items() if c}
+    if family != mirror.table.entries:
         raise VerificationFailedError(
             "character and specialization failed to reproduce the mirror; "
             "this indicates an implementation bug"

@@ -254,6 +254,13 @@ class TestParameters:
         f = LP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
         assert f.specialize({"q": 0}).is_zero()
 
+    def test_rational_agrees_with_the_validating_constructor(self):
+        for value in (0, 3, -2, Fraction(5, 7), Fraction(0)):
+            for nparams in (0, 1, 3):
+                got = Coefficient.rational(value, nparams)
+                assert got == Coefficient({(0,) * nparams: value})
+                assert got.is_zero() == (value == 0)
+
 
 class TestSubstituteExponents:
     def test_unimodular_substitution(self):

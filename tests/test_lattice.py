@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from syzkit import (
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from syzkit import (
     normal_fan_rays,
     polytope_from_json_dict,
 )
+from syzkit.lattice import cross, lattice_length, primitive, vec_sub
 
 HEXAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
 
@@ -75,6 +77,50 @@ class TestLatticePoints:
 
     def test_point(self):
         assert lattice_points(hull([(5, 5)])) == [(5, 5)]
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=7))
+    @example([(0, 0), (0, 5), (3, 2)])  # vertical edge on the left
+    @example([(0, 0), (4, 1), (4, 6), (1, 3)])  # vertical edge on the right
+    @example([(-9, -9), (9, -9), (9, 9), (-9, 9)])  # two vertical edges
+    @example([(2, -7), (2, 8)])  # vertical segment
+    @example([(-3, 4)])
+    def test_row_scan_matches_box_scan_and_pick(self, points):
+        polytope = hull(points)
+        got = lattice_points(polytope)
+        assert got == box_scan_lattice_points(polytope)
+        # Pick: #points = A + B/2 + 1; a segment's profile counts it twice, A = 0
+        verts = polytope.vertices
+        twice_area = sum(cross(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+        boundary = sum(edge_profile(polytope).values())
+        assert 2 * len(got) == twice_area + boundary + 2
+
+
+def box_scan_lattice_points(polytope):
+    """The bounding-box scan that ``lattice_points`` replaced, kept as its oracle."""
+    if polytope.dim == 1:
+        lo, hi = polytope.vertices[0][0], polytope.vertices[-1][0]
+        return [(x,) for x in range(lo, hi + 1)]
+    verts = polytope.vertices
+    if len(verts) == 1:
+        return [verts[0]]
+    if len(verts) == 2:
+        span = vec_sub(verts[1], verts[0])
+        step = primitive(span)
+        return sorted(
+            tuple(v + t * s for v, s in zip(verts[0], step))
+            for t in range(lattice_length(span) + 1)
+        )
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    out = []
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            p = (x, y)
+            if all(cross(vec_sub(b, a), vec_sub(p, a)) >= 0 for a, b in edges):
+                out.append(p)
+    return out
 
 
 class TestMinkowskiSum:

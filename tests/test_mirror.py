@@ -449,15 +449,44 @@ class TestIdentityChecks:
         with pytest.raises(VerificationFailedError):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
+    @pytest.mark.parametrize("corrupt", [lambda n: n + 1, lambda n: 0], ids=["value", "support"])
+    def test_specialization_mismatch_is_caught(self, monkeypatch, hexagon_triangles, corrupt):
+        # the table misreads n_v at one non-basis point, so q_v there is
+        # wrong while g and its entries stay true
+        class MisreadTable(GWTable):
+            def count(self, point):
+                n = super().count(point)
+                return corrupt(n) if tuple(point) == (2, 2) else n
+
+        def misreading_mirror(decomposition):
+            mirror = syz_mirror(decomposition)
+            return mirror._replace(table=MisreadTable(mirror.table.entries))
+
+        monkeypatch.setattr(transition_module, "syz_mirror", misreading_mirror)
+        with pytest.raises(VerificationFailedError):
+            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
+
     def test_checks_survive_python_O(self):
         script = "\n".join([
             "import sys",
             "assert False, 'asserts are live'",
             "from syzkit import VerificationFailedError, UnimodularSimplex, hull",
-            "from syzkit import MinkowskiDecomposition, syz_mirror",
+            "from syzkit import GWTable, MinkowskiDecomposition, match_transition, syz_mirror",
             "import syzkit.mirror as m",
+            "import syzkit.transition as t",
             "step = UnimodularSimplex(1, ((1,),))",
             "dec = MinkowskiDecomposition(hull([(0,), (21,)]), (0,), (step,) * 21)",
+            "class MisreadTable(GWTable):",
+            "    def count(self, p):",
+            "        return super().count(p) + (tuple(p) == (5,))",
+            "def misreading_mirror(d):",
+            "    mirror = syz_mirror(d)",
+            "    return mirror._replace(table=MisreadTable(mirror.table.entries))",
+            "t.syz_mirror = misreading_mirror",
+            "try:",
+            "    match_transition(dec)",
+            "except VerificationFailedError:",
+            "    print('caught', sys.flags.optimize)",
             "m._slot_bytes = lambda bound: 1",
             "try:",
             "    syz_mirror(dec)",
@@ -468,7 +497,7 @@ class TestIdentityChecks:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "caught 1"
+        assert proc.stdout.split() == ["caught", "1"] * 2
 
 
 class TestGwClassBudget:

@@ -9,6 +9,7 @@ from syzkit import (
     InvalidBasisError,
     MinkowskiDecomposition,
     apply_character,
+    enumerate_decompositions,
     hull,
     lattice_points,
     match_transition,
@@ -18,7 +19,7 @@ from syzkit import (
     syz_mirror,
     toric_family,
 )
-from conftest import random_unimodular_simplex, seg
+from conftest import ap_decomposition, random_unimodular_simplex, seg, zonotope
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
 
@@ -128,8 +129,17 @@ class TestMatchTransition:
     def test_specialized_family_is_character_equivalent_to_mirror(
         self, hexagon_segments, hexagon_triangles
     ):
-        for dec in (hexagon_segments, hexagon_triangles):
-            report = match_transition(dec, DP6_BASIS)
+        # Oracle: the toric family with parameter symbols, specialized and
+        # put under the character, must be g exactly.
+        cases = [(hexagon_segments, DP6_BASIS), (hexagon_triangles, DP6_BASIS)]
+        cases += [
+            (dec, None)
+            for m, n in ((4, 3), (5, 2), (4, 5))
+            for dec in enumerate_decompositions(zonotope(m, n))
+        ]
+        cases += [(ap_decomposition(p), None) for p in (10, 50)]
+        for dec, basis in cases:
+            report = match_transition(dec, basis)
             family = toric_family(dec.polytope, report.basis)
             specialized = family.specialize(
                 {parameter_name(v): q for v, q in report.specialization.items()}
