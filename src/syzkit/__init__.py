@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidBasisError,
+    OutputTooLargeError,
     SearchBudgetExceededError,
     ShapeMismatchError,
     SupportMismatchError,
@@ -94,6 +95,7 @@ __all__ = [
     "LatticePolytope",
     "LaurentPolynomial",
     "MinkowskiDecomposition",
+    "OutputTooLargeError",
     "RaySet",
     "SECTOR_D0",
     "SECTOR_DINF",

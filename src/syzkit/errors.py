@@ -27,6 +27,10 @@ class SearchBudgetExceededError(SyzkitError):
     code = "SearchBudgetExceeded"
 
 
+class OutputTooLargeError(SyzkitError):
+    code = "OutputTooLarge"
+
+
 class ZeroPolynomialError(SyzkitError):
     code = "ZeroPolynomial"
 

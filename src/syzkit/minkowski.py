@@ -8,9 +8,11 @@ searches triangle multiplicities only: what they leave of the polytope's edge
 budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .errors import DimensionMismatchError, SearchBudgetExceededError
+from .errors import DimensionMismatchError, OutputTooLargeError, SearchBudgetExceededError
 from .lattice import (
     IntVec,
     LatticePolytope,
@@ -25,6 +27,11 @@ from .lattice import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+
+# Cap on the summands of one decomposition.  A segment summand spends two
+# units of the polytope's edge budget and a triangle three, so no
+# decomposition has more than half the lattice perimeter in summands.
+MAX_SUMMANDS = 1_000_000
 
 
 def _point_key(v: IntVec) -> tuple:
@@ -64,9 +71,15 @@ class MinkowskiDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
-        summands = tuple(
-            sorted((canonical_summand(s) for s in self.summands), key=summand_sort_key)
-        )
+        # Summands are mostly a few types repeated, so each distinct one is
+        # canonicalised, rank-checked and hulled once, weighted by its count.
+        # One whose least generator is lexicographically positive is already
+        # rooted at its lexicographic minimum, hence canonical.
+        runs: Counter = Counter()
+        for s, m in Counter(self.summands).items():
+            runs[s if s.generators[0] > (0,) * s.dim else canonical_summand(s)] += m
+        types = sorted(runs, key=summand_sort_key)
+        summands = tuple(chain.from_iterable((s,) * runs[s] for s in types))
         object.__setattr__(self, "summands", summands)
         d = self.polytope.dim
         if self.polytope.lexmin != (0,) * d:
@@ -75,13 +88,12 @@ class MinkowskiDecomposition:
             )
         if len(self.translation) != d:
             raise DimensionMismatchError("translation point has the wrong rank")
-        for s in summands:
-            if s.dim != d:
-                raise DimensionMismatchError("summand rank differs from the polytope rank")
+        if any(s.dim != d for s in types):
+            raise DimensionMismatchError("summand rank differs from the polytope rank")
         total: dict[IntVec, int] = {}
-        for s in summands:
+        for s in types:
             for e, n in edge_profile(hull(s.vertex_set())).items():
-                total[e] = total.get(e, 0) + n
+                total[e] = total.get(e, 0) + runs[s] * n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
         object.__setattr__(self, "_ks", tuple(s.k for s in summands))
@@ -152,12 +164,20 @@ def enumerate_decompositions(
     pair must be symmetric, and it is spent on that many unit segments.
     ``budget`` caps the search nodes (default 10^7), one node per choice of
     one triangle's multiplicity; past it, SearchBudgetExceededError is raised.
+    A polytope whose half lattice perimeter exceeds MAX_SUMMANDS could yield
+    that many summands, and raises OutputTooLargeError before any is built.
     """
     max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
     d = polytope.dim
     shift = polytope.lexmin
     base = polytope.translate(vec_neg(shift))
     left = edge_profile(base)
+    bound = sum(left.values()) // 2
+    if bound > MAX_SUMMANDS:
+        raise OutputTooLargeError(
+            f"a decomposition may have up to {bound} summands, "
+            f"past the cap of {MAX_SUMMANDS}"
+        )
     triangles = _unimodular_triangles(left) if d == 2 else []
     simplices = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
     units = {u: UnimodularSimplex(d, (u,)) for u in left if u > vec_neg(u)}

@@ -8,6 +8,7 @@ all walls).
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -114,6 +115,14 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+def _balanced_product(factors: list[int]) -> int:
+    """Product of the ints in a pairwise tree, so the operands of each
+    multiplication are of similar size; the empty product is 1."""
+    while len(factors) > 1:
+        factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
 def _wall_product(dim: int, summands) -> dict[IntVec, int]:
     """Nonzero coefficients of the product of the summands' wall factors.
 
@@ -122,30 +131,32 @@ def _wall_product(dim: int, summands) -> dict[IntVec, int]:
     index sum(e_j * stride_j), and a polynomial becomes the integer
     sum(c_e * 2^(w * index)).  Every coefficient is a nonnegative integer at
     most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
-    other and one bigint product multiplies all the factors.  The first
-    coordinate has the largest stride, so the result comes out in
-    lexicographic order of exponents.
+    other and bigint arithmetic multiplies all the factors: each distinct
+    factor is packed once and raised to its multiplicity, and the powers are
+    multiplied in a balanced tree.  The first coordinate has the largest
+    stride, so the result comes out in lexicographic order of exponents.
     """
+    runs = Counter(summands)
     offset = [0] * dim
     radix = [1] * dim
     shifted = []
-    for s in summands:
+    for s, m in runs.items():
         exps = ((0,) * dim,) + s.generators
         low = [min(e[j] for e in exps) for j in range(dim)]
         for j in range(dim):
-            offset[j] += low[j]
-            radix[j] += max(e[j] for e in exps) - low[j]
-        shifted.append([[x - m for x, m in zip(e, low)] for e in exps])
+            offset[j] += m * low[j]
+            radix[j] += m * (max(e[j] for e in exps) - low[j])
+        shifted.append(([[x - t for x, t in zip(e, low)] for e in exps], m))
     stride = [1] * dim
     for j in range(dim - 2, -1, -1):
         stride[j] = stride[j + 1] * radix[j + 1]
-    bound = prod(1 + s.k for s in summands)
+    bound = prod((1 + s.k) ** m for s, m in runs.items())
     width = _slot_bytes(bound)
     bits = 8 * width
-    packed = prod(
-        sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps)
-        for exps in shifted
-    )
+    packed = _balanced_product([
+        sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps) ** m
+        for exps, m in shifted
+    ])
     raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
     slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     total = sum(slots)

@@ -112,6 +112,17 @@ class TestDecompose:
         (entry,) = json.loads(proc.stdout)
         assert entry["summands"] == [{"generators": [[1]]}] * 1200
 
+    def test_segment_past_the_summand_cap_is_an_error(self, tmp_path):
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"dim": 1, "vertices": [[0], [2 * 10**6]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "decompose", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "OutputTooLarge"
+
 
 COORD = st.integers(-6, 6)
 NON_INTEGER = st.one_of(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -6,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from syzkit import (
     DEFAULT_SEARCH_BUDGET,
+    DimensionMismatchError,
     MinkowskiDecomposition,
+    OutputTooLargeError,
     SearchBudgetExceededError,
+    SyzkitError,
     UnimodularSimplex,
+    canonical_summand,
     cayley_cone,
     decomposition_from_json_dict,
     edge_profile,
@@ -20,7 +25,8 @@ from syzkit import (
     summand_from_vertices,
     verify_decomposition,
 )
-from syzkit.lattice import cross, vec_add, vec_neg
+from syzkit import minkowski
+from syzkit.lattice import IntVec, cross, vec_add, vec_neg, vec_sub
 from syzkit.minkowski import summand_sort_key
 from conftest import (
     HEXAGON_CORNERS,
@@ -132,6 +138,36 @@ def backtrack_decompositions(polytope, budget=None):
     search(0, sum(profile.values()))
     found.sort(key=MinkowskiDecomposition.sort_key)
     return found
+
+
+class PerSummandDecomposition(MinkowskiDecomposition):
+    """``MinkowskiDecomposition`` with the validation that the once-per-type
+    check replaced, kept as an oracle: it canonicalises, rank-checks and
+    hulls every summand, repeated copies included."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
+        summands = tuple(
+            sorted((canonical_summand(s) for s in self.summands), key=summand_sort_key)
+        )
+        object.__setattr__(self, "summands", summands)
+        d = self.polytope.dim
+        if self.polytope.lexmin != (0,) * d:
+            raise ValueError(
+                "decomposition polytope must have its lexicographic minimum at the origin"
+            )
+        if len(self.translation) != d:
+            raise DimensionMismatchError("translation point has the wrong rank")
+        for s in summands:
+            if s.dim != d:
+                raise DimensionMismatchError("summand rank differs from the polytope rank")
+        total: dict[IntVec, int] = {}
+        for s in summands:
+            for e, n in edge_profile(hull(s.vertex_set())).items():
+                total[e] = total.get(e, 0) + n
+        if total != edge_profile(self.polytope):
+            raise ValueError("summands do not sum to the polytope")
+        object.__setattr__(self, "_ks", tuple(s.k for s in summands))
 
 
 def unimodular_simplices(dim, lo=-3, hi=3):
@@ -348,6 +384,133 @@ class TestDecompositionType:
                 (0, 0),
                 (seg((1, 0)), seg((0, 1)), seg((1, 1))),
             )
+
+
+def construction(cls, polytope, translation, summands):
+    """What building the decomposition gives: its public data, or the type
+    of the error it raises."""
+    try:
+        dec = cls(polytope, translation, tuple(summands))
+    except (ValueError, SyzkitError) as exc:
+        return type(exc)
+    return dec.summands, dec.ks, dec.to_json_dict()
+
+
+def rerooted(summand, root):
+    """The same simplex with its vertex ``root`` moved to the origin."""
+    verts = summand.vertex_set()
+    return UnimodularSimplex(summand.dim, tuple(vec_sub(v, root) for v in verts if v != root))
+
+
+class TestDecompositionTypeAgainstPerSummand:
+    """Once-per-type validation against the per-summand validation it replaced."""
+
+    # shapes from the benchmark's decompose corpus
+    CORPUS = {
+        **{f"Z({m},{n})": zonotope(m, n) for m, n in ((4, 5), (5, 3), (6, 2), (6, 3))},
+        **{f"hexagon*{k}": hull([(k * x, k * y) for x, y in HEXAGON_CORNERS]) for k in range(1, 7)},
+        "square": hull([(0, 0), (1, 0), (1, 1), (0, 1)]),
+        "rotated square": hull([(0, 0), (1, 1), (2, 0), (1, -1)]),
+        "triangle": hull([(0, 0), (1, 0), (1, 1)]),
+        "doubled square": hull([(0, 0), (2, 0), (2, 2), (0, 2)]),
+        "segment (2,1)": hull([(0, 0), (2, 1)]),
+        "segment (2,0)": hull([(0, 0), (2, 0)]),
+        **{f"segment [0,{n}]": hull([(0,), (n,)]) for n in (1, 10, 20, 900, 1200)},
+    }
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, name):
+        rng = random.Random(7)
+        for dec in enumerate_decompositions(self.CORPUS[name]):
+            shuffled = list(dec.summands)
+            rng.shuffle(shuffled)
+            moved = [rerooted(s, rng.choice(s.vertex_set())) for s in shuffled]
+            args = dec.polytope, dec.translation
+            for summands in (dec.summands, shuffled, moved, moved[1:]):
+                want = construction(PerSummandDecomposition, *args, summands)
+                got = construction(MinkowskiDecomposition, *args, summands)
+                assert got == want
+            assert construction(MinkowskiDecomposition, *args, moved) == (
+                dec.summands, dec.ks, dec.to_json_dict()
+            )
+            assert got == ValueError  # one summand short
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_summand_lists(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        types = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), max_size=4))
+        summands = []
+        for s in types:
+            copies = data.draw(st.integers(1, 4))
+            # the same type, rooted at any vertex, with generators in any order
+            for _ in range(copies):
+                root = data.draw(st.sampled_from(s.vertex_set()))
+                gens = data.draw(st.permutations(rerooted(s, root).generators))
+                summands.append(UnimodularSimplex(dim, tuple(gens)))
+        flaw = data.draw(st.sampled_from((None, None, None, "rank", "translation", "origin")))
+        if flaw == "rank":
+            summands.append(data.draw(st.sampled_from(SIMPLICES[3 - dim])))
+        summands = data.draw(st.permutations(summands))
+        kind = data.draw(st.sampled_from(("own sum", "own sum", "other sum", "hull")))
+        if kind == "hull":
+            point = st.tuples(*[st.integers(-6, 6)] * dim)
+            polytope = hull(data.draw(st.lists(point, min_size=1, max_size=6)))
+        else:
+            parts = types if kind == "own sum" else data.draw(
+                st.lists(st.sampled_from(SIMPLICES[dim]), max_size=4))
+            polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim)
+        polytope = pinned(polytope)
+        if flaw == "origin":
+            polytope = polytope.translate(data.draw(st.tuples(*[st.integers(-2, 2)] * dim)))
+        size = data.draw(st.sampled_from((dim - 1, dim + 1))) if flaw == "translation" else dim
+        translation = data.draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+        want = construction(PerSummandDecomposition, polytope, translation, summands)
+        got = construction(MinkowskiDecomposition, polytope, translation, summands)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "vertices, step", [([(0,), (1200,)], (1,)), ([(0, 0), (1500, 1500)], (1, 1))]
+    )
+    def test_each_distinct_summand_is_built_and_hulled_once(self, monkeypatch, vertices, step):
+        polytope = hull(vertices)
+        calls = Counter()
+        for name in ("hull", "summand_from_vertices"):
+            def counted(*args, real=getattr(minkowski, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(minkowski, name, counted)
+        (dec,) = enumerate_decompositions(polytope)
+        # rooted at the far end, so each copy would need re-rooting
+        backwards = (seg(vec_neg(step)),) * len(dec.summands)
+        again = MinkowskiDecomposition(polytope, (0,) * polytope.dim, backwards)
+        assert dec.summands == again.summands == (seg(step),) * vertices[1][0]
+        assert calls == {"hull": 2, "summand_from_vertices": 1}
+
+
+class TestSummandCap:
+    def test_segment_past_the_cap_is_rejected_before_any_summand(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a summand was built")
+
+        for name in ("UnimodularSimplex", "summand_from_vertices", "MinkowskiDecomposition"):
+            monkeypatch.setattr(minkowski, name, built)
+        with pytest.raises(OutputTooLargeError) as info:
+            enumerate_decompositions(hull([(0,), (2 * 10**6,)]), budget=0)
+        assert info.value.code == "OutputTooLarge"
+
+    def test_cap_is_half_the_lattice_perimeter(self, monkeypatch, hexagon):
+        monkeypatch.setattr(minkowski, "MAX_SUMMANDS", 3)
+        assert len(enumerate_decompositions(hexagon)) == 2
+        assert len(enumerate_decompositions(hull([(0,), (3,)]))) == 1
+        for polytope in (hull([(0,), (4,)]), hull([(0, 0), (2, 0), (2, 2), (0, 2)])):
+            with pytest.raises(OutputTooLargeError):
+                enumerate_decompositions(polytope)
+
+    def test_default_cap(self):
+        assert minkowski.MAX_SUMMANDS == 10**6
+        (dec,) = enumerate_decompositions(hull([(0,), (100_000,)]), budget=0)
+        assert len(dec.summands) == 100_000
 
 
 class TestCayleyCone:

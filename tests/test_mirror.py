@@ -332,7 +332,7 @@ class TestChamberUV:
 class TestWallProductKernel:
     """The packed-integer kernel against the schoolbook fold it replaced."""
 
-    @pytest.mark.parametrize("p", [*range(1, 51), 200])
+    @pytest.mark.parametrize("p", [0, *range(1, 51), 200, 255, 300])
     def test_ap_matches_fold(self, p):
         dec = ap_decomposition(p)
         mirror = syz_mirror(dec)
@@ -380,6 +380,47 @@ class TestWallProductKernel:
 
     def test_no_summands_is_one(self):
         assert mirror_module._wall_product(2, ()) == {(0, 0): 1}
+
+    @pytest.mark.parametrize("vertices", [[(3, 4)], [(-2,)]], ids=["rank 2", "rank 1"])
+    def test_point_has_g_one(self, vertices):
+        (dec,) = enumerate_decompositions(hull(vertices))
+        assert dec.summands == ()
+        one = LaurentPolynomial.constant(dec.polytope.dim, 1)
+        assert syz_mirror(dec).expanded == one == oracle_product(dec.polytope.dim, ())
+        assert syz_mirror(dec).table.entries == {(0,) * dec.polytope.dim: 1}
+        u, v = chamber_uv(dec, -1)
+        assert u == one.prepend_variable(1)
+        assert v == one.prepend_variable(-1)
+
+    def test_odd_numbers_of_distinct_repeated_factors(self):
+        """Runs of repeated factors whose count of distinct types is odd, so
+        the product tree carries a lone factor up a level."""
+        seen = set()
+        for polytope in (zonotope(5, 2), zonotope(3, 3), hull([(0, 0), (4, 4)])):
+            for dec in enumerate_decompositions(polytope):
+                distinct = len(set(dec.summands))
+                if distinct % 2 and len(dec.summands) > distinct:
+                    seen.add(distinct)
+                    got = mirror_module._wall_product(2, dec.summands)
+                    assert LaurentPolynomial(2, got) == oracle_product(2, dec.summands)
+        assert seen == {1, 3, 5, 7}
+
+    @pytest.mark.parametrize(
+        "dec",
+        [
+            ap_decomposition(0),
+            ap_decomposition(7),
+            *enumerate_decompositions(hull(HEXAGON_CORNERS)),
+            *enumerate_decompositions(zonotope(4, 3)),
+        ],
+    )
+    def test_empty_side_of_a_chamber(self, dec):
+        """Below the lowest wall u is z0 alone, above the highest v is 1/z0."""
+        d = dec.polytope.dim
+        one = LaurentPolynomial.constant(d, 1)
+        g = oracle_product(d, dec.summands)
+        assert chamber_uv(dec, -1) == (one.prepend_variable(1), g.prepend_variable(-1))
+        assert chamber_uv(dec, dec.p) == (g.prepend_variable(1), one.prepend_variable(-1))
 
 
 class TestCliMatchesOracle:
