@@ -10,7 +10,6 @@ monomial change of coordinates plus an exact parameter specialization.
 
 from .algebra import (
     Character,
-    Coefficient,
     LaurentPolynomial,
     apply_character,
     fraction_str,
@@ -73,8 +72,6 @@ from .transition import (
     BasisSimplex,
     TransitionReport,
     match_transition,
-    parameter_name,
-    toric_family,
 )
 from .tropical import dual_fan_check, tropical_rays, wall_chambers
 
@@ -84,7 +81,6 @@ __all__ = [
     "BasisSimplex",
     "CayleyCone",
     "Character",
-    "Coefficient",
     "DEFAULT_SEARCH_BUDGET",
     "DimensionMismatchError",
     "DiscClass",
@@ -130,12 +126,10 @@ __all__ = [
     "minkowski_sum_all",
     "newton_polytope",
     "normal_fan_rays",
-    "parameter_name",
     "polytope_from_json_dict",
     "solve_character_match",
     "summand_from_vertices",
     "syz_mirror",
-    "toric_family",
     "tropical_rays",
     "verify_decomposition",
     "wall_chambers",

@@ -1,8 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the integer check of JSON input.
 
 Every error carries a stable machine-readable ``code`` that the CLI echoes
 in its JSON error reports.
 """
+
+
+def json_int(value) -> int:
+    """``value`` itself if it is a JSON integer; floats, strings and bools raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 class SyzkitError(Exception):

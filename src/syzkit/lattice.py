@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     UnsupportedDimensionError,
+    json_int,
 )
 from .intlinalg import det
 
@@ -122,8 +123,8 @@ class LatticePolytope:
 
 def polytope_from_json_dict(data: dict) -> LatticePolytope:
     """Parse {"dim": d, "vertices": [...]}; vertices may come in any order."""
-    poly = hull(tuple(tuple(int(x) for x in v) for v in data["vertices"]))
-    if int(data["dim"]) != poly.dim:
+    poly = hull(tuple(tuple(map(json_int, v)) for v in data["vertices"]))
+    if json_int(data["dim"]) != poly.dim:
         raise DimensionMismatchError(
             f"declared dim {data['dim']} does not match vertex rank {poly.dim}"
         )

@@ -12,7 +12,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import DimensionMismatchError, OutputTooLargeError, SearchBudgetExceededError
+from .errors import (
+    DimensionMismatchError,
+    OutputTooLargeError,
+    SearchBudgetExceededError,
+    json_int,
+)
 from .lattice import (
     IntVec,
     LatticePolytope,
@@ -119,10 +124,10 @@ class MinkowskiDecomposition:
 
 def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
     poly = polytope_from_json_dict(data["polytope"])
-    translation = tuple(int(x) for x in data.get("translation", (0,) * poly.dim))
+    translation = tuple(map(json_int, data.get("translation", (0,) * poly.dim)))
     summands = tuple(
         UnimodularSimplex(
-            poly.dim, tuple(tuple(int(x) for x in g) for g in s["generators"])
+            poly.dim, tuple(tuple(map(json_int, g)) for g in s["generators"])
         )
         for s in data["summands"]
     )

@@ -14,9 +14,14 @@ from itertools import product
 from math import prod
 from typing import NamedTuple
 
-from .algebra import LaurentPolynomial, newton_polytope
-from .errors import SearchBudgetExceededError, ShapeMismatchError, VerificationFailedError
-from .lattice import IntVec, UnimodularSimplex
+from .algebra import LaurentPolynomial
+from .errors import (
+    SearchBudgetExceededError,
+    ShapeMismatchError,
+    VerificationFailedError,
+    json_int,
+)
+from .lattice import IntVec, UnimodularSimplex, lattice_points
 from .minkowski import DEFAULT_SEARCH_BUDGET, MinkowskiDecomposition
 
 SECTOR_D0 = "D0"
@@ -59,7 +64,7 @@ class DiscClass:
     @staticmethod
     def from_json_dict(data: dict) -> "DiscClass":
         return DiscClass(
-            data["sector"], tuple(tuple(row) for row in data["multiplicities"])
+            data["sector"], tuple(tuple(map(json_int, row)) for row in data["multiplicities"])
         )
 
 
@@ -176,17 +181,22 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """Wall factors in summand order, their exact product g, and the invariant table.
 
     The Newton polytope of the product is the decomposition's polytope, and
-    the table holds the (positive integer) coefficients of g.
+    the table holds the (positive integer) coefficients of g.  The Newton
+    check needs no hull: the hull of the support is P exactly when the
+    support lies in P and every vertex of P carries a term.
     """
-    d = decomposition.polytope.dim
+    polytope = decomposition.polytope
     factored = tuple(wall_factor(s) for s in decomposition.summands)
-    coefficients = _wall_product(d, decomposition.summands)
-    expanded = LaurentPolynomial(d, coefficients)
-    if newton_polytope(expanded) != decomposition.polytope:
+    coefficients = _wall_product(polytope.dim, decomposition.summands)
+    if not (
+        coefficients.keys() <= set(lattice_points(polytope))
+        and all(v in coefficients for v in polytope.vertices)
+    ):
         raise VerificationFailedError(
             "the Newton polytope of g is not the decomposition's polytope; "
             "this indicates an implementation bug"
         )
+    expanded = LaurentPolynomial(polytope.dim, coefficients)
     return SYZMirror(factored, expanded, GWTable(coefficients))
 
 

@@ -11,12 +11,7 @@ rational monomials in the basis coefficients.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Character,
-    Coefficient,
-    LaurentPolynomial,
-    fraction_str,
-)
+from .algebra import Character, fraction_str
 from .errors import InvalidBasisError, VerificationFailedError
 from .intlinalg import det, invert_unimodular
 from .lattice import (
@@ -29,10 +24,6 @@ from .lattice import (
 )
 from .minkowski import MinkowskiDecomposition
 from .mirror import syz_mirror
-
-
-def parameter_name(point: IntVec) -> str:
-    return "q_" + "_".join(str(x) for x in point)
 
 
 @dataclass(frozen=True)
@@ -130,24 +121,6 @@ class TransitionReport:
             ],
             "verified": self.verified,
         }
-
-
-def toric_family(polytope: LatticePolytope, basis) -> LaurentPolynomial:
-    """The normalized mirror family of a toric resolution: coefficient 1 at the
-    basis points and a fresh parameter symbol at every other lattice point."""
-    basis = _as_basis(basis)
-    basis.validate_for(polytope)
-    pts = lattice_points(polytope)
-    chosen = set(basis.points)
-    others = [p for p in pts if p not in chosen]
-    params = tuple(parameter_name(p) for p in others)
-    nparams = len(params)
-    terms: dict[IntVec, Coefficient] = {}
-    for p in basis.points:
-        terms[p] = Coefficient.rational(1, nparams)
-    for i, p in enumerate(others):
-        terms[p] = Coefficient.parameter(i, nparams)
-    return LaurentPolynomial(polytope.dim, terms, params)
 
 
 def match_transition(

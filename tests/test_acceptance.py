@@ -28,12 +28,12 @@ from syzkit import (
     match_transition,
     minkowski_sum_all,
     newton_polytope,
-    parameter_name,
     solve_character_match,
     syz_mirror,
-    toric_family,
     tropical_rays,
 )
+import parametric
+from parametric import parameter_name, toric_family
 from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
@@ -77,8 +77,8 @@ def test_criterion_01_ap_mirrors_are_binomial():
         mirror = syz_mirror(decs[0])
         expected = {(k,): Fraction(math.comb(p + 1, k)) for k in range(p + 2)}
         assert mirror.expanded.rational_terms() == expected
-        one_plus_z = LaurentPolynomial(1, {(0,): 1, (1,): 1})
-        assert mirror.expanded == one_plus_z ** (p + 1)
+        one_plus_z = parametric.LaurentPolynomial(1, {(0,): 1, (1,): 1})
+        assert mirror.expanded == (one_plus_z ** (p + 1)).specialize({})
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"A_p mirrors equal (1+z)^(p+1) for p=1..10 in {elapsed:.3f}s")

@@ -1,11 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzkit import (
     Character,
-    Coefficient,
     DimensionMismatchError,
     LaurentPolynomial,
     SupportMismatchError,
@@ -16,8 +17,11 @@ from syzkit import (
     newton_polytope,
     solve_character_match,
 )
+import parametric
+from parametric import Coefficient, lift
 
 LP = LaurentPolynomial
+PLP = parametric.LaurentPolynomial
 
 
 def poly(dim, terms):
@@ -70,9 +74,9 @@ class TestArithmetic:
             assert f + g == g + f
 
     def test_pow_matches_repeated_product(self):
-        f = one_plus(1, (1,))
+        f = lift(one_plus(1, (1,)))
         assert f**5 == f * f * f * f * f
-        assert f**0 == LP.constant(1, 1)
+        assert f**0 == PLP.constant(1, 1)
 
     def test_negative_exponents(self):
         f = poly(1, {(-1,): 1, (1,): 1})
@@ -164,7 +168,7 @@ class TestCharacter:
         def cross_ratio(f):
             out = Fraction(1)
             for v, k in zip(support, signs):
-                out *= f.coefficient(v).as_fraction() ** k
+                out *= f.coefficient(v) ** k
             return out
 
         for _ in range(25):
@@ -229,13 +233,13 @@ class TestSolveCharacterMatch:
 
 class TestParameters:
     def test_parameter_coefficients_multiply(self):
-        f = LP(2, {(0, 0): Coefficient.rational(1, 1), (1, 1): Coefficient.parameter(0, 1)}, ("q",))
+        f = PLP(2, {(0, 0): Coefficient.rational(1, 1), (1, 1): Coefficient.parameter(0, 1)}, ("q",))
         g = f * f
         assert g.coefficient((2, 2)).terms == {(2,): Fraction(1)}
         assert g.coefficient((1, 1)).terms == {(1,): Fraction(2)}
 
     def test_specialize(self):
-        f = LP(
+        f = PLP(
             2,
             {(0, 0): Coefficient.rational(1, 2), (1, 0): Coefficient.parameter(0, 2),
              (0, 1): Coefficient.parameter(1, 2)},
@@ -243,15 +247,15 @@ class TestParameters:
         )
         got = f.specialize({"a": Fraction(1, 3), "b": 2})
         assert got == poly(2, {(0, 0): 1, (1, 0): Fraction(1, 3), (0, 1): 2})
-        assert got.params == ()
+        assert type(got) is LP  # the parameter context is gone
 
     def test_specialize_requires_all_parameters(self):
-        f = LP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
+        f = PLP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
         with pytest.raises(ValueError):
             f.specialize({})
 
     def test_specialization_can_cancel_terms(self):
-        f = LP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
+        f = PLP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
         assert f.specialize({"q": 0}).is_zero()
 
     def test_rational_agrees_with_the_validating_constructor(self):
@@ -264,12 +268,12 @@ class TestParameters:
 
 class TestSubstituteExponents:
     def test_unimodular_substitution(self):
-        f = one_plus(2, (1, 0), (0, 1))
+        f = lift(one_plus(2, (1, 0), (0, 1)))
         m = [[0, 1], [1, 0]]
-        assert f.substitute_exponents(m) == one_plus(2, (0, 1), (1, 0))
+        assert f.substitute_exponents(m) == lift(one_plus(2, (0, 1), (1, 0)))
 
     def test_rejects_non_unimodular(self):
-        f = one_plus(2, (1, 0))
+        f = lift(one_plus(2, (1, 0)))
         with pytest.raises(ValueError):
             f.substitute_exponents([[2, 0], [0, 1]])
 
@@ -280,7 +284,7 @@ class TestSerialization:
         assert LP.from_json_dict(g.to_json_dict()) == g
 
     def test_round_trip_with_parameters_and_negatives(self):
-        f = LP(
+        f = PLP(
             2,
             {
                 (-1, 2): Coefficient({(1, 0): Fraction(3, 7)}),
@@ -289,9 +293,89 @@ class TestSerialization:
             ("q00", "q10"),
         )
         data = f.to_json_dict()
-        assert LP.from_json_dict(data) == f
+        assert PLP.from_json_dict(data) == f
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 1, "params": ["q"], "terms": []},
+            {"dim": 1, "terms": [{"exp": [0], "coeff": {"num": 1, "den": 1, "param_exp": [1]}}]},
+        ],
+        ids=["params", "param_exp"],
+    )
+    def test_parameters_rejected(self, data):
+        with pytest.raises(ValueError):
+            LP.from_json_dict(data)
+
+    def test_parametric_oracle_output_rejected(self):
+        f = PLP(2, {(0, 0): Coefficient.parameter(0, 1)}, ("q",))
+        with pytest.raises(ValueError):
+            LP.from_json_dict(f.to_json_dict())
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["dim", "exp", "num", "den"])
+    def test_non_integers_rejected(self, bad, field):
+        term = {"exp": [0], "coeff": {"num": 1, "den": 1, "param_exp": []}}
+        data = {"dim": 1, "params": [], "terms": [term]}
+        if field == "dim":
+            data["dim"] = bad
+        elif field == "exp":
+            term["exp"] = [bad]
+        else:
+            term["coeff"][field] = bad
+        with pytest.raises(TypeError):
+            LP.from_json_dict(data)
 
     def test_terms_emitted_in_lex_order(self):
         g = one_plus(2, (1, 0), (0, 1))
         exps = [tuple(t["exp"]) for t in g.to_json_dict()["terms"]]
         assert exps == sorted(exps)
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+NONZERO = RATIONALS.filter(bool)
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
+
+
+@st.composite
+def operands(draw):
+    """Two polynomials of one rank in 1..3, a nonzero point, a character,
+    a scalar and an exponent for the prepended variable."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * dim)
+    f, g = (draw(st.dictionaries(exps, RATIONALS, max_size=6)) for _ in range(2))
+    point = tuple(draw(NONZERO) for _ in range(dim))
+    character = Character(draw(POSITIVE), tuple(draw(POSITIVE) for _ in range(dim)))
+    return dim, f, g, point, character, draw(RATIONALS), draw(st.integers(-3, 3))
+
+
+class TestAgainstParametric:
+    """The Fraction-valued polynomial against the parametric oracle class."""
+
+    @staticmethod
+    def assert_same(new, old):
+        assert json.dumps(new.to_json_dict()) == json.dumps(old.to_json_dict())
+        assert new == old.specialize({})
+        assert new.support() == old.support()
+        for e in new.support() + ((7,) * new.dim,):
+            assert new.coefficient(e) == old.coefficient(e).as_fraction()
+        assert repr(new) == repr(old)
+        assert LP.from_json_dict(new.to_json_dict()) == new
+        assert LP.from_json_dict(old.to_json_dict()) == new
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operands())
+    def test_operations_agree(self, case):
+        dim, f_terms, g_terms, point, character, scalar, lead = case
+        f, g = LP(dim, f_terms), LP(dim, g_terms)
+        old_f, old_g = PLP(dim, f_terms), PLP(dim, g_terms)
+        self.assert_same(f, old_f)
+        self.assert_same(f + g, old_f + old_g)
+        self.assert_same(f - g, old_f - old_g)
+        self.assert_same(f * g, old_f * old_g)
+        self.assert_same(f.scale(scalar), old_f.scale(scalar))
+        self.assert_same(f.prepend_variable(lead), old_f.prepend_variable(lead))
+        self.assert_same(
+            apply_character(f, character), parametric.apply_character(old_f, character)
+        )
+        assert f.evaluate(point) == old_f.evaluate(point)

@@ -394,6 +394,68 @@ class TestErrorPaths:
         assert "malformed" in err
 
 
+NOT_AN_INTEGER = pytest.mark.parametrize(
+    "bad", [0.7, 2.9, 2.0, True, False, "2"],
+    ids=["float", "float above", "integral float", "true", "false", "string"],
+)
+
+
+class TestIntegerOnlyInput:
+    """Every coordinate, dimension and multiplicity must be a JSON integer."""
+
+    @NOT_AN_INTEGER
+    @pytest.mark.parametrize("where", ["vertex", "dim"])
+    def test_decompose(self, capsys, tmp_path, bad, where):
+        doc = {"dim": 1, "vertices": [[0], [2]]}
+        if where == "dim":
+            doc["dim"] = bad
+        else:
+            doc["vertices"][1] = [bad]
+        path = tmp_path / "polytope.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert "malformed polytope file" in err
+
+    @NOT_AN_INTEGER
+    @pytest.mark.parametrize("where", ["vertex", "translation", "generator"])
+    def test_mirror_decomposition(self, capsys, tmp_path, bad, where):
+        doc = json.loads(json.dumps(SQUARE_DEC_JSON))
+        if where == "vertex":
+            doc["polytope"]["vertices"][2][0] = bad
+        elif where == "translation":
+            doc["translation"][1] = bad
+        else:
+            doc["summands"][0]["generators"][0][0] = bad
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "mirror", "--decomposition", str(path))
+        assert (code, out) == (2, "")
+        assert "malformed decomposition file" in err
+
+    @NOT_AN_INTEGER
+    def test_gw_class(self, capsys, square_dec_file, tmp_path, bad):
+        beta = tmp_path / "class.json"
+        beta.write_text(json.dumps({"sector": "D0", "multiplicities": [[0], [bad]]}))
+        code, out, err = run_cli(
+            capsys, "gw", "--decomposition", square_dec_file,
+            "--chamber", "0", "--class", str(beta),
+        )
+        assert (code, out) == (2, "")
+        assert "malformed disc class file" in err
+
+    def test_float_vertices_exit_two_without_traceback(self, tmp_path):
+        # int() once truncated these to the segment [0, 2]
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"dim": 1, "vertices": [[0.7], [2.9]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "decompose", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+
+
 class TestRoundTrip:
     def test_decompose_output_feeds_other_commands(self, capsys, hexagon_file, tmp_path):
         code, out, _ = run_cli(capsys, "decompose", hexagon_file)

@@ -189,7 +189,7 @@ class TestDiscPotential:
     def test_vertex_terms_have_coefficient_one(self, hexagon_triangles):
         w = disc_potential(hexagon_triangles)
         for v in hexagon_triangles.polytope.vertices:
-            assert w.coefficient((1,) + v).as_fraction() == 1
+            assert w.coefficient((1,) + v) == 1
 
 
 class TestDiscClass:
@@ -479,6 +479,23 @@ class TestIdentityChecks:
         monkeypatch.setattr(mirror_module, "_wall_product", drop_top_vertex)
         with pytest.raises(VerificationFailedError):
             syz_mirror(hexagon_triangles)
+
+        # a term outside P, every vertex still present; on the diagonal
+        # segment the extra term is collinear, just past its end
+        diagonal = MinkowskiDecomposition(hull([(0, 0), (3, 3)]), (0, 0), (seg((1, 1)),) * 3)
+        for dec, outside in (
+            (hexagon_triangles, (2, 0)),
+            (ap_decomposition(5), (7,)),
+            (diagonal, (4, 4)),
+        ):
+            def add_outside_term(dim, summands, outside=outside):
+                terms = real(dim, summands)
+                terms[outside] = 1
+                return terms
+
+            monkeypatch.setattr(mirror_module, "_wall_product", add_outside_term)
+            with pytest.raises(VerificationFailedError):
+                syz_mirror(dec)
 
     def test_basis_weight_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
         real = transition_module.invert_unimodular

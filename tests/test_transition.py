@@ -14,12 +14,11 @@ from syzkit import (
     lattice_points,
     match_transition,
     minkowski_sum_all,
-    parameter_name,
     solve_character_match,
     syz_mirror,
-    toric_family,
 )
 from conftest import ap_decomposition, random_unimodular_simplex, seg, zonotope
+from parametric import parameter_name, toric_family
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
 
