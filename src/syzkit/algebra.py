@@ -1,8 +1,8 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 Characters are diagonal monomial rescalings, and ``solve_character_match``
-recovers the rescaling between two polynomials exactly via per-prime integer
-linear systems.
+recovers the rescaling between two polynomials exactly, by exact roots over
+one column reduction of the exponents.
 
 Every value is treated as immutable after construction: all operations
 return new objects and never touch their inputs, so sharing across threads
@@ -20,7 +20,7 @@ from .errors import (
     ZeroPolynomialError,
     json_int,
 )
-from .intlinalg import solve_integer
+from .intlinalg import solve_multiplicative
 from .lattice import IntVec, LatticePolytope, hull
 
 
@@ -222,43 +222,15 @@ def newton_polytope(f: LaurentPolynomial) -> LatticePolytope:
     return hull(f.support())
 
 
-def _prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _valuation(q: Fraction, p: int) -> int:
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    n = q.denominator
-    while n % p == 0:
-        n //= p
-        v -= 1
-    return v
-
-
 def solve_character_match(
     f: LaurentPolynomial, g: LaurentPolynomial
 ) -> Character | None:
     """Exact character carrying f onto g, or None when no such rescaling exists.
 
     Both polynomials must have positive rational coefficients on the same
-    support.  Per prime, the coefficient ratios
-    log-linearize to an integer linear system in the valuations of
-    (gamma, alpha); a solution must exist at every prime simultaneously.
+    support.  The coefficient ratios b_v / a_v must equal gamma * prod_j
+    alpha_j ** v_j, a multiplicative system in (gamma, alpha) that one column
+    reduction of the exponent rows solves with exact roots, no factoring.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"{f.dim} variables vs {g.dim}")
@@ -272,22 +244,10 @@ def solve_character_match(
         if a <= 0 or b <= 0:
             raise ValueError("positive coefficients required")
         ratios.append(b / a)
-    primes: set[int] = set()
-    for r in ratios:
-        primes |= _prime_factors(r.numerator)
-        primes |= _prime_factors(r.denominator)
-    rows = [(1,) + v for v in support]
-    gamma = Fraction(1)
-    alpha = [Fraction(1)] * f.dim
-    for p in sorted(primes):
-        rhs = [_valuation(r, p) for r in ratios]
-        x = solve_integer(rows, rhs)
-        if x is None:
-            return None
-        gamma *= Fraction(p) ** x[0]
-        for j in range(f.dim):
-            alpha[j] *= Fraction(p) ** x[j + 1]
-    character = Character(gamma, tuple(alpha))
+    x = solve_multiplicative([(1,) + v for v in support], ratios, f.dim + 1)
+    if x is None:
+        return None
+    character = Character(x[0], tuple(x[1:]))
     if apply_character(f, character) != g:
         return None
     return character

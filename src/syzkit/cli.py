@@ -166,7 +166,10 @@ def _cmd_tropical(args):
         "dual_fan_check": dual_fan_check(decomposition),
     }
     if args.svg is not None:
-        content = render_diagram(decomposition.polytope, sorted(union), scale=args.scale)
+        try:
+            content = render_diagram(decomposition.polytope, sorted(union), scale=args.scale)
+        except ValueError as exc:
+            raise _InputError(f"--scale: {exc}") from exc
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(content)

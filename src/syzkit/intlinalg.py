@@ -1,6 +1,7 @@
 """Exact integer linear algebra on small dense matrices."""
 
 from fractions import Fraction
+from math import prod
 
 
 def det(rows) -> int:
@@ -30,49 +31,41 @@ def det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def invert_unimodular(rows) -> list[list[int]]:
-    """Inverse of an integer matrix with determinant +-1 (the inverse is again integral)."""
-    n = len(rows)
-    d = det(rows)
-    if d not in (1, -1):
-        raise ValueError(f"matrix has determinant {d}, expected +-1")
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
-    out = []
-    for row in aug:
-        entries = row[n:]
-        if any(x.denominator != 1 for x in entries):
-            raise AssertionError("unimodular inverse came out non-integral")
-        out.append([int(x) for x in entries])
-    return out
+def _exact_root(n: int, k: int) -> int | None:
+    """The k-th root of n >= 0 when it is an integer, else None, by an
+    integer Newton iteration from above."""
+    if k == 1 or n < 2:
+        return n
+    if n.bit_length() <= k:
+        return None  # 1 < root < 2
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
-def solve_integer(rows, rhs) -> list[int] | None:
-    """One integer solution x of A x = b, or None when no integer solution exists.
+def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
+    """Positive rationals x_1..x_n with prod_j x_j ** A[i][j] = b_i for every
+    row i, or None when no such rationals exist; every b_i must be positive.
 
-    Unimodular column operations bring A to a staircase form H with A U = H;
-    forward substitution solves H y = b over the integers and x = U y.  Free
-    columns are pinned to zero, so the output is deterministic.
+    Unimodular column operations bring A to a staircase form H with A U = H.
+    Forward substitution solves prod_j y_j ** H[r][j] = b_r, taking an exact
+    root at each pivot, and x_i = prod_j y_j ** U[i][j].  Free columns are
+    pinned to 1, so the output is deterministic.  Nothing is factored: a
+    prime's exponents in x are those of the integer system A e = v_p(b).
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
     h = [[int(x) for x in r] for r in rows]
     for r in h:
         if len(r) != n:
             raise ValueError("ragged matrix")
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
+    b = [Fraction(x) for x in rhs]
+    if any(x <= 0 for x in b):
+        raise ValueError("right-hand side must be positive")
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap(j, k):
@@ -120,14 +113,16 @@ def solve_integer(rows, rhs) -> list[int] | None:
             pivot_col[r] = c
             c += 1
 
-    y = [0] * n
+    y = [Fraction(1)] * n
     for r in range(m):
-        residue = int(rhs[r]) - sum(h[r][j] * y[j] for j in range(n))
+        residue = b[r] / prod(y[j] ** e for j, e in enumerate(h[r]))
         if r in pivot_col:
             j = pivot_col[r]
-            if residue % h[r][j] != 0:
+            num = _exact_root(residue.numerator, h[r][j])
+            den = _exact_root(residue.denominator, h[r][j])
+            if num is None or den is None:
                 return None
-            y[j] = residue // h[r][j]
-        elif residue != 0:
+            y[j] = Fraction(num, den)
+        elif residue != 1:
             return None
-    return [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
+    return [prod(y[j] ** e for j, e in enumerate(row)) for row in u]

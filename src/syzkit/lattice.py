@@ -225,9 +225,6 @@ class RaySet:
                 raise ValueError(f"ray {r} is not primitive")
         object.__setattr__(self, "rays", rays)
 
-    def sorted_rays(self) -> list[IntVec]:
-        return sorted(self.rays)
-
     def negated(self) -> "RaySet":
         return RaySet(frozenset(vec_neg(r) for r in self.rays))
 
@@ -241,7 +238,7 @@ class RaySet:
         return len(self.rays)
 
     def to_json_dict(self) -> dict:
-        return {"rays": [list(r) for r in self.sorted_rays()]}
+        return {"rays": [list(r) for r in sorted(self.rays)]}
 
 
 def normal_fan_rays(polytope: LatticePolytope) -> RaySet:

@@ -83,7 +83,8 @@ class MinkowskiDecomposition:
         runs: Counter = Counter()
         for s, m in Counter(self.summands).items():
             runs[s if s.generators[0] > (0,) * s.dim else canonical_summand(s)] += m
-        types = sorted(runs, key=summand_sort_key)
+        keys = {s: summand_sort_key(s) for s in runs}
+        types = sorted(runs, key=keys.__getitem__)
         summands = tuple(chain.from_iterable((s,) * runs[s] for s in types))
         object.__setattr__(self, "summands", summands)
         d = self.polytope.dim
@@ -102,6 +103,9 @@ class MinkowskiDecomposition:
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
         object.__setattr__(self, "_ks", tuple(s.k for s in summands))
+        object.__setattr__(
+            self, "_sort_key", tuple(chain.from_iterable((keys[s],) * runs[s] for s in types))
+        )
 
     @property
     def p(self) -> int:
@@ -112,7 +116,7 @@ class MinkowskiDecomposition:
         return self._ks
 
     def sort_key(self) -> tuple:
-        return tuple(summand_sort_key(s) for s in self.summands)
+        return self._sort_key
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,6 +5,7 @@ orientation and the viewBox is computed from the content bounds plus a
 one-lattice-unit margin.
 """
 
+import sys
 from math import sqrt
 
 
@@ -15,7 +16,12 @@ def _fmt(x: float) -> str:
 
 def render_diagram(polytope, rays, scale: int = 40) -> str:
     """SVG document: the polytope on an integer grid (``scale`` px per lattice
-    unit) and each ray as a unit-length segment from the origin."""
+    unit) and each ray as a unit-length segment from the origin.  A scale
+    below 1, or one whose view box would pass the float range, raises
+    ValueError."""
+    reach = 2 * (max(abs(x) for v in polytope.vertices for x in v) + 2) * scale
+    if scale < 1 or reach > sys.float_info.max:
+        raise ValueError("the scale must be at least 1 and keep the view box in the float range")
     pts = [(v[0] * scale, -v[1] * scale) for v in polytope.vertices]
     tips = []
     for r in sorted(tuple(v) for v in rays):

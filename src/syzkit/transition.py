@@ -4,8 +4,9 @@ specialization that lands the family exactly on the smoothing mirror.
 
 The character is solved directly at the basis points: the exponent matrix
 with rows (1, v_i) is unimodular because the consecutive differences of a
-basis simplex form a lattice basis, so gamma and the alphas come out as exact
-rational monomials in the basis coefficients.
+basis simplex form a lattice basis, so every pivot of its column reduction
+is 1 and gamma and the alphas come out as exact rational monomials in the
+basis coefficients.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import Character, fraction_str
 from .errors import InvalidBasisError, VerificationFailedError
-from .intlinalg import det, invert_unimodular
+from .intlinalg import det, solve_multiplicative
 from .lattice import (
     IntVec,
     LatticePolytope,
@@ -152,15 +153,9 @@ def match_transition(
                 f"the mirror coefficient vanishes at basis point {v}"
             )
         targets.append(Fraction(n_v))
-    matrix = [[1, *v] for v in basis.points]
-    inverse = invert_unimodular(matrix)
-    n = len(matrix)
-    solved = []
-    for r in range(n):
-        value = Fraction(1)
-        for i in range(n):
-            value *= targets[i] ** inverse[r][i]
-        solved.append(value)
+    solved = solve_multiplicative([(1, *v) for v in basis.points], targets, basis.dim + 1)
+    if solved is None:
+        raise VerificationFailedError("no character solves the basis system; this indicates a bug")
     character = Character(solved[0], tuple(solved[1:]))
     weights = {v: character.weight(v) for v in points}
     for v, t in zip(basis.points, targets):

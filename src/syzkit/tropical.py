@@ -7,7 +7,6 @@ from .lattice import (
     RaySet,
     UnimodularSimplex,
     dot,
-    hull,
     normal_fan_rays,
     primitive,
     vec_neg,
@@ -39,10 +38,11 @@ def tropical_rays(summand: UnimodularSimplex) -> RaySet:
 
 def wall_chambers(summand: UnimodularSimplex) -> int:
     """Number of maximal cones of the summand's normal fan, i.e. its vertex
-    count k + 1."""
+    count k + 1: the vertices of a unimodular simplex are affinely
+    independent, so each is a vertex of its hull."""
     if summand.dim not in (1, 2):
         raise UnsupportedDimensionError("chamber counting is limited to rank 1 and 2")
-    return len(hull(summand.vertex_set()).vertices)
+    return summand.k + 1
 
 
 def dual_fan_check(decomposition: MinkowskiDecomposition) -> bool:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from syzkit import (
 )
 import parametric
 from parametric import Coefficient, lift
+from test_intlinalg import solve_integer
 
 LP = LaurentPolynomial
 PLP = parametric.LaurentPolynomial
@@ -183,6 +185,79 @@ class TestCharacter:
             assert cross_ratio(apply_character(f, c)) == cross_ratio(f)
 
 
+# The trial-division solver that ``solve_character_match`` replaced, kept
+# unchanged (but for its name) as an oracle.
+def _prime_factors(n: int) -> set[int]:
+    n = abs(n)
+    out = set()
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def _valuation(q: Fraction, p: int) -> int:
+    v = 0
+    n = q.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    n = q.denominator
+    while n % p == 0:
+        n //= p
+        v -= 1
+    return v
+
+
+def factoring_character_match(
+    f: LaurentPolynomial, g: LaurentPolynomial
+) -> Character | None:
+    """Exact character carrying f onto g, or None when no such rescaling exists.
+
+    Both polynomials must have positive rational coefficients on the same
+    support.  Per prime, the coefficient ratios
+    log-linearize to an integer linear system in the valuations of
+    (gamma, alpha); a solution must exist at every prime simultaneously.
+    """
+    if f.dim != g.dim:
+        raise DimensionMismatchError(f"{f.dim} variables vs {g.dim}")
+    support = f.support()
+    if support != g.support():
+        raise SupportMismatchError("the two polynomials have different supports")
+    ratios = []
+    for v in support:
+        a = f.coefficient(v)
+        b = g.coefficient(v)
+        if a <= 0 or b <= 0:
+            raise ValueError("positive coefficients required")
+        ratios.append(b / a)
+    primes: set[int] = set()
+    for r in ratios:
+        primes |= _prime_factors(r.numerator)
+        primes |= _prime_factors(r.denominator)
+    rows = [(1,) + v for v in support]
+    gamma = Fraction(1)
+    alpha = [Fraction(1)] * f.dim
+    for p in sorted(primes):
+        rhs = [_valuation(r, p) for r in ratios]
+        x = solve_integer(rows, rhs)
+        if x is None:
+            return None
+        gamma *= Fraction(p) ** x[0]
+        for j in range(f.dim):
+            alpha[j] *= Fraction(p) ** x[j + 1]
+    character = Character(gamma, tuple(alpha))
+    if apply_character(f, character) != g:
+        return None
+    return character
+
+
 class TestSolveCharacterMatch:
     def test_forward_constructed_example(self):
         f = one_plus(2, (1, 0), (0, 1), (1, 1))
@@ -229,6 +304,73 @@ class TestSolveCharacterMatch:
             )
             recovered = solve_character_match(f, apply_character(f, c))
             assert recovered == c
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def character_problems(draw):
+    """(f, g) in rank 1-3 on 1-6 support points in [-3, 3]^d, which need not
+    span: g is f under a character, that with one coefficient changed, f
+    with ratios that are perfect powers, f with random ratios, or the zero
+    polynomial twice."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("character", "perturbed", "powers", "random", "zero")))
+    if kind == "zero":
+        return LP.zero(dim), LP.zero(dim)
+    points = st.tuples(*[st.integers(-3, 3)] * dim)
+    support = draw(st.lists(points, min_size=1, max_size=6, unique=True))
+    f = LP(dim, {v: draw(POSITIVE) for v in support})
+    if kind in ("character", "perturbed"):
+        g = apply_character(f, Character(draw(POSITIVE), tuple(draw(POSITIVE) for _ in range(dim))))
+        if kind == "perturbed":
+            v = draw(st.sampled_from(support))
+            g = LP(dim, {**g.terms, v: g.terms[v] * draw(POSITIVE)})
+        return f, g
+    if kind == "powers":
+        k = draw(st.integers(2, 4))
+        return f, LP(dim, {v: f.terms[v] * draw(POSITIVE) ** k for v in support})
+    return f, LP(dim, {v: draw(POSITIVE) for v in support})
+
+
+class TestCharacterMatchAgainstFactoring:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(character_problems())
+    def test_matches_the_factoring_solver(self, problem):
+        f, g = problem
+        assert solve_character_match(f, g) == factoring_character_match(f, g)
+
+    def test_checks_are_kept(self):
+        with pytest.raises(DimensionMismatchError):
+            solve_character_match(one_plus(1, (1,)), one_plus(2, (1, 0)))
+        with pytest.raises(ValueError):
+            solve_character_match(poly(1, {(0,): 1, (1,): -1}), poly(1, {(0,): 1, (1,): -2}))
+        assert solve_character_match(LP.zero(2), LP.zero(2)) == Character.identity(2)
+
+
+class TestCharacterMatchCost:
+    """Coefficient ratios with two large prime factors, which trial division
+    would never finish; the exact roots take well under a second."""
+
+    N = (2**61 - 1) * (2**89 - 1)
+
+    def timed(self, f, g):
+        start = time.perf_counter()
+        result = solve_character_match(f, g)
+        assert time.perf_counter() - start < 1.0
+        return result
+
+    def test_character_on_a_segment(self):
+        got = self.timed(one_plus(1, (1,)), poly(1, {(0,): 1, (1,): self.N}))
+        assert got == Character(1, (self.N,))
+
+    def test_square_root_at_a_pivot(self):
+        got = self.timed(one_plus(1, (2,)), poly(1, {(0,): 1, (2,): self.N**2}))
+        assert got == Character(1, (self.N,))
+
+    def test_inexact_root_is_no_match(self):
+        assert self.timed(one_plus(1, (2,)), poly(1, {(0,): 1, (2,): 2 * self.N**2})) is None
 
 
 class TestParameters:

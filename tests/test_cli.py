@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzkit import decomposition_from_json_dict, verify_decomposition
+from syzkit import decomposition_from_json_dict, hull, verify_decomposition
 from syzkit.cli import main
 
 HEXAGON_JSON = {
@@ -171,6 +171,120 @@ class TestDecomposeFuzz:
         assert code in (0, 1, 2)
         if code == 0:
             json.loads(out.getvalue())
+
+
+# Origin-rooted unimodular summands that decomposition documents are built from.
+RANK_SUMMANDS = {
+    1: [[[1]], [[-1]]],
+    2: [[[1, 0]], [[0, 1]], [[1, 1]], [[1, -1]], [[-1, 2]],
+        [[1, 0], [1, 1]], [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[-1, 0], [0, -1]]],
+}
+
+
+def minkowski_vertices(dim, summands):
+    points = {(0,) * dim}
+    for gens in summands:
+        corners = [(0,) * dim] + [tuple(g) for g in gens]
+        points = {tuple(a + b for a, b in zip(p, c)) for p in points for c in corners}
+    return [list(v) for v in hull(sorted(points)).vertices]
+
+
+# A flaw applied to a well-formed document, or None to keep it.
+FLAWS = st.sampled_from([
+    None, None, None, "drop summand", "extra summand", "not unimodular", "wrong rank",
+    "float", "no summands key", "empty summands", "rank 3", "translation rank", "not a list",
+])
+
+
+@st.composite
+def decomposition_docs(draw):
+    """A rank-1 or rank-2 decomposition document, valid or with one flaw."""
+    dim = draw(st.sampled_from((1, 2)))
+    summands = draw(st.lists(st.sampled_from(RANK_SUMMANDS[dim]), min_size=1, max_size=4))
+    doc = {
+        "polytope": {"dim": dim, "vertices": minkowski_vertices(dim, summands)},
+        "translation": draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)),
+        "summands": [{"generators": g} for g in summands],
+    }
+    flaw = draw(FLAWS)
+    if flaw == "drop summand":
+        doc["summands"].pop()
+    elif flaw == "extra summand":
+        doc["summands"].append({"generators": RANK_SUMMANDS[dim][0]})
+    elif flaw == "not unimodular":
+        doc["summands"][0] = {"generators": [[2] + [0] * (dim - 1)]}
+    elif flaw == "wrong rank":
+        doc["summands"][0] = {"generators": [[1] * (3 - dim)]}
+    elif flaw == "float":
+        doc["polytope"]["vertices"][-1][0] = 0.5
+    elif flaw == "no summands key":
+        del doc["summands"]
+    elif flaw == "empty summands":
+        doc["summands"] = []
+    elif flaw == "rank 3":
+        doc["polytope"] = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0]]}
+    elif flaw == "translation rank":
+        doc["translation"].append(0)
+    elif flaw == "not a list":
+        doc["summands"] = {"generators": 1}
+    return doc
+
+
+BASIS_TEXT = st.one_of(
+    st.text(alphabet="()0123456789,- x", max_size=24),
+    st.lists(st.lists(st.integers(-3, 4), min_size=1, max_size=3), min_size=1, max_size=4).map(
+        lambda points: ",".join("(" + ",".join(map(str, p)) + ")" for p in points)
+    ),
+)
+SCALES = st.one_of(st.integers(-5, 200), st.sampled_from([0, -1, 10**300, 10**400]))
+
+
+@st.composite
+def cli_arguments(draw, command):
+    """The command with random flags; the decomposition file is appended by
+    the test."""
+    argv = [command]
+    if command == "mirror":
+        argv += ["--format", draw(st.sampled_from(("json", "factored", "expanded")))]
+    elif command == "gw":
+        argv += ["--chamber", str(draw(st.integers(-3, 6)))]
+        argv += draw(st.sampled_from(([], ["--sector", "D0"], ["--sector", "Dinf"])))
+    elif command == "transition" and draw(st.booleans()):
+        argv += ["--basis", draw(BASIS_TEXT)]
+    elif command == "tropical":
+        argv += ["--scale", str(draw(SCALES))]
+    return argv
+
+
+class TestCommandFuzz:
+    """Every command on valid and malformed decompositions, with random flags,
+    ends in exit code 0, 1 or 2 and never in an exception."""
+
+    @pytest.mark.parametrize(
+        "command", ["mirror", "potential", "gw", "transition", "tropical", "cayley"]
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc=decomposition_docs(), data=st.data())
+    def test_exit_code_without_exception(self, command, doc, data):
+        argv = data.draw(cli_arguments(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "decomposition.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            if argv[0] == "tropical":
+                argv = argv + ["--svg", os.path.join(tmp, "out.svg")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + ["--decomposition", path])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue())
+        elif code == 1:
+            assert "error" in json.loads(out.getvalue())
 
 
 class TestMirror:
@@ -351,6 +465,38 @@ class TestTropical:
         ET.fromstring(content)
         # the flat polytope renders as a line, plus one line per ray
         assert content.count("<line") == 3
+
+    @pytest.mark.parametrize("scale", ["0", "-3", "1" + "0" * 400], ids=["zero", "negative", "10^400"])
+    def test_svg_scale_out_of_range(self, capsys, hex_triangles_file, tmp_path, scale):
+        svg_path = tmp_path / "bad.svg"
+        code, out, err = run_cli(
+            capsys, "tropical", "--decomposition", hex_triangles_file,
+            "--svg", str(svg_path), "--scale", scale,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--scale" in err
+        assert not svg_path.exists()
+
+    def test_svg_scale_inside_the_float_range(self, capsys, hex_triangles_file, tmp_path):
+        svg_path = tmp_path / "large.svg"
+        code, _, _ = run_cli(
+            capsys, "tropical", "--decomposition", hex_triangles_file,
+            "--svg", str(svg_path), "--scale", str(10**300),
+        )
+        assert code == 0
+        view = ET.fromstring(svg_path.read_text()).get("viewBox").split()
+        assert all(math.isfinite(float(x)) for x in view)
+        assert float(view[2]) > 0 and float(view[3]) > 0
+
+    def test_huge_scale_has_no_traceback(self, hex_triangles_file, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "tropical", "--decomposition", hex_triangles_file,
+             "--svg", str(tmp_path / "huge.svg"), "--scale", "1" + "0" * 400],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 class TestCayley:

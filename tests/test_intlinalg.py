@@ -1,8 +1,117 @@
 import random
+from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syzkit.intlinalg import det, invert_unimodular, solve_integer
+from syzkit.intlinalg import _exact_root, det, solve_multiplicative
+
+
+# The Fraction Gauss-Jordan inverse and the additive solver that
+# ``solve_multiplicative`` replaced, kept unchanged as oracles.
+def invert_unimodular(rows) -> list[list[int]]:
+    """Inverse of an integer matrix with determinant +-1 (the inverse is again integral)."""
+    n = len(rows)
+    d = det(rows)
+    if d not in (1, -1):
+        raise ValueError(f"matrix has determinant {d}, expected +-1")
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                factor = aug[r][c]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
+    out = []
+    for row in aug:
+        entries = row[n:]
+        if any(x.denominator != 1 for x in entries):
+            raise AssertionError("unimodular inverse came out non-integral")
+        out.append([int(x) for x in entries])
+    return out
+
+
+
+def solve_integer(rows, rhs) -> list[int] | None:
+    """One integer solution x of A x = b, or None when no integer solution exists.
+
+    Unimodular column operations bring A to a staircase form H with A U = H;
+    forward substitution solves H y = b over the integers and x = U y.  Free
+    columns are pinned to zero, so the output is deterministic.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    h = [[int(x) for x in r] for r in rows]
+    for r in h:
+        if len(r) != n:
+            raise ValueError("ragged matrix")
+    if len(rhs) != m:
+        raise ValueError("right-hand side length mismatch")
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap(j, k):
+        for r in range(m):
+            h[r][j], h[r][k] = h[r][k], h[r][j]
+        for r in range(n):
+            u[r][j], u[r][k] = u[r][k], u[r][j]
+
+    def combine(j, k, q):
+        # column j -= q * column k
+        for r in range(m):
+            h[r][j] -= q * h[r][k]
+        for r in range(n):
+            u[r][j] -= q * u[r][k]
+
+    def negate(j):
+        for r in range(m):
+            h[r][j] = -h[r][j]
+        for r in range(n):
+            u[r][j] = -u[r][j]
+
+    pivot_col: dict[int, int] = {}
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        while True:
+            nonzero = [j for j in range(c, n) if h[r][j] != 0]
+            if not nonzero:
+                break
+            best = min(nonzero, key=lambda j: abs(h[r][j]))
+            if best != c:
+                swap(c, best)
+            reduced = True
+            for j in range(c + 1, n):
+                if h[r][j] != 0:
+                    combine(j, c, h[r][j] // h[r][c])
+                    if h[r][j] != 0:
+                        reduced = False
+            if reduced:
+                break
+        if c < n and h[r][c] != 0:
+            if h[r][c] < 0:
+                negate(c)
+            pivot_col[r] = c
+            c += 1
+
+    y = [0] * n
+    for r in range(m):
+        residue = int(rhs[r]) - sum(h[r][j] * y[j] for j in range(n))
+        if r in pivot_col:
+            j = pivot_col[r]
+            if residue % h[r][j] != 0:
+                return None
+            y[j] = residue // h[r][j]
+        elif residue != 0:
+            return None
+    return [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
 
 
 def brute_det(rows):
@@ -117,3 +226,97 @@ class TestSolveInteger:
                     assert any(
                         sum(a[i][j] * x[j] for j in range(n)) != b[i] for i in range(m)
                     )
+
+
+def random_unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: a permutation, a
+    sign flip and a run of random elementary row operations."""
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rng.shuffle(m)
+    m[0] = [-x for x in m[0]] if rng.random() < 0.5 else m[0]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def positive_fraction(rng):
+    return Fraction(rng.randint(1, 30), rng.randint(1, 30))
+
+
+class TestExactRoot:
+    def test_against_isqrt_and_powers(self):
+        for n in range(2000):
+            r = isqrt(n)
+            assert _exact_root(n, 2) == (r if r * r == n else None)
+        for k in range(1, 8):
+            for r in (0, 1, 2, 3, 10, 2**61 - 1, 3**50):
+                assert _exact_root(r**k, k) == r
+                if r > 1 and k > 1:
+                    assert _exact_root(r**k + 1, k) is None
+                    assert _exact_root(r**k - 1, k) is None
+        # a root between 1 and 2 is rejected before any power is formed
+        assert _exact_root(5, 10**9) is None
+
+
+class TestSolveMultiplicative:
+    def test_hand_cases(self):
+        assert solve_multiplicative([[2]], [2], 1) is None
+        assert solve_multiplicative([[2]], [Fraction(9, 4)], 1) == [Fraction(3, 2)]
+        assert solve_multiplicative([[2]], [Fraction(9, 2)], 1) is None
+        assert solve_multiplicative([[1, 0], [0, 2]], [3, 5], 2) is None
+        assert solve_multiplicative([[1], [1]], [1, 2], 1) is None
+        x = solve_multiplicative([[1, 2]], [12], 2)
+        assert x is not None and x[0] * x[1] ** 2 == 12
+        assert solve_multiplicative([[1, 2], [2, 4]], [3, 9], 2) is not None
+        assert solve_multiplicative([[1, 2], [2, 4]], [3, 10], 2) is None
+        # a free column is pinned at 1
+        assert solve_multiplicative([[1, 0]], [7], 2) == [7, 1]
+
+    def test_no_rows_or_no_unknowns(self):
+        assert solve_multiplicative([], [], 3) == [1, 1, 1]
+        assert solve_multiplicative([[], []], [1, 1], 0) == []
+        assert solve_multiplicative([[], []], [1, 2], 0) is None
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            solve_multiplicative([[1, 2], [3]], [1, 1], 2)
+        with pytest.raises(ValueError):
+            solve_multiplicative([[1]], [1, 1], 1)
+        for b in (0, -4, Fraction(-1, 9)):
+            with pytest.raises(ValueError):
+                solve_multiplicative([[2]], [b], 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_solve_integer_prime_by_prime(self, data):
+        m = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(0, 4))
+        rows = [data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+        if data.draw(st.booleans()):
+            # right-hand sides that come from a solution, so most cases solve
+            e = {p: data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+                 for p in (2, 3, 5)}
+            c = {p: [sum(a * x for a, x in zip(row, e[p])) for row in rows] for p in e}
+        else:
+            c = {p: data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+                 for p in (2, 3, 5)}
+        rhs = [prod(Fraction(p) ** c[p][i] for p in c) for i in range(m)]
+        per_prime = {p: solve_integer(rows, c[p]) if m else [0] * n for p in c}
+        if any(x is None for x in per_prime.values()):
+            expected = None
+        else:
+            expected = [prod(Fraction(p) ** per_prime[p][j] for p in c) for j in range(n)]
+        assert solve_multiplicative(rows, rhs, n) == expected
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_basis_solve_matches_the_inverse(self, n):
+        rng = random.Random(41 + n)
+        for _ in range(300):
+            m = random_unimodular(rng, n)
+            assert det(m) in (1, -1)
+            inverse = invert_unimodular(m)
+            b = [positive_fraction(rng) for _ in range(n)]
+            expected = [prod(b[i] ** inverse[r][i] for i in range(n)) for r in range(n)]
+            assert solve_multiplicative(m, b, n) == expected

@@ -422,6 +422,7 @@ class TestDecompositionTypeAgainstPerSummand:
     def test_corpus(self, name):
         rng = random.Random(7)
         for dec in enumerate_decompositions(self.CORPUS[name]):
+            assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
             shuffled = list(dec.summands)
             rng.shuffle(shuffled)
             moved = [rerooted(s, rng.choice(s.vertex_set())) for s in shuffled]
@@ -475,7 +476,7 @@ class TestDecompositionTypeAgainstPerSummand:
     def test_each_distinct_summand_is_built_and_hulled_once(self, monkeypatch, vertices, step):
         polytope = hull(vertices)
         calls = Counter()
-        for name in ("hull", "summand_from_vertices"):
+        for name in ("hull", "summand_from_vertices", "summand_sort_key"):
             def counted(*args, real=getattr(minkowski, name), name=name):
                 calls[name] += 1
                 return real(*args)
@@ -485,7 +486,10 @@ class TestDecompositionTypeAgainstPerSummand:
         backwards = (seg(vec_neg(step)),) * len(dec.summands)
         again = MinkowskiDecomposition(polytope, (0,) * polytope.dim, backwards)
         assert dec.summands == again.summands == (seg(step),) * vertices[1][0]
-        assert calls == {"hull": 2, "summand_from_vertices": 1}
+        # one sort key per distinct type and construction, none per summand
+        # or per sort, while the expanded key stays the per-summand one
+        assert calls == {"hull": 2, "summand_from_vertices": 1, "summand_sort_key": 2}
+        assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
 
 
 class TestSummandCap:

@@ -498,12 +498,17 @@ class TestIdentityChecks:
                 syz_mirror(dec)
 
     def test_basis_weight_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
-        real = transition_module.invert_unimodular
+        real = transition_module.solve_multiplicative
 
-        def doubled(matrix):
-            return [[2 * x for x in row] for row in real(matrix)]
+        def doubled(rows, rhs, n):
+            return [2 * x for x in real(rows, rhs, n)]
 
-        monkeypatch.setattr(transition_module, "invert_unimodular", doubled)
+        monkeypatch.setattr(transition_module, "solve_multiplicative", doubled)
+        with pytest.raises(VerificationFailedError):
+            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
+
+    def test_unsolved_basis_system_is_caught(self, monkeypatch, hexagon_triangles):
+        monkeypatch.setattr(transition_module, "solve_multiplicative", lambda rows, rhs, n: None)
         with pytest.raises(VerificationFailedError):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
