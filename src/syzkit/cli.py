@@ -147,6 +147,8 @@ def _cmd_transition(args):
 
 def _cmd_tropical(args):
     decomposition = _load_decomposition(args.decomposition)
+    if args.scale < 1:
+        raise _InputError("--scale: the scale must be at least 1")
     walls = []
     union = frozenset()
     for s in decomposition.summands:

@@ -33,10 +33,6 @@ def vec_neg(a: IntVec) -> IntVec:
     return tuple(-x for x in a)
 
 
-def dot(a: IntVec, b: IntVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def cross(a: IntVec, b: IntVec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -115,6 +111,8 @@ class LatticePolytope:
         return self.vertices[0]
 
     def translate(self, offset: IntVec) -> "LatticePolytope":
+        if len(offset) != self.dim:
+            raise DimensionMismatchError(f"offset {tuple(offset)} does not have rank {self.dim}")
         return LatticePolytope(self.dim, tuple(vec_add(v, offset) for v in self.vertices))
 
     def to_json_dict(self) -> dict:
@@ -149,23 +147,16 @@ def lattice_points(polytope: LatticePolytope) -> list[IntVec]:
     if polytope.dim == 1:
         lo, hi = polytope.vertices[0][0], polytope.vertices[-1][0]
         return [(x,) for x in range(lo, hi + 1)]
-    verts = polytope.vertices
-    if len(verts) == 1:
-        return [verts[0]]
-    if len(verts) == 2:
-        span = vec_sub(verts[1], verts[0])
-        step = primitive(span)
-        return sorted(
-            tuple(v + t * s for v, s in zip(verts[0], step))
-            for t in range(lattice_length(span) + 1)
-        )
     # Column by column: the interior lies left of each counterclockwise edge
     # a -> a + e, i.e. e_x * (y - a_y) >= e_y * (x - a_x).  Edges going right
     # bound y from below, edges going left from above, and vertical edges
-    # only bound x, which the vertices already do.
+    # only bound x, which the vertices already do.  A point or a vertical
+    # segment has no edge going right or left; horizontal edges through its
+    # first and last vertex stand in, so its one column runs between them.
+    verts = polytope.vertices
     edges = [(a, vec_sub(b, a)) for a, b in zip(verts, verts[1:] + verts[:1])]
-    lower = [(a, e) for a, e in edges if e[0] > 0]
-    upper = [(a, e) for a, e in edges if e[0] < 0]
+    lower = [(a, e) for a, e in edges if e[0] > 0] or [(verts[0], (1, 0))]
+    upper = [(a, e) for a, e in edges if e[0] < 0] or [(verts[-1], (-1, 0))]
     out = []
     for x in range(verts[0][0], max(v[0] for v in verts) + 1):
         lo = max(ay - ey * (ax - x) // ex for (ax, ay), (ex, ey) in lower)
@@ -198,11 +189,6 @@ def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
     verts = polytope.vertices
     if len(verts) == 1:
         return {}
-    if polytope.dim == 1 or len(verts) == 2:
-        span = vec_sub(verts[-1], verts[0])
-        step = primitive(span)
-        length = lattice_length(span)
-        return {step: length, vec_neg(step): length}
     profile: dict[IntVec, int] = {}
     for a, b in zip(verts, verts[1:] + verts[:1]):
         e = vec_sub(b, a)
@@ -245,18 +231,7 @@ def normal_fan_rays(polytope: LatticePolytope) -> RaySet:
     """Primitive outward edge normals; both line normals for a segment, none for a point."""
     if polytope.dim != 2:
         raise UnsupportedDimensionError("normal fans are computed in rank two only")
-    verts = polytope.vertices
-    if len(verts) == 1:
-        return RaySet(frozenset())
-    if len(verts) == 2:
-        e = vec_sub(verts[1], verts[0])
-        n = primitive((e[1], -e[0]))
-        return RaySet(frozenset({n, vec_neg(n)}))
-    rays = set()
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        e = vec_sub(b, a)
-        rays.add(primitive((e[1], -e[0])))
-    return RaySet(frozenset(rays))
+    return RaySet(frozenset((ey, -ex) for ex, ey in edge_profile(polytope)))
 
 
 def is_unimodular_simplex(generators) -> bool:
@@ -310,6 +285,19 @@ class UnimodularSimplex:
 
     def vertex_set(self) -> tuple[IntVec, ...]:
         return ((0,) * self.dim,) + self.generators
+
+    def edge_profile(self) -> dict[IntVec, int]:
+        """The counterclockwise edges of the simplex, read from its generators:
+        ``{u: 1, -u: 1}`` for a segment, ``{a: 1, b - a: 1, -b: 1}`` for a
+        triangle with ``cross(a, b) > 0``.  Every edge has lattice length one
+        because the simplex is unimodular."""
+        if self.k == 1:
+            (u,) = self.generators
+            return {u: 1, vec_neg(u): 1}
+        a, b = self.generators
+        if cross(a, b) < 0:
+            a, b = b, a
+        return {a: 1, vec_sub(b, a): 1, vec_neg(b): 1}
 
     def to_json_dict(self) -> dict:
         return {"generators": [list(g) for g in self.generators]}

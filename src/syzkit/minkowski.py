@@ -24,7 +24,6 @@ from .lattice import (
     UnimodularSimplex,
     cross,
     edge_profile,
-    hull,
     polytope_from_json_dict,
     vec_add,
     vec_neg,
@@ -77,7 +76,7 @@ class MinkowskiDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
         # Summands are mostly a few types repeated, so each distinct one is
-        # canonicalised, rank-checked and hulled once, weighted by its count.
+        # canonicalised, rank-checked and profiled once, weighted by its count.
         # One whose least generator is lexicographically positive is already
         # rooted at its lexicographic minimum, hence canonical.
         runs: Counter = Counter()
@@ -98,7 +97,7 @@ class MinkowskiDecomposition:
             raise DimensionMismatchError("summand rank differs from the polytope rank")
         total: dict[IntVec, int] = {}
         for s in types:
-            for e, n in edge_profile(hull(s.vertex_set())).items():
+            for e, n in s.edge_profile().items():
                 total[e] = total.get(e, 0) + runs[s] * n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
@@ -135,6 +134,8 @@ def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
         )
         for s in data["summands"]
     )
+    if len(translation) != poly.dim:
+        raise DimensionMismatchError("translation point has the wrong rank")
     shift = poly.lexmin
     return MinkowskiDecomposition(
         poly.translate(vec_neg(shift)), vec_add(translation, shift), summands

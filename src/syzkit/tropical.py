@@ -1,39 +1,20 @@
 """Tropicalizations of wall factors and the dual-fan decomposition check."""
 
-from itertools import combinations
-
 from .errors import UnsupportedDimensionError
-from .lattice import (
-    RaySet,
-    UnimodularSimplex,
-    dot,
-    normal_fan_rays,
-    primitive,
-    vec_neg,
-    vec_sub,
-)
+from .lattice import RaySet, UnimodularSimplex, normal_fan_rays
 from .minkowski import MinkowskiDecomposition
 
 
 def tropical_rays(summand: UnimodularSimplex) -> RaySet:
     """Rays of the corner locus of min(0, <u_1,x>, ..., <u_k,x>).
 
-    A direction belongs to the locus when at least two of the affine forms
-    attain the minimum along it; a segment summand contributes the full line
-    perpendicular to its generator.
+    The locus is the inner normal fan of the simplex, so its rays are the
+    inner normals (-e_y, e_x) of the counterclockwise edges e; a segment
+    summand contributes the full line perpendicular to its generator.
     """
     if summand.dim != 2:
         raise UnsupportedDimensionError("tropicalization is computed in rank two only")
-    forms = [(0, 0), *summand.generators]
-    found = set()
-    for i, j in combinations(range(len(forms)), 2):
-        w = vec_sub(forms[i], forms[j])
-        base = primitive((w[1], -w[0]))
-        for ray in (base, vec_neg(base)):
-            level = dot(forms[i], ray)
-            if all(dot(f, ray) >= level for f in forms):
-                found.add(ray)
-    return RaySet(frozenset(found))
+    return RaySet(frozenset((-ey, ex) for ex, ey in summand.edge_profile()))
 
 
 def wall_chambers(summand: UnimodularSimplex) -> int:

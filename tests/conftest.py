@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -6,6 +7,7 @@ from syzkit import (
     MinkowskiDecomposition,
     UnimodularSimplex,
     hull,
+    is_unimodular_simplex,
     summand_from_vertices,
 )
 
@@ -75,6 +77,19 @@ def random_unimodular_simplex(rng: random.Random, lo=-2, hi=2) -> UnimodularSimp
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
             continue
         return summand_from_vertices(2, ((0, 0), u, v))
+
+
+def unimodular_simplices(dim, bound=3):
+    """Every origin-rooted unimodular simplex of the given rank whose
+    generators have entries in [-bound, bound]."""
+    vectors = [v for v in product(range(-bound, bound + 1), repeat=dim) if any(v)]
+    found = {
+        UnimodularSimplex(dim, gens)
+        for k in range(1, dim + 1)
+        for gens in combinations(vectors, k)
+        if is_unimodular_simplex(gens)
+    }
+    return sorted(found, key=lambda s: (s.k, s.generators))
 
 
 def zonotope(m, n):

@@ -478,6 +478,15 @@ class TestTropical:
         assert "--scale" in err
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("scale", ["0", "-3"], ids=["zero", "negative"])
+    def test_scale_below_one_without_svg(self, capsys, hex_triangles_file, scale):
+        code, out, err = run_cli(
+            capsys, "tropical", "--decomposition", hex_triangles_file, "--scale", scale
+        )
+        assert code == 2
+        assert out == ""
+        assert "--scale" in err
+
     def test_svg_scale_inside_the_float_range(self, capsys, hex_triangles_file, tmp_path):
         svg_path = tmp_path / "large.svg"
         code, _, _ = run_cli(
@@ -531,6 +540,17 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             main(["decompose", hexagon_file, "--frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("translation", [[0], [0, 0, 7]], ids=["short", "long"])
+    def test_translation_of_the_wrong_rank(self, capsys, tmp_path, translation):
+        dec_file = tmp_path / "dec.json"
+        dec_file.write_text(json.dumps({**SQUARE_DEC_JSON, "translation": translation}))
+        code, out, _ = run_cli(capsys, "cayley", "--decomposition", str(dec_file))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "DimensionMismatch",
+            "detail": "translation point has the wrong rank",
+        }
 
     def test_malformed_decomposition_schema(self, capsys, tmp_path):
         bad = tmp_path / "dec.json"

@@ -17,6 +17,7 @@ from syzkit import (
     polytope_from_json_dict,
 )
 from syzkit.lattice import cross, lattice_length, primitive, vec_sub
+from conftest import unimodular_simplices
 
 HEXAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
 
@@ -55,6 +56,13 @@ class TestHull:
         with pytest.raises(DimensionMismatchError):
             hull([(1, 2), (1,)])
 
+    def test_translate_checks_the_offset_rank(self):
+        square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert square.translate((2, -1)) == hull([(2, -1), (3, -1), (3, 0), (2, 0)])
+        for offset in ((2,), (2, -1, 7)):
+            with pytest.raises(DimensionMismatchError):
+                square.translate(offset)
+
     def test_non_canonical_construction_rejected(self):
         with pytest.raises(ValueError):
             LatticePolytope(2, ((1, 0), (0, 0), (1, 1), (0, 1)))
@@ -85,6 +93,8 @@ class TestLatticePoints:
     @example([(-9, -9), (9, -9), (9, 9), (-9, 9)])  # two vertical edges
     @example([(2, -7), (2, 8)])  # vertical segment
     @example([(-3, 4)])
+    @example([(0, 0), (4, 6)])  # slanted segment of lattice length 2
+    @example([(-3, 5), (5, -7)])  # slanted segment of lattice length 4, going down
     def test_row_scan_matches_box_scan_and_pick(self, points):
         polytope = hull(points)
         got = lattice_points(polytope)
@@ -235,6 +245,13 @@ class TestEdgeProfile:
     def test_scaled_square(self):
         sq = hull([(0, 0), (2, 0), (2, 2), (0, 2)])
         assert edge_profile(sq) == {(1, 0): 2, (0, 1): 2, (-1, 0): 2, (0, -1): 2}
+
+    @pytest.mark.parametrize("dim, count", [(1, 2), (2, 148)])
+    def test_simplex_profile_is_the_profile_of_its_hull(self, dim, count):
+        simplices = unimodular_simplices(dim)
+        assert len(simplices) == count
+        for s in simplices:
+            assert s.edge_profile() == edge_profile(hull(s.vertex_set()))
 
 
 class TestJson:

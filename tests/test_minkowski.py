@@ -25,7 +25,7 @@ from syzkit import (
     summand_from_vertices,
     verify_decomposition,
 )
-from syzkit import minkowski
+from syzkit import lattice, minkowski
 from syzkit.lattice import IntVec, cross, vec_add, vec_neg, vec_sub
 from syzkit.minkowski import summand_sort_key
 from conftest import (
@@ -473,22 +473,30 @@ class TestDecompositionTypeAgainstPerSummand:
     @pytest.mark.parametrize(
         "vertices, step", [([(0,), (1200,)], (1,)), ([(0, 0), (1500, 1500)], (1, 1))]
     )
-    def test_each_distinct_summand_is_built_and_hulled_once(self, monkeypatch, vertices, step):
+    def test_each_distinct_summand_is_built_and_profiled_once(self, monkeypatch, vertices, step):
         polytope = hull(vertices)
         calls = Counter()
-        for name in ("hull", "summand_from_vertices", "summand_sort_key"):
-            def counted(*args, real=getattr(minkowski, name), name=name):
+        for owner, name in (
+            (lattice, "hull"),
+            (UnimodularSimplex, "edge_profile"),
+            (minkowski, "summand_from_vertices"),
+            (minkowski, "summand_sort_key"),
+        ):
+            def counted(*args, real=getattr(owner, name), name=name):
                 calls[name] += 1
                 return real(*args)
-            monkeypatch.setattr(minkowski, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         (dec,) = enumerate_decompositions(polytope)
         # rooted at the far end, so each copy would need re-rooting
         backwards = (seg(vec_neg(step)),) * len(dec.summands)
         again = MinkowskiDecomposition(polytope, (0,) * polytope.dim, backwards)
         assert dec.summands == again.summands == (seg(step),) * vertices[1][0]
-        # one sort key per distinct type and construction, none per summand
-        # or per sort, while the expanded key stays the per-summand one
-        assert calls == {"hull": 2, "summand_from_vertices": 1, "summand_sort_key": 2}
+        # one edge profile and one sort key per distinct type and
+        # construction, none per summand or per sort, and no hull, while the
+        # expanded key stays the per-summand one
+        assert calls == Counter(
+            hull=0, edge_profile=2, summand_from_vertices=1, summand_sort_key=2
+        )
         assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
 
 
@@ -568,6 +576,16 @@ class TestJson:
         dec = decomposition_from_json_dict(data)
         assert dec.polytope == hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert dec.translation == (1, 1)
+
+    @pytest.mark.parametrize("translation", [[0], [0, 0, 7]], ids=["short", "long"])
+    def test_translation_of_the_wrong_rank_rejected(self, translation):
+        data = {
+            "polytope": {"dim": 2, "vertices": [[1, 1], [2, 1], [2, 2], [1, 2]]},
+            "translation": translation,
+            "summands": [{"generators": [[1, 0]]}, {"generators": [[0, 1]]}],
+        }
+        with pytest.raises(DimensionMismatchError, match="translation point has the wrong rank"):
+            decomposition_from_json_dict(data)
 
     def test_ap_round_trip(self):
         dec = ap_decomposition(3)

@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from syzkit import (
     MinkowskiDecomposition,
+    RaySet,
+    UnimodularSimplex,
     UnsupportedDimensionError,
     dual_fan_check,
     enumerate_decompositions,
@@ -13,7 +16,36 @@ from syzkit import (
     tropical_rays,
     wall_chambers,
 )
-from conftest import random_unimodular_simplex, seg, tri
+from syzkit.lattice import primitive, vec_neg, vec_sub
+from conftest import random_unimodular_simplex, seg, tri, unimodular_simplices
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def corner_locus_rays(summand: UnimodularSimplex) -> RaySet:
+    """Rays of the corner locus of min(0, <u_1,x>, ..., <u_k,x>).
+
+    A direction belongs to the locus when at least two of the affine forms
+    attain the minimum along it; a segment summand contributes the full line
+    perpendicular to its generator.
+
+    The pair search over supporting forms that ``tropical_rays`` replaced,
+    kept as its oracle.
+    """
+    if summand.dim != 2:
+        raise UnsupportedDimensionError("tropicalization is computed in rank two only")
+    forms = [(0, 0), *summand.generators]
+    found = set()
+    for i, j in combinations(range(len(forms)), 2):
+        w = vec_sub(forms[i], forms[j])
+        base = primitive((w[1], -w[0]))
+        for ray in (base, vec_neg(base)):
+            level = dot(forms[i], ray)
+            if all(dot(f, ray) >= level for f in forms):
+                found.add(ray)
+    return RaySet(frozenset(found))
 
 
 class TestTropicalRays:
@@ -41,6 +73,12 @@ class TestTropicalRays:
             s = random_unimodular_simplex(rng)
             inner = normal_fan_rays(hull(s.vertex_set())).negated()
             assert tropical_rays(s).rays == inner.rays
+
+    def test_matches_corner_locus_on_every_small_simplex(self):
+        simplices = unimodular_simplices(2)
+        assert len(simplices) == 148
+        for s in simplices:
+            assert tropical_rays(s) == corner_locus_rays(s)
 
 
 class TestWallChambers:
