@@ -29,7 +29,11 @@ def fraction_str(q: Fraction) -> str:
 
 
 class LaurentPolynomial:
-    """``dim`` z-variables and sparse exact rational terms."""
+    """``dim`` z-variables and sparse exact rational terms.
+
+    The public constructor and ``from_json_dict`` validate their terms; every
+    polynomial syzkit builds itself goes through ``_of``, which does not.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -45,6 +49,15 @@ class LaurentPolynomial:
             if coeff:
                 clean[e] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, dim: int, terms: dict[IntVec, Fraction]) -> "LaurentPolynomial":
+        """Wrap terms that are already canonical: int-tuple keys of length
+        ``dim`` mapped to nonzero values of exact type ``Fraction``."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, dim: int) -> "LaurentPolynomial":
@@ -75,7 +88,7 @@ class LaurentPolynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(self.dim, out)
+        return LaurentPolynomial._of(self.dim, {e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "LaurentPolynomial":
         return self.scale(-1)
@@ -90,7 +103,7 @@ class LaurentPolynomial:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPolynomial(self.dim, out)
+        return LaurentPolynomial._of(self.dim, {e: c for e, c in out.items() if c})
 
     def __eq__(self, other) -> bool:
         return (
@@ -104,19 +117,20 @@ class LaurentPolynomial:
 
     def scale(self, value) -> "LaurentPolynomial":
         q = Fraction(value)
-        return LaurentPolynomial(self.dim, {e: c * q for e, c in self.terms.items()})
+        if not q:
+            return LaurentPolynomial._of(self.dim, {})
+        return LaurentPolynomial._of(self.dim, {e: c * q for e, c in self.terms.items()})
 
     def prepend_variable(self, exponent: int) -> "LaurentPolynomial":
         """Add a distinguished leading variable carrying the given exponent on every term."""
-        return LaurentPolynomial(
-            self.dim + 1, {(int(exponent),) + e: c for e, c in self.terms.items()}
-        )
+        lead = (int(exponent),)
+        return LaurentPolynomial._of(self.dim + 1, {lead + e: c for e, c in self.terms.items()})
 
     def specialize(self, values) -> "LaurentPolynomial":
         """The polynomial itself: there are no parameters to substitute.
 
         Kept only because ``perfbench/tracer.py`` wraps this method by name;
-        it goes when the library records its own counters (ROADMAP item 5).
+        it goes when the library records its own counters (ROADMAP item 1).
         """
         return self
 
@@ -210,7 +224,8 @@ def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolyno
         raise DimensionMismatchError(
             f"character has {len(character.alpha)} scales for {f.dim} variables"
         )
-    return LaurentPolynomial(f.dim, {e: c * character.weight(e) for e, c in f.terms.items()})
+    # Every weight is positive, so no term vanishes.
+    return LaurentPolynomial._of(f.dim, {e: c * character.weight(e) for e, c in f.terms.items()})
 
 
 def newton_polytope(f: LaurentPolynomial) -> LatticePolytope:

@@ -149,20 +149,19 @@ def _cmd_tropical(args):
     decomposition = _load_decomposition(args.decomposition)
     if args.scale < 1:
         raise _InputError("--scale: the scale must be at least 1")
-    walls = []
-    union = frozenset()
-    for s in decomposition.summands:
-        rays = tropical_rays(s)
-        union = union | rays.rays
-        walls.append(
-            {
-                "generators": [list(g) for g in s.generators],
-                "rays": rays.to_json_dict()["rays"],
-                "chambers": wall_chambers(s),
-            }
-        )
+    rays = {s: tropical_rays(s) for s in dict.fromkeys(decomposition.summands)}
+    union = frozenset().union(*(r.rays for r in rays.values()))
+    # One entry per distinct type, listed once per wall.
+    walls = {
+        s: {
+            "generators": [list(g) for g in s.generators],
+            "rays": r.to_json_dict()["rays"],
+            "chambers": wall_chambers(s),
+        }
+        for s, r in rays.items()
+    }
     report = {
-        "walls": walls,
+        "walls": [walls[s] for s in decomposition.summands],
         "union_rays": [list(r) for r in sorted(union)],
         "polytope_rays": normal_fan_rays(decomposition.polytope).to_json_dict()["rays"],
         "dual_fan_check": dual_fan_check(decomposition),

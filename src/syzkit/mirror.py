@@ -10,6 +10,7 @@ all walls).
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -109,10 +110,7 @@ class SYZMirror(NamedTuple):
 
 def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
     """The wall-crossing function 1 + sum of z^u over the summand's generators."""
-    terms = {(0,) * summand.dim: 1}
-    for u in summand.generators:
-        terms[u] = 1
-    return LaurentPolynomial(summand.dim, terms)
+    return LaurentPolynomial._of(summand.dim, dict.fromkeys(summand.vertex_set(), Fraction(1)))
 
 
 def _slot_bytes(bound: int) -> int:
@@ -139,7 +137,8 @@ def _wall_product(dim: int, summands) -> dict[IntVec, int]:
     other and bigint arithmetic multiplies all the factors: each distinct
     factor is packed once and raised to its multiplicity, and the powers are
     multiplied in a balanced tree.  The first coordinate has the largest
-    stride, so the result comes out in lexicographic order of exponents.
+    stride, so the slots are read row by row, with x fixed along each row of
+    radix[1] slots, and the result comes out in lexicographic order.
     """
     runs = Counter(summands)
     offset = [0] * dim
@@ -170,11 +169,17 @@ def _wall_product(dim: int, summands) -> dict[IntVec, int]:
             f"the coefficients of g sum to {total}, not g(1, ..., 1) = {bound}; "
             "this indicates an implementation bug"
         )
-    return {
-        tuple(m + index // t % r for m, t, r in zip(offset, stride, radix)): n
-        for index, n in enumerate(slots)
-        if n
-    }
+    if dim == 1:
+        (o,) = offset
+        return {(o + i,): n for i, n in enumerate(slots) if n}
+    ox, oy = offset
+    row = radix[1]
+    out = {}
+    for x, start in enumerate(range(0, len(slots), row), ox):
+        for y, n in enumerate(slots[start : start + row], oy):
+            if n:
+                out[x, y] = n
+    return out
 
 
 def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
@@ -196,7 +201,9 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
             "the Newton polytope of g is not the decomposition's polytope; "
             "this indicates an implementation bug"
         )
-    expanded = LaurentPolynomial(polytope.dim, coefficients)
+    expanded = LaurentPolynomial._of(
+        polytope.dim, {e: Fraction(n) for e, n in coefficients.items()}
+    )
     return SYZMirror(factored, expanded, GWTable(coefficients))
 
 
@@ -302,6 +309,6 @@ def chamber_uv(
     below = _wall_product(d, decomposition.summands[: chamber + 1])
     above = _wall_product(d, decomposition.summands[chamber + 1 :])
     return (
-        LaurentPolynomial(d + 1, {(1,) + e: n for e, n in below.items()}),
-        LaurentPolynomial(d + 1, {(-1,) + e: n for e, n in above.items()}),
+        LaurentPolynomial._of(d + 1, {(1,) + e: Fraction(n) for e, n in below.items()}),
+        LaurentPolynomial._of(d + 1, {(-1,) + e: Fraction(n) for e, n in above.items()}),
     )

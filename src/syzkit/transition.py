@@ -16,6 +16,7 @@ from .algebra import Character, fraction_str
 from .errors import InvalidBasisError, VerificationFailedError
 from .intlinalg import det, solve_multiplicative
 from .lattice import (
+    SUPPORTED_DIMS,
     IntVec,
     LatticePolytope,
     cross,
@@ -41,6 +42,9 @@ class BasisSimplex:
         d = len(pts[0])
         if any(len(p) != d for p in pts) or len(pts) != d + 1:
             raise InvalidBasisError(f"expected {d + 1} points of rank {d}")
+        # Checked before the determinant, whose cost grows with the rank.
+        if d not in SUPPORTED_DIMS:
+            raise InvalidBasisError(f"a basis has rank 1 or 2, not rank {d}")
         diffs = [list(vec_sub(b, a)) for a, b in zip(pts, pts[1:])]
         if abs(det(diffs)) != 1:
             raise InvalidBasisError(
@@ -52,16 +56,7 @@ class BasisSimplex:
         return len(self.points[0])
 
     def validate_for(self, polytope: LatticePolytope) -> None:
-        if self.dim != polytope.dim:
-            raise InvalidBasisError("basis rank differs from the polytope rank")
-        pts = set(lattice_points(polytope))
-        for p in self.points:
-            if p not in pts:
-                raise InvalidBasisError(f"{p} is not a lattice point of the polytope")
-        if self.points[0] not in polytope.vertices:
-            raise InvalidBasisError(
-                f"first basis point {self.points[0]} is not a vertex of the polytope"
-            )
+        _validate(self, polytope, lattice_points(polytope))
 
     @classmethod
     def default_for(cls, polytope: LatticePolytope, allowed=None) -> "BasisSimplex":
@@ -69,31 +64,49 @@ class BasisSimplex:
         the lexicographically earliest lattice points whose consecutive
         differences stay unimodular.  ``allowed`` optionally restricts the
         candidate lattice points."""
-        d = polytope.dim
         pool = lattice_points(polytope)
         if allowed is not None:
             keep = set(tuple(p) for p in allowed)
             pool = [p for p in pool if p in keep]
-        v1 = polytope.vertices[0]
-        if v1 not in pool:
-            raise InvalidBasisError("the lexicographic-minimum vertex is not admissible")
-        if d == 1:
-            for p in pool:
-                if p != v1 and abs(p[0] - v1[0]) == 1:
-                    return cls((v1, p))
-            raise InvalidBasisError("no unimodular chain of lattice points exists")
-        for v2 in pool:
-            if v2 == v1:
-                continue
-            w1 = vec_sub(v2, v1)
-            if primitive(w1) != w1:
-                continue
-            for v3 in pool:
-                if v3 in (v1, v2):
-                    continue
-                if abs(cross(w1, vec_sub(v3, v2))) == 1:
-                    return cls((v1, v2, v3))
+        return _default_basis(polytope, pool)
+
+
+def _validate(basis: BasisSimplex, polytope: LatticePolytope, points) -> None:
+    """``validate_for`` against the polytope's already listed lattice points."""
+    if basis.dim != polytope.dim:
+        raise InvalidBasisError("basis rank differs from the polytope rank")
+    pts = set(points)
+    for p in basis.points:
+        if p not in pts:
+            raise InvalidBasisError(f"{p} is not a lattice point of the polytope")
+    if basis.points[0] not in polytope.vertices:
+        raise InvalidBasisError(
+            f"first basis point {basis.points[0]} is not a vertex of the polytope"
+        )
+
+
+def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimplex:
+    """``default_for`` over the candidate lattice points ``pool``, in lexicographic order."""
+    v1 = polytope.vertices[0]
+    if v1 not in pool:
+        raise InvalidBasisError("the lexicographic-minimum vertex is not admissible")
+    if polytope.dim == 1:
+        for p in pool:
+            if p != v1 and abs(p[0] - v1[0]) == 1:
+                return BasisSimplex((v1, p))
         raise InvalidBasisError("no unimodular chain of lattice points exists")
+    for v2 in pool:
+        if v2 == v1:
+            continue
+        w1 = vec_sub(v2, v1)
+        if primitive(w1) != w1:
+            continue
+        for v3 in pool:
+            if v3 in (v1, v2):
+                continue
+            if abs(cross(w1, vec_sub(v3, v2))) == 1:
+                return BasisSimplex((v1, v2, v3))
+    raise InvalidBasisError("no unimodular chain of lattice points exists")
 
 
 def _as_basis(basis) -> BasisSimplex:
@@ -139,11 +152,10 @@ def match_transition(
     mirror = syz_mirror(decomposition)
     points = lattice_points(polytope)
     if basis is None:
-        positive = [v for v in points if mirror.table.count(v) > 0]
-        basis = BasisSimplex.default_for(polytope, allowed=positive)
+        basis = _default_basis(polytope, [v for v in points if mirror.table.count(v) > 0])
     else:
         basis = _as_basis(basis)
-    basis.validate_for(polytope)
+    _validate(basis, polytope, points)
 
     targets = []
     for v in basis.points:

@@ -36,7 +36,7 @@ def dual_fan_check(decomposition: MinkowskiDecomposition) -> bool:
     """
     if decomposition.polytope.dim != 2:
         raise UnsupportedDimensionError("the dual-fan check is a rank-two computation")
-    union = frozenset()
-    for s in decomposition.summands:
-        union = union | tropical_rays(s).rays
+    union = frozenset().union(
+        *(tropical_rays(s).rays for s in dict.fromkeys(decomposition.summands))
+    )
     return union == normal_fan_rays(decomposition.polytope).negated().rays

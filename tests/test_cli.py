@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syzkit import decomposition_from_json_dict, hull, verify_decomposition
+from syzkit import cli as cli_module
+from syzkit import tropical as tropical_module
 from syzkit.cli import main
 
 HEXAGON_JSON = {
@@ -411,6 +413,18 @@ class TestTransition:
         assert code == 1
         assert json.loads(out)["error"] == "InvalidBasis"
 
+    @pytest.mark.parametrize("rank", [3, 40])
+    def test_basis_of_rank_above_two(self, capsys, square_dec_file, rank):
+        points = [[int(j < i) for j in range(rank)] for i in range(rank + 1)]
+        text = ",".join("(" + ",".join(map(str, p)) + ")" for p in points)
+        code, out, _ = run_cli(
+            capsys, "transition", "--decomposition", square_dec_file, "--basis", text
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "InvalidBasis"
+        assert "rank 1 or 2" in report["detail"]
+
 
 class TestTropical:
     def test_report(self, capsys, hex_triangles_file):
@@ -506,6 +520,31 @@ class TestTropical:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_rays_once_per_distinct_type(self, capsys, tmp_path, monkeypatch):
+        """On a 2000-step diagonal segment the report lists 2000 walls but
+        computes the rays of their one type once, and the dual-fan check
+        once more."""
+        calls = {"cli": 0, "dual_fan_check": 0}
+        for owner, name in ((cli_module, "cli"), (tropical_module, "dual_fan_check")):
+            def counted(summand, real=owner.tropical_rays, name=name):
+                calls[name] += 1
+                return real(summand)
+
+            monkeypatch.setattr(owner, "tropical_rays", counted)
+        dec_file = tmp_path / "diagonal.json"
+        dec_file.write_text(json.dumps({
+            "polytope": {"dim": 2, "vertices": [[0, 0], [2000, 2000]]},
+            "translation": [0, 0],
+            "summands": [{"generators": [[1, 1]]}] * 2000,
+        }))
+        code, out, _ = run_cli(capsys, "tropical", "--decomposition", str(dec_file))
+        assert code == 0
+        assert calls == {"cli": 1, "dual_fan_check": 1}
+        data = json.loads(out)
+        wall = {"generators": [[1, 1]], "rays": [[-1, 1], [1, -1]], "chambers": 2}
+        assert data["walls"] == [wall] * 2000
+        assert data["dual_fan_check"] is True
 
 
 class TestCayley:

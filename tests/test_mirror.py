@@ -3,12 +3,15 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from syzkit import (
+    Character,
     DiscClass,
     GWTable,
     LaurentPolynomial,
@@ -20,6 +23,7 @@ from syzkit import (
     ShapeMismatchError,
     UnimodularSimplex,
     VerificationFailedError,
+    apply_character,
     chamber_uv,
     disc_potential,
     enumerate_decompositions,
@@ -56,6 +60,41 @@ def oracle_product(dim, summands):
     for s in summands:
         g = g * wall_factor(s)
     return g
+
+
+def mixed_radix_wall_product(dim, summands):
+    """The wall-factor kernel with its generic mixed-radix decoder, which
+    builds each exponent coordinate by coordinate from the slot index; the
+    row-by-row decoder of ``mirror._wall_product`` replaced it."""
+    runs = Counter(summands)
+    offset = [0] * dim
+    radix = [1] * dim
+    shifted = []
+    for s, m in runs.items():
+        exps = ((0,) * dim,) + s.generators
+        low = [min(e[j] for e in exps) for j in range(dim)]
+        for j in range(dim):
+            offset[j] += m * low[j]
+            radix[j] += m * (max(e[j] for e in exps) - low[j])
+        shifted.append(([[x - t for x, t in zip(e, low)] for e in exps], m))
+    stride = [1] * dim
+    for j in range(dim - 2, -1, -1):
+        stride[j] = stride[j + 1] * radix[j + 1]
+    bound = math.prod((1 + s.k) ** m for s, m in runs.items())
+    width = mirror_module._slot_bytes(bound)
+    bits = 8 * width
+    packed = mirror_module._balanced_product([
+        sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps) ** m
+        for exps, m in shifted
+    ])
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    assert sum(slots) == bound
+    return {
+        tuple(m + index // t % r for m, t, r in zip(offset, stride, radix)): n
+        for index, n in enumerate(slots)
+        if n
+    }
 
 
 def _box_simplices():
@@ -421,6 +460,123 @@ class TestWallProductKernel:
         g = oracle_product(d, dec.summands)
         assert chamber_uv(dec, -1) == (one.prepend_variable(1), g.prepend_variable(-1))
         assert chamber_uv(dec, dec.p) == (g.prepend_variable(1), one.prepend_variable(-1))
+
+
+class TestRowDecoder:
+    """``_wall_product`` against the generic mixed-radix decoder it replaced:
+    equal dicts with their keys in the same lexicographic order."""
+
+    RANK1_STEPS = (UnimodularSimplex(1, ((1,),)), UnimodularSimplex(1, ((-1,),)))
+    DECOMPOSITIONS = [
+        ap_decomposition(0),
+        ap_decomposition(9),
+        *enumerate_decompositions(hull(HEXAGON_CORNERS)),
+        *enumerate_decompositions(zonotope(4, 3)),
+        *enumerate_decompositions(zonotope(5, 2)),
+    ]
+
+    @staticmethod
+    def assert_same(dim, summands):
+        got = mirror_module._wall_product(dim, summands)
+        want = mixed_radix_wall_product(dim, summands)
+        assert list(got.items()) == list(want.items())
+        assert list(got) == sorted(got)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(RANK1_STEPS), max_size=300))
+    def test_rank_one(self, parts):
+        self.assert_same(1, parts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(BOX_SIMPLICES), max_size=10))
+    def test_rank_two(self, parts):
+        self.assert_same(2, parts)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_product(self, dim):
+        self.assert_same(dim, ())
+        assert mirror_module._wall_product(dim, ()) == {(0,) * dim: 1}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(DECOMPOSITIONS), st.data())
+    def test_both_sides_of_every_chamber(self, dec, data):
+        """Chambers -1 and p leave one side an empty product."""
+        chamber = data.draw(st.integers(-1, dec.p))
+        self.assert_same(dec.polytope.dim, dec.summands[: chamber + 1])
+        self.assert_same(dec.polytope.dim, dec.summands[chamber + 1 :])
+
+
+def assert_canonical(poly):
+    """The invariants the public constructor establishes hold for ``poly``."""
+    assert type(poly.dim) is int
+    assert poly == LaurentPolynomial(poly.dim, poly.terms)
+    for e, c in poly.terms.items():
+        assert type(e) is tuple and len(e) == poly.dim
+        assert all(type(x) is int for x in e)
+        assert c != 0 and type(c) is Fraction
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials of one rank in 1..2 with small rational coefficients."""
+    dim = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * dim)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    return tuple(
+        LaurentPolynomial(dim, draw(st.dictionaries(exps, coeffs, max_size=6))) for _ in "fg"
+    )
+
+
+class TestCanonicalTerms:
+    """Every polynomial syzkit builds without the public constructor's
+    checks satisfies the invariants those checks establish."""
+
+    DECOMPOSITIONS = [
+        ap_decomposition(0),
+        ap_decomposition(7),
+        ap_decomposition(130),
+        *enumerate_decompositions(hull([(3, 4)])),
+        *enumerate_decompositions(hull(HEXAGON_CORNERS)),
+        *enumerate_decompositions(zonotope(4, 3)),
+    ]
+
+    @pytest.mark.parametrize("dec", DECOMPOSITIONS)
+    def test_mirror_polynomials(self, dec):
+        mirror = syz_mirror(dec)
+        for poly in (*mirror.factored, mirror.expanded, disc_potential(dec)):
+            assert_canonical(poly)
+        for s in dec.summands:
+            assert_canonical(wall_factor(s))
+        for chamber in range(-1, dec.p + 1):
+            for poly in chamber_uv(dec, chamber):
+                assert_canonical(poly)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        polynomial_pairs(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.integers(-3, 3),
+        st.data(),
+    )
+    def test_ring_operations(self, pair, q, lead, data):
+        f, g = pair
+        # Part of -f added to g, so sums and products cancel terms.
+        g = g - f.scale(data.draw(st.sampled_from([0, 1])))
+        positive = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+        character = Character(Fraction(2, 3), tuple(data.draw(positive) for _ in range(f.dim)))
+        for poly in (
+            f + g, f - g, f - f, f * g, f * f.scale(-1), f.scale(q), f.scale(0), -f,
+            f.prepend_variable(lead), f.prepend_variable(Fraction(lead)),
+            apply_character(f, character),
+        ):
+            assert_canonical(poly)
+
+    def test_cancelling_product(self):
+        one_plus_z = LaurentPolynomial(1, {(0,): 1, (1,): 1})
+        one_minus_z = LaurentPolynomial(1, {(0,): 1, (1,): -1})
+        product_ = one_plus_z * one_minus_z
+        assert_canonical(product_)
+        assert product_.terms == {(0,): 1, (2,): -1}
 
 
 class TestCliMatchesOracle:

@@ -17,6 +17,8 @@ from syzkit import (
     solve_character_match,
     syz_mirror,
 )
+from syzkit import mirror as mirror_module
+from syzkit import transition as transition_module
 from conftest import ap_decomposition, random_unimodular_simplex, seg, zonotope
 from parametric import parameter_name, toric_family
 
@@ -51,6 +53,21 @@ class TestBasisSimplex:
         assert BasisSimplex.default_for(unit_square).points == ((0, 0), (0, 1), (1, 0))
         segment = hull([(0,), (2,)])
         assert BasisSimplex.default_for(segment).points == ((0,), (1,))
+
+    @pytest.mark.parametrize("rank", [0, 3, 40])
+    def test_rank_outside_one_and_two_rejected_before_det(
+        self, monkeypatch, hexagon_triangles, rank
+    ):
+        def no_det(rows):
+            raise AssertionError("det ran on a basis of unsupported rank")
+
+        monkeypatch.setattr(transition_module, "det", no_det)
+        # 0, e1, e1 + e2, ...: consecutive differences are the unit vectors
+        points = [tuple(int(j < i) for j in range(rank)) for i in range(rank + 1)]
+        with pytest.raises(InvalidBasisError, match="rank 1 or 2"):
+            BasisSimplex(points)
+        with pytest.raises(InvalidBasisError, match="rank 1 or 2"):
+            match_transition(hexagon_triangles, points)
 
     def test_degenerate_polytope_has_no_basis(self):
         flat = hull([(0, 0), (3, 0)])
@@ -90,6 +107,20 @@ class TestToricFamily:
 
 
 class TestMatchTransition:
+    @pytest.mark.parametrize("basis", [None, DP6_BASIS], ids=["default", "paper"])
+    def test_lattice_points_listed_twice(self, monkeypatch, hexagon_triangles, basis):
+        """Once in the Newton check of syz_mirror and once for the basis
+        choice, its validation and the specialization."""
+        calls = []
+        for module in (mirror_module, transition_module):
+            def counted(polytope, real=module.lattice_points):
+                calls.append(polytope)
+                return real(polytope)
+
+            monkeypatch.setattr(module, "lattice_points", counted)
+        assert match_transition(hexagon_triangles, basis).verified
+        assert calls == [hexagon_triangles.polytope] * 2
+
     def test_conifold_is_the_identity_match(self, conifold):
         report = match_transition(conifold, ((0, 0), (1, 0), (0, 1)))
         assert report.verified

@@ -16,6 +16,7 @@ from syzkit import (
     tropical_rays,
     wall_chambers,
 )
+from syzkit import tropical as tropical_module
 from syzkit.lattice import primitive, vec_neg, vec_sub
 from conftest import random_unimodular_simplex, seg, tri, unimodular_simplices
 
@@ -141,3 +142,20 @@ class TestDualFanCheck:
         for poly in (hexagon, unit_square, hull([(0, 0), (2, 0), (2, 2), (0, 2)])):
             for dec in enumerate_decompositions(poly):
                 assert dual_fan_check(dec)
+
+    def test_rays_once_per_distinct_type(self, monkeypatch):
+        """A 2000-step diagonal segment has one summand type, so one
+        ``tropical_rays`` call."""
+        calls = []
+        real = tropical_module.tropical_rays
+
+        def counted(summand):
+            calls.append(summand)
+            return real(summand)
+
+        monkeypatch.setattr(tropical_module, "tropical_rays", counted)
+        diagonal = MinkowskiDecomposition(
+            hull([(0, 0), (2000, 2000)]), (0, 0), (seg((1, 1)),) * 2000
+        )
+        assert dual_fan_check(diagonal) is True
+        assert calls == [seg((1, 1))]
