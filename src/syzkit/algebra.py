@@ -206,6 +206,7 @@ class Character:
         return self.gamma == 1 and all(a == 1 for a in self.alpha)
 
     def weight(self, exp) -> Fraction:
+        """The weight at one exponent; ``_weight_pairs`` gives many at once."""
         total = self.gamma
         for a, e in zip(self.alpha, exp):
             total *= a ** int(e)
@@ -218,6 +219,38 @@ class Character:
         }
 
 
+def _weight_pairs(character: Character, points) -> dict[IntVec, tuple[int, int]]:
+    """``{v: (num, den)}`` with ``num / den == character.weight(v)``, not reduced.
+
+    One table of powers per coordinate: for alpha_j = p / q it holds p^k and
+    q^k at every |v_j| that occurs, multiplied up from the lowest, and
+    alpha_j ** k for k < 0 swaps the two.  ``points`` must be iterable twice.
+    """
+    tables = []
+    for j, a in enumerate(character.alpha):
+        p, q = a.numerator, a.denominator
+        exps = {v[j] for v in points}
+        powers = {}
+        k = 0
+        pk = qk = 1
+        for m in sorted({abs(e) for e in exps}):
+            pk *= p ** (m - k)
+            qk *= q ** (m - k)
+            powers[m] = (pk, qk)
+            k = m
+        tables.append({e: powers[e] if e >= 0 else powers[-e][::-1] for e in exps})
+    gn, gd = character.gamma.numerator, character.gamma.denominator
+    out = {}
+    for v in points:
+        num, den = gn, gd
+        for table, e in zip(tables, v):
+            a, b = table[e]
+            num *= a
+            den *= b
+        out[v] = (num, den)
+    return out
+
+
 def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolynomial:
     """Rescale every term of f by the character's weight at its exponent."""
     if len(character.alpha) != f.dim:
@@ -225,7 +258,11 @@ def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolyno
             f"character has {len(character.alpha)} scales for {f.dim} variables"
         )
     # Every weight is positive, so no term vanishes.
-    return LaurentPolynomial._of(f.dim, {e: c * character.weight(e) for e, c in f.terms.items()})
+    weights = _weight_pairs(character, f.terms)
+    return LaurentPolynomial._of(f.dim, {
+        e: Fraction(c.numerator * weights[e][0], c.denominator * weights[e][1])
+        for e, c in f.terms.items()
+    })
 
 
 def newton_polytope(f: LaurentPolynomial) -> LatticePolytope:

@@ -46,6 +46,58 @@ def _exact_root(n: int, k: int) -> int | None:
         x = y
 
 
+_MANTISSA_BITS = 64
+
+
+def _cut(m: int, s: int, up: bool) -> tuple[int, int]:
+    """``m * 2**s`` cut to a mantissa of at most ``_MANTISSA_BITS`` bits,
+    rounded down, or up when ``up``."""
+    k = m.bit_length() - _MANTISSA_BITS
+    if k <= 0:
+        return m, s
+    q = m >> k
+    if up and q << k != m:
+        q += 1
+    return q, s + k
+
+
+def _power_log2_range(n: int, e: int) -> tuple[int, int]:
+    """Integers lo, hi with 2**lo <= n**e < 2**hi, for n >= 1 and e >= 0.
+
+    Binary powering on mantissas cut down for the lower bound and up for the
+    upper, so the cost grows with the bit length of e and n**e is never formed.
+    """
+    bounds = []
+    for up in (False, True):
+        acc, base = (1, 0), _cut(n, 0, up)
+        k = e
+        while k:
+            if k & 1:
+                acc = _cut(acc[0] * base[0], acc[1] + base[1], up)
+            k >>= 1
+            if k:
+                base = _cut(base[0] * base[0], 2 * base[1], up)
+        bounds.append(acc)
+    (m_lo, s_lo), (m_hi, s_hi) = bounds
+    return m_lo.bit_length() - 1 + s_lo, m_hi.bit_length() + s_hi
+
+
+def _may_equal(target: Fraction, ys: list[Fraction], exps) -> bool:
+    """False when ``prod(y ** e)`` provably differs from ``target``: their
+    log2 ranges, read off bit lengths, are disjoint.  No power is formed."""
+    lo, hi = _power_log2_range(target.numerator, 1)
+    d_lo, d_hi = _power_log2_range(target.denominator, 1)
+    lo, hi = lo - d_hi, hi - d_lo
+    p_lo = p_hi = 0
+    for y, e in zip(ys, exps):
+        num, den = (y.numerator, y.denominator) if e >= 0 else (y.denominator, y.numerator)
+        n_lo, n_hi = _power_log2_range(num, abs(e))
+        d_lo, d_hi = _power_log2_range(den, abs(e))
+        p_lo += n_lo - d_hi
+        p_hi += n_hi - d_lo
+    return p_lo < hi and lo < p_hi
+
+
 def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
     """Positive rationals x_1..x_n with prod_j x_j ** A[i][j] = b_i for every
     row i, or None when no such rationals exist; every b_i must be positive.
@@ -115,6 +167,10 @@ def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
 
     y = [Fraction(1)] * n
     for r in range(m):
+        # A row without a pivot must hold as it stands; a power that cannot
+        # equal b_r is not formed, however large its exponent.
+        if r not in pivot_col and not _may_equal(b[r], y, h[r]):
+            return None
         residue = b[r] / prod(y[j] ** e for j, e in enumerate(h[r]))
         if r in pivot_col:
             j = pivot_col[r]

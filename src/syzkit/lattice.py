@@ -106,6 +106,15 @@ class LatticePolytope:
         if tuple(_canonical_vertices(list(verts), self.dim)) != verts:
             raise ValueError("vertices are not in canonical hull form; build polytopes with hull()")
 
+    @classmethod
+    def _of(cls, dim: int, vertices: tuple[IntVec, ...]) -> "LatticePolytope":
+        """Wrap vertices that ``_canonical_vertices`` already put in canonical
+        hull form, without running it again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "vertices", vertices)
+        return self
+
     @property
     def lexmin(self) -> IntVec:
         return self.vertices[0]
@@ -139,7 +148,7 @@ def hull(points) -> LatticePolytope:
         if len(p) != d:
             raise DimensionMismatchError("points of mixed rank")
     _check_dim(d)
-    return LatticePolytope(d, tuple(_canonical_vertices(pts, d)))
+    return LatticePolytope._of(d, tuple(_canonical_vertices(pts, d)))
 
 
 def lattice_points(polytope: LatticePolytope) -> list[IntVec]:

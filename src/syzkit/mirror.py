@@ -84,6 +84,14 @@ class GWTable:
             clean[tuple(int(x) for x in point)] = n
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _of(cls, entries: dict[IntVec, int]) -> "GWTable":
+        """Wrap entries that are already canonical: int-tuple keys mapped to
+        positive values of type ``int``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def count(self, point) -> int:
         return self.entries.get(tuple(point), 0)
 
@@ -204,7 +212,7 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     expanded = LaurentPolynomial._of(
         polytope.dim, {e: Fraction(n) for e, n in coefficients.items()}
     )
-    return SYZMirror(factored, expanded, GWTable(coefficients))
+    return SYZMirror(factored, expanded, GWTable._of(coefficients))
 
 
 def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:

@@ -12,7 +12,7 @@ basis coefficients.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Character, fraction_str
+from .algebra import Character, _weight_pairs, fraction_str
 from .errors import InvalidBasisError, VerificationFailedError
 from .intlinalg import det, solve_multiplicative
 from .lattice import (
@@ -164,29 +164,37 @@ def match_transition(
             raise InvalidBasisError(
                 f"the mirror coefficient vanishes at basis point {v}"
             )
-        targets.append(Fraction(n_v))
+        targets.append(n_v)
     solved = solve_multiplicative([(1, *v) for v in basis.points], targets, basis.dim + 1)
     if solved is None:
         raise VerificationFailedError("no character solves the basis system; this indicates a bug")
     character = Character(solved[0], tuple(solved[1:]))
-    weights = {v: character.weight(v) for v in points}
-    for v, t in zip(basis.points, targets):
-        if weights[v] != t:
+    weights = _weight_pairs(character, points)
+    for v, n_v in zip(basis.points, targets):
+        num, den = weights[v]
+        if num != n_v * den:
             raise VerificationFailedError(
-                f"the solved character gives weight {weights[v]} at basis "
-                f"point {v}, not n_v = {t}; this indicates an implementation bug"
+                f"the solved character gives weight {Fraction(num, den)} at basis "
+                f"point {v}, not n_v = {n_v}; this indicates an implementation bug"
             )
 
     chosen = set(basis.points)
     specialization = {
-        v: Fraction(mirror.table.count(v)) / weights[v] for v in points if v not in chosen
+        v: Fraction(mirror.table.count(v) * den, num)
+        for v, (num, den) in weights.items()
+        if v not in chosen
     }
     # Coefficient 1 on the basis and q_v elsewhere; under the character this
     # must be g term by term, support included, since g may miss interior
-    # points (q_v = 0 there).
-    coefficients = dict.fromkeys(basis.points, Fraction(1)) | specialization
-    family = {v: weights[v] * c for v, c in coefficients.items() if c}
-    if family != mirror.table.entries:
+    # points (q_v = 0 there).  Each term is compared by cross-multiplication:
+    # num * q.numerator == n_v * den * q.denominator.
+    entries = mirror.table.entries
+    family = dict.fromkeys(basis.points, (1, 1)) | {
+        v: (q.numerator, q.denominator) for v, q in specialization.items() if q
+    }
+    if family.keys() != entries.keys() or any(
+        weights[v][0] * a != entries[v] * weights[v][1] * b for v, (a, b) in family.items()
+    ):
         raise VerificationFailedError(
             "character and specialization failed to reproduce the mirror; "
             "this indicates an implementation bug"

@@ -18,6 +18,7 @@ from syzkit import (
     newton_polytope,
     solve_character_match,
 )
+from syzkit.algebra import _weight_pairs
 import parametric
 from parametric import Coefficient, lift
 from test_intlinalg import solve_integer
@@ -347,6 +348,99 @@ class TestCharacterMatchAgainstFactoring:
         with pytest.raises(ValueError):
             solve_character_match(poly(1, {(0,): 1, (1,): -1}), poly(1, {(0,): 1, (1,): -2}))
         assert solve_character_match(LP.zero(2), LP.zero(2)) == Character.identity(2)
+
+
+@st.composite
+def large_exponent_problems(draw):
+    """(f, g) in rank 1 or 2, as in 1 + z + z^E: the origin, the unit
+    vectors, up to two points in [-3, 3]^d and one to three far points in
+    [0, 10^6]^d.  g is f under a character with alpha_j = 1 wherever some
+    |v_j| exceeds 12, that with one coefficient changed, f with
+    perfect-power ratios, or f with random ratios.
+
+    The near points come first in lexicographic order, so they hold every
+    pivot of the column reduction and the far points land in rows without
+    one, which the bit-length bound guards.  The origin pins gamma to a
+    small ratio, so no weight either solver forms is a large number."""
+    dim = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("character", "perturbed", "powers", "random")))
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    near = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=2))
+    far = draw(st.lists(st.tuples(*[st.integers(0, 10**6)] * dim), min_size=1, max_size=3))
+    support = list(dict.fromkeys([(0,) * dim, *unit, *near, *far]))
+    f = LP(dim, {v: draw(POSITIVE) for v in support})
+    if kind in ("character", "perturbed"):
+        alpha = tuple(
+            draw(POSITIVE) if max(abs(v[j]) for v in support) <= 12 else Fraction(1)
+            for j in range(dim)
+        )
+        g = apply_character(f, Character(draw(POSITIVE), alpha))
+        if kind == "perturbed":
+            v = draw(st.sampled_from(support))
+            g = LP(dim, {**g.terms, v: g.terms[v] * draw(POSITIVE)})
+        return f, g
+    if kind == "powers":
+        k = draw(st.integers(2, 4))
+        return f, LP(dim, {v: f.terms[v] * draw(POSITIVE) ** k for v in support})
+    return f, LP(dim, {v: draw(POSITIVE) for v in support})
+
+
+class TestCharacterMatchBound:
+    """A row without a pivot is compared by bit lengths before any power of
+    a solved unknown is formed, so exponents far past the coefficients'
+    size cost nothing."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(large_exponent_problems())
+    def test_matches_the_factoring_solver(self, problem):
+        f, g = problem
+        assert solve_character_match(f, g) == factoring_character_match(f, g)
+
+    def test_no_match_at_a_huge_exponent_is_found_at_once(self):
+        e = 10**8
+        f = one_plus(1, (1,), (e,))
+        g = poly(1, {(0,): 1, (1,): 2, (e,): 3})
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert solve_character_match(f, g) is None
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
+
+    def test_a_match_at_a_huge_exponent_is_still_found(self):
+        e = 10**5
+        f = one_plus(1, (1,), (e,))
+        g = poly(1, {(0,): 1, (1,): 2, (e,): 2**e})
+        assert solve_character_match(f, g) == Character(1, (Fraction(2),))
+
+
+SCALES = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+
+
+class TestWeightPairs:
+    """The integer pairs of ``_weight_pairs`` against the per-point oracle
+    ``Character.weight``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_character_weight(self, data):
+        dim = data.draw(st.integers(1, 2))
+        character = Character(data.draw(SCALES), tuple(data.draw(SCALES) for _ in range(dim)))
+        coordinate = st.one_of(st.integers(-6, 6), st.integers(-300, 300))
+        points = data.draw(st.lists(st.tuples(*[coordinate] * dim), max_size=30, unique=True))
+        pairs = _weight_pairs(character, points)
+        assert list(pairs) == points
+        for v, (num, den) in pairs.items():
+            assert den > 0
+            assert Fraction(num, den) == character.weight(v)
+
+    def test_dense_lattice_points(self):
+        character = Character(Fraction(3, 2), (Fraction(2, 5), Fraction(7, 3)))
+        points = [(x, y) for x in range(-4, 5) for y in range(-3, 6)]
+        pairs = _weight_pairs(character, points)
+        assert {v: Fraction(*p) for v, p in pairs.items()} == {
+            v: character.weight(v) for v in points
+        }
 
 
 class TestCharacterMatchCost:

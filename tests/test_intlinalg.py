@@ -1,11 +1,12 @@
 import random
+from time import perf_counter
 from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzkit.intlinalg import _exact_root, det, solve_multiplicative
+from syzkit.intlinalg import _cut, _exact_root, _may_equal, _power_log2_range, det, solve_multiplicative
 
 
 # The Fraction Gauss-Jordan inverse and the additive solver that
@@ -320,3 +321,48 @@ class TestSolveMultiplicative:
             b = [positive_fraction(rng) for _ in range(n)]
             expected = [prod(b[i] ** inverse[r][i] for i in range(n)) for r in range(n)]
             assert solve_multiplicative(m, b, n) == expected
+
+
+class TestPowerBound:
+    """Bit-length ranges of powers that are never formed."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 2**200), st.integers(-5, 5))
+    def test_cut_rounds_down_and_up(self, m, s):
+        (low, s_low), (high, s_high) = _cut(m, s, False), _cut(m, s, True)
+        exact = Fraction(m) * Fraction(2) ** s
+        assert low * Fraction(2) ** s_low <= exact <= high * Fraction(2) ** s_high
+        assert low.bit_length() <= 64 and high.bit_length() <= 65
+        if m.bit_length() > 64 and m % 2 ** (m.bit_length() - 64):
+            assert high == low + 1
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 10**40), st.integers(0, 3000))
+    def test_range_encloses_the_power(self, n, e):
+        lo, hi = _power_log2_range(n, e)
+        assert 2**lo <= n**e < 2**hi
+        assert hi - lo <= 2
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_an_equal_product_is_never_excluded(self, data):
+        k = data.draw(st.integers(0, 3))
+        ys = [data.draw(st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)))
+              for _ in range(k)]
+        exps = [data.draw(st.integers(-400, 400)) for _ in range(k)]
+        exact = prod((y**e for y, e in zip(ys, exps)), start=Fraction(1))
+        assert _may_equal(exact, ys, exps)
+        # a target off by more than a factor of 2 ** (2k + 3) is excluded
+        far = exact * 2 ** (2 * k + 3)
+        assert not _may_equal(far, ys, exps)
+        assert not _may_equal(1 / far * exact**2, ys, exps)
+
+    def test_no_power_is_formed_in_a_row_without_a_pivot(self):
+        e = 10**8
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            assert solve_multiplicative([[1, 0], [1, 1], [1, e]], [1, 2, 3], 2) is None
+            times.append(perf_counter() - start)
+        assert min(times) < 0.01
+        assert solve_multiplicative([[1, 0], [1, 1], [1, 300]], [1, 2, 2**300], 2) == [1, 2]

@@ -16,6 +16,7 @@ from syzkit import (
     normal_fan_rays,
     polytope_from_json_dict,
 )
+from syzkit import lattice as lattice_module
 from syzkit.lattice import cross, lattice_length, primitive, vec_sub
 from conftest import unimodular_simplices
 
@@ -66,6 +67,30 @@ class TestHull:
     def test_non_canonical_construction_rejected(self):
         with pytest.raises(ValueError):
             LatticePolytope(2, ((1, 0), (0, 0), (1, 1), (0, 1)))
+        with pytest.raises(ValueError):
+            LatticePolytope(2, ((0, 0), (1, 1), (2, 2)))  # a collinear middle point
+
+
+class TestHullCanonicalisesOnce:
+    def test_one_canonical_vertices_call_per_hull(self, monkeypatch):
+        calls = []
+        real = lattice_module._canonical_vertices
+
+        def counted(points, d):
+            calls.append(d)
+            return real(points, d)
+
+        monkeypatch.setattr(lattice_module, "_canonical_vertices", counted)
+        got = hull([(2, 1), (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (1, 0)])
+        assert got.vertices == tuple(HEXAGON)
+        assert calls == [2]
+        assert hull([(5,), (3,), (4,)]).vertices == ((3,), (5,))
+        assert calls == [2, 1]
+
+    def test_hull_output_equals_a_validated_polytope(self):
+        for points in ([(0, 0), (3, 1), (1, 1), (2, 5)], [(4,), (-1,)], [(2, 2)]):
+            got = hull(points)
+            assert got == LatticePolytope(got.dim, got.vertices)
 
 
 class TestLatticePoints:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -527,6 +528,41 @@ def polynomial_pairs(draw):
     )
 
 
+def mirror_corpus():
+    """The decompositions of the benchmark's mirror workload: A_p for p a
+    power of two up to 128, every decomposition of Z(4,3), Z(5,2) and the
+    hexagon, and five random sums of up to four simplices."""
+    decs = [ap_decomposition(2**i) for i in range(8)]
+    for polytope in (zonotope(4, 3), zonotope(5, 2), hull(HEXAGON_CORNERS)):
+        decs += enumerate_decompositions(polytope)
+    rng = random.Random(7)
+    for _ in range(5):
+        parts = tuple(random_unimodular_simplex(rng) for _ in range(rng.randint(1, 4)))
+        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+        decs.append(MinkowskiDecomposition(polytope, (0, 0), parts))
+    return decs
+
+
+class TestTrustedTable:
+    """``syz_mirror`` builds its table with ``GWTable._of``; the table still
+    holds what the validating constructor would make of it."""
+
+    @pytest.mark.parametrize("dec", mirror_corpus())
+    def test_kernel_table_is_canonical(self, dec):
+        table = syz_mirror(dec).table
+        assert table == GWTable(dict(table.entries))
+        for point, n in table.entries.items():
+            assert type(point) is tuple and all(type(x) is int for x in point)
+            assert len(point) == dec.polytope.dim
+            assert type(n) is int and n > 0
+
+    def test_public_constructor_still_validates(self):
+        assert GWTable({(1.0, 2): 3.0}).entries == {(1, 2): 3}
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                GWTable({(0, 0): bad})
+
+
 class TestCanonicalTerms:
     """Every polynomial syzkit builds without the public constructor's
     checks satisfies the invariants those checks establish."""
@@ -661,6 +697,20 @@ class TestIdentityChecks:
 
         monkeypatch.setattr(transition_module, "solve_multiplicative", doubled)
         with pytest.raises(VerificationFailedError):
+            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
+
+    @pytest.mark.parametrize("point", [(0, 1), (1, 1), (1, 2)])
+    def test_one_corrupted_basis_weight_is_caught(self, monkeypatch, hexagon_triangles, point):
+        real = transition_module._weight_pairs
+
+        def corrupted(character, points):
+            weights = real(character, points)
+            num, den = weights[point]
+            weights[point] = (num + den, den)
+            return weights
+
+        monkeypatch.setattr(transition_module, "_weight_pairs", corrupted)
+        with pytest.raises(VerificationFailedError, match=re.escape(f"basis point {point}")):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
     def test_unsolved_basis_system_is_caught(self, monkeypatch, hexagon_triangles):
