@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from syzkit import decomposition_from_json_dict, hull, verify_decomposition
 from syzkit import cli as cli_module
 from syzkit import tropical as tropical_module
 from syzkit.cli import main
+from conftest import zonotope
 
 HEXAGON_JSON = {
     "dim": 2,
@@ -688,3 +690,56 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)) == 2
+
+
+
+PINNED_POLYTOPES = {
+    "hexagon": HEXAGON_JSON["vertices"],
+    "square": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    "segment_1d": [[0], [7]],
+    "diagonal": [[0, 0], [5, 5]],
+    "triangle_x3": [[0, 0], [3, 0], [0, 3]],
+    "z43": [list(v) for v in zonotope(4, 3).vertices],
+    "z52": [list(v) for v in zonotope(5, 2).vertices],
+}
+
+# SHA-256 of every command line, exit code and stdout of ``pinned_digest``;
+# it changes only when some command's output does.
+PINNED_OUTPUT_SHA256 = "8696b12a1130b1cc79969fed1e13bb3324cad62761138364844c6920a8694df4"
+
+
+def pinned_digest(tmp_path):
+    """SHA-256 over ``decompose`` on each pinned polytope and every
+    decomposition command on the first three decompositions of each, run
+    in-process.  File names enter as paths relative to ``tmp_path``."""
+    digest = hashlib.sha256()
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        line = " ".join(argv).replace(str(tmp_path), "<tmp>")
+        digest.update(f"{line}\n{code}\n{out.getvalue()}".encode())
+        return code, out.getvalue()
+
+    for name, vertices in PINNED_POLYTOPES.items():
+        poly_file = tmp_path / f"{name}.json"
+        poly_file.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        code, out = run("decompose", str(poly_file))
+        assert code == 0
+        for i, entry in enumerate(json.loads(out)[:3]):
+            dec_file = tmp_path / f"{name}_{i}.json"
+            dec_file.write_text(json.dumps(entry))
+            dec = ("--decomposition", str(dec_file))
+            for argv in (
+                ("mirror",), ("potential",), ("gw",),
+                ("gw", "--chamber", "0", "--sector", "Dinf"),
+                ("transition",), ("tropical",), ("cayley",),
+            ):
+                run(argv[0], *dec, *argv[1:])
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    def test_transcript_hash(self, tmp_path):
+        assert pinned_digest(tmp_path) == PINNED_OUTPUT_SHA256
