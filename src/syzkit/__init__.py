@@ -39,7 +39,6 @@ from .lattice import (
     is_unimodular_simplex,
     lattice_points,
     minkowski_sum,
-    minkowski_sum_all,
     normal_fan_rays,
     polytope_from_json_dict,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "lattice_points",
     "match_transition",
     "minkowski_sum",
-    "minkowski_sum_all",
     "newton_polytope",
     "normal_fan_rays",
     "polytope_from_json_dict",

@@ -16,7 +16,6 @@ from math import prod
 from .errors import (
     DimensionMismatchError,
     SupportMismatchError,
-    UnsupportedDimensionError,
     ZeroPolynomialError,
     json_int,
 )
@@ -75,9 +74,6 @@ class LaurentPolynomial:
 
     def coefficient(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
-
-    def rational_terms(self) -> dict[IntVec, Fraction]:
-        return dict(self.terms)
 
     def _compat(self, other: "LaurentPolynomial") -> None:
         if self.dim != other.dim:
@@ -269,8 +265,6 @@ def newton_polytope(f: LaurentPolynomial) -> LatticePolytope:
     """Hull of the exponents carrying a nonzero coefficient."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polytope")
-    if f.dim not in (1, 2):
-        raise UnsupportedDimensionError("Newton polytopes are built in rank 1 or 2 only")
     return hull(f.support())
 
 

@@ -4,33 +4,6 @@ from fractions import Fraction
 from math import prod
 
 
-def det(rows) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss elimination."""
-    n = len(rows)
-    m = [[int(x) for x in r] for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _exact_root(n: int, k: int) -> int | None:
     """The k-th root of n >= 0 when it is an integer, else None, by an
     integer Newton iteration from above."""

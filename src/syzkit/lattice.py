@@ -5,7 +5,6 @@ arbitrary precision; no floating point enters this module.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .errors import (
@@ -14,7 +13,6 @@ from .errors import (
     UnsupportedDimensionError,
     json_int,
 )
-from .intlinalg import det
 
 IntVec = tuple[int, ...]
 
@@ -122,7 +120,8 @@ class LatticePolytope:
     def translate(self, offset: IntVec) -> "LatticePolytope":
         if len(offset) != self.dim:
             raise DimensionMismatchError(f"offset {tuple(offset)} does not have rank {self.dim}")
-        return LatticePolytope(self.dim, tuple(vec_add(v, offset) for v in self.vertices))
+        # A translate of a canonical vertex list is still canonical.
+        return LatticePolytope._of(self.dim, tuple(vec_add(v, offset) for v in self.vertices))
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
@@ -181,14 +180,6 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     return hull([vec_add(a, b) for a in p.vertices for b in q.vertices])
 
 
-def minkowski_sum_all(polys, dim: int) -> LatticePolytope:
-    """Minkowski sum of a (possibly empty) sequence; the empty sum is the origin."""
-    acc = hull([(0,) * dim])
-    for p in polys:
-        acc = minkowski_sum(acc, p)
-    return acc
-
-
 def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
     """Primitive edge directions of the counterclockwise boundary with lattice lengths.
 
@@ -223,15 +214,6 @@ class RaySet:
     def negated(self) -> "RaySet":
         return RaySet(frozenset(vec_neg(r) for r in self.rays))
 
-    def __or__(self, other: "RaySet") -> "RaySet":
-        return RaySet(self.rays | other.rays)
-
-    def __contains__(self, ray) -> bool:
-        return tuple(ray) in self.rays
-
-    def __len__(self) -> int:
-        return len(self.rays)
-
     def to_json_dict(self) -> dict:
         return {"rays": [list(r) for r in sorted(self.rays)]}
 
@@ -244,28 +226,20 @@ def normal_fan_rays(polytope: LatticePolytope) -> RaySet:
 
 
 def is_unimodular_simplex(generators) -> bool:
-    """True when the vectors are independent and the gcd of their maximal minors is one.
-
-    Malformed input (empty list, mixed ranks, too many vectors) yields False
-    rather than an error.
+    """True for one generator of lattice length one, or two rank-2 generators
+    with ``|cross| == 1``: the unimodular simplices of rank 1 and 2.  Any other
+    input (empty, mixed or unsupported rank, too many vectors) yields False.
     """
     try:
         gens = [tuple(int(x) for x in g) for g in generators]
     except (TypeError, ValueError):
         return False
-    if not gens:
+    d = len(gens[0]) if gens else 0
+    if d not in SUPPORTED_DIMS or any(len(g) != d for g in gens):
         return False
-    d = len(gens[0])
-    if any(len(g) != d for g in gens):
-        return False
-    k = len(gens)
-    if k > d:
-        return False
-    g = 0
-    for cols in combinations(range(d), k):
-        minor = det([[row[c] for c in cols] for row in gens])
-        g = gcd(g, minor)
-    return g == 1
+    if len(gens) == 1:
+        return lattice_length(gens[0]) == 1
+    return len(gens) == 2 and d == 2 and abs(cross(*gens)) == 1
 
 
 @dataclass(frozen=True)
@@ -280,6 +254,7 @@ class UnimodularSimplex:
         gens = tuple(sorted(tuple(int(x) for x in g) for g in self.generators))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "dim", int(self.dim))
+        _check_dim(self.dim)
         if not gens:
             raise ValueError("a simplex needs at least one generator")
         for g in gens:

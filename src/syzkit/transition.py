@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import Character, _weight_pairs, fraction_str
 from .errors import InvalidBasisError, VerificationFailedError
-from .intlinalg import det, solve_multiplicative
+from .intlinalg import solve_multiplicative
 from .lattice import (
     SUPPORTED_DIMS,
     IntVec,
@@ -42,11 +42,11 @@ class BasisSimplex:
         d = len(pts[0])
         if any(len(p) != d for p in pts) or len(pts) != d + 1:
             raise InvalidBasisError(f"expected {d + 1} points of rank {d}")
-        # Checked before the determinant, whose cost grows with the rank.
         if d not in SUPPORTED_DIMS:
             raise InvalidBasisError(f"a basis has rank 1 or 2, not rank {d}")
+        # The determinant of the differences: d_1 in rank 1, cross(d_1, d_2) in rank 2.
         diffs = [list(vec_sub(b, a)) for a, b in zip(pts, pts[1:])]
-        if abs(det(diffs)) != 1:
+        if abs(diffs[0][0] if d == 1 else cross(*diffs)) != 1:
             raise InvalidBasisError(
                 f"consecutive differences {diffs} are not a lattice basis"
             )
@@ -59,16 +59,11 @@ class BasisSimplex:
         _validate(self, polytope, lattice_points(polytope))
 
     @classmethod
-    def default_for(cls, polytope: LatticePolytope, allowed=None) -> "BasisSimplex":
+    def default_for(cls, polytope: LatticePolytope) -> "BasisSimplex":
         """Deterministic choice: the lexicographic-minimum vertex first, then
         the lexicographically earliest lattice points whose consecutive
-        differences stay unimodular.  ``allowed`` optionally restricts the
-        candidate lattice points."""
-        pool = lattice_points(polytope)
-        if allowed is not None:
-            keep = set(tuple(p) for p in allowed)
-            pool = [p for p in pool if p in keep]
-        return _default_basis(polytope, pool)
+        differences stay unimodular."""
+        return _default_basis(polytope, lattice_points(polytope))
 
 
 def _validate(basis: BasisSimplex, polytope: LatticePolytope, points) -> None:
@@ -109,12 +104,6 @@ def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimple
     raise InvalidBasisError("no unimodular chain of lattice points exists")
 
 
-def _as_basis(basis) -> BasisSimplex:
-    if isinstance(basis, BasisSimplex):
-        return basis
-    return BasisSimplex(tuple(tuple(int(x) for x in p) for p in basis))
-
-
 @dataclass(frozen=True)
 class TransitionReport:
     """Basis simplex, matching character, parameter specialization, and the
@@ -153,8 +142,8 @@ def match_transition(
     points = lattice_points(polytope)
     if basis is None:
         basis = _default_basis(polytope, [v for v in points if mirror.table.count(v) > 0])
-    else:
-        basis = _as_basis(basis)
+    elif not isinstance(basis, BasisSimplex):
+        basis = BasisSimplex(basis)
     _validate(basis, polytope, points)
 
     targets = []

@@ -21,8 +21,6 @@ def wall_chambers(summand: UnimodularSimplex) -> int:
     """Number of maximal cones of the summand's normal fan, i.e. its vertex
     count k + 1: the vertices of a unimodular simplex are affinely
     independent, so each is a vertex of its hull."""
-    if summand.dim not in (1, 2):
-        raise UnsupportedDimensionError("chamber counting is limited to rank 1 and 2")
     return summand.k + 1
 
 

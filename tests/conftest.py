@@ -8,6 +8,7 @@ from syzkit import (
     UnimodularSimplex,
     hull,
     is_unimodular_simplex,
+    minkowski_sum,
     summand_from_vertices,
 )
 
@@ -59,6 +60,29 @@ def ap_decomposition(p):
 @pytest.fixture
 def a1():
     return ap_decomposition(1)
+
+
+def minkowski_sum_all(polys, dim):
+    """Minkowski sum of a (possibly empty) sequence; the empty sum is the origin."""
+    acc = hull([(0,) * dim])
+    for p in polys:
+        acc = minkowski_sum(acc, p)
+    return acc
+
+
+def brute_det(rows):
+    """Determinant by cofactor expansion, in any rank: the oracle for the
+    closed forms that syzkit uses in rank 1 and 2."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * brute_det(minor)
+    return total
 
 
 def random_unimodular_simplex(rng: random.Random, lo=-2, hi=2) -> UnimodularSimplex:

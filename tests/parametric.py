@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import prod
 
 import syzkit
-from syzkit import Character, DimensionMismatchError, LatticePolytope, lattice_points
+from syzkit import BasisSimplex, Character, DimensionMismatchError, LatticePolytope, lattice_points
 from syzkit.lattice import IntVec
-from syzkit.transition import _as_basis
+from conftest import brute_det
 
 
 def parameter_name(point: IntVec) -> str:
@@ -230,12 +230,10 @@ class LaurentPolynomial:
 
     def substitute_exponents(self, matrix) -> "LaurentPolynomial":
         """Unimodular monomial substitution: each exponent v becomes matrix @ v."""
-        from syzkit.intlinalg import det as _det
-
         m = [[int(x) for x in row] for row in matrix]
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
             raise DimensionMismatchError("substitution matrix has the wrong shape")
-        if _det(m) not in (1, -1):
+        if brute_det(m) not in (1, -1):
             raise ValueError("substitution matrix must be unimodular")
         out = {}
         for exp, coeff in self.terms.items():
@@ -318,7 +316,8 @@ def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolyno
 def toric_family(polytope: LatticePolytope, basis) -> LaurentPolynomial:
     """The normalized mirror family of a toric resolution: coefficient 1 at the
     basis points and a fresh parameter symbol at every other lattice point."""
-    basis = _as_basis(basis)
+    if not isinstance(basis, BasisSimplex):
+        basis = BasisSimplex(basis)
     basis.validate_for(polytope)
     pts = lattice_points(polytope)
     chosen = set(basis.points)

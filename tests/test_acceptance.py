@@ -26,7 +26,6 @@ from syzkit import (
     gw_invariant,
     hull,
     match_transition,
-    minkowski_sum_all,
     newton_polytope,
     solve_character_match,
     syz_mirror,
@@ -37,6 +36,7 @@ from parametric import parameter_name, toric_family
 from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
+    minkowski_sum_all,
     random_unimodular_simplex,
     seg,
     tri,
@@ -76,7 +76,7 @@ def test_criterion_01_ap_mirrors_are_binomial():
         assert len(decs) == 1
         mirror = syz_mirror(decs[0])
         expected = {(k,): Fraction(math.comb(p + 1, k)) for k in range(p + 2)}
-        assert mirror.expanded.rational_terms() == expected
+        assert mirror.expanded.terms == expected
         one_plus_z = parametric.LaurentPolynomial(1, {(0,): 1, (1,): 1})
         assert mirror.expanded == (one_plus_z ** (p + 1)).specialize({})
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def test_criterion_02_conifold():
     decs = enumerate_decompositions(square)
     assert len(decs) == 1
     mirror = syz_mirror(decs[0])
-    assert mirror.expanded.rational_terms() == {
+    assert mirror.expanded.terms == {
         (0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1,
     }
     result = match_transition(decs[0], ((0, 0), (1, 0), (0, 1)))
@@ -105,7 +105,7 @@ def test_criterion_03_dp6_decompositions_and_mirrors():
     decs = enumerate_decompositions(hexagon)
     assert len(decs) == 2
     expansions = [
-        {e: int(c) for e, c in syz_mirror(d).expanded.rational_terms().items()}
+        {e: int(c) for e, c in syz_mirror(d).expanded.terms.items()}
         for d in decs
     ]
     assert expansions[0] == DP6_EXPANSION_SEGMENTS
@@ -280,7 +280,7 @@ def test_criterion_09_character_solver():
 
         # perturb the coefficient at (1, 1): the square relation breaks and
         # no rescaling can repair it
-        perturbed = dict(g.rational_terms())
+        perturbed = dict(g.terms)
         perturbed[(1, 1)] *= Fraction(3, 2)
         assert solve_character_match(f, LaurentPolynomial(2, perturbed)) is None
     report(9, "100 random characters recovered; perturbed targets rejected")

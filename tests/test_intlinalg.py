@@ -6,7 +6,8 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzkit.intlinalg import _cut, _exact_root, _may_equal, _power_log2_range, det, solve_multiplicative
+from syzkit.intlinalg import _cut, _exact_root, _may_equal, _power_log2_range, solve_multiplicative
+from conftest import brute_det
 
 
 # The Fraction Gauss-Jordan inverse and the additive solver that
@@ -14,7 +15,7 @@ from syzkit.intlinalg import _cut, _exact_root, _may_equal, _power_log2_range, d
 def invert_unimodular(rows) -> list[list[int]]:
     """Inverse of an integer matrix with determinant +-1 (the inverse is again integral)."""
     n = len(rows)
-    d = det(rows)
+    d = brute_det(rows)
     if d not in (1, -1):
         raise ValueError(f"matrix has determinant {d}, expected +-1")
     aug = [
@@ -115,40 +116,6 @@ def solve_integer(rows, rhs) -> list[int] | None:
     return [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
 
 
-def brute_det(rows):
-    # cofactor expansion, independent of the Bareiss route
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * brute_det(minor)
-    return total
-
-
-class TestDet:
-    def test_known_values(self):
-        assert det([[1, 0], [0, 1]]) == 1
-        assert det([[2, 1], [1, 1]]) == 1
-        assert det([[1, 2], [2, 4]]) == 0
-        assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-        assert det([]) == 1
-
-    def test_against_cofactor_expansion(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert det(m) == brute_det(m)
-
-    def test_not_square(self):
-        with pytest.raises(ValueError):
-            det([[1, 2, 3], [4, 5, 6]])
-
-
 class TestInvertUnimodular:
     def test_round_trip(self):
         rng = random.Random(5)
@@ -156,7 +123,7 @@ class TestInvertUnimodular:
         while count < 50:
             n = rng.randint(1, 4)
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if det(m) not in (1, -1):
+            if brute_det(m) not in (1, -1):
                 continue
             count += 1
             inv = invert_unimodular(m)
@@ -316,7 +283,7 @@ class TestSolveMultiplicative:
         rng = random.Random(41 + n)
         for _ in range(300):
             m = random_unimodular(rng, n)
-            assert det(m) in (1, -1)
+            assert brute_det(m) in (1, -1)
             inverse = invert_unimodular(m)
             b = [positive_fraction(rng) for _ in range(n)]
             expected = [prod(b[i] ** inverse[r][i] for i in range(n)) for r in range(n)]

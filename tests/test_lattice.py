@@ -1,4 +1,6 @@
 import random
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from syzkit import (
     DimensionMismatchError,
     EmptyInputError,
     LatticePolytope,
+    UnimodularSimplex,
     UnsupportedDimensionError,
     edge_profile,
     hull,
@@ -18,9 +21,21 @@ from syzkit import (
 )
 from syzkit import lattice as lattice_module
 from syzkit.lattice import cross, lattice_length, primitive, vec_sub
-from conftest import unimodular_simplices
+from conftest import brute_det, unimodular_simplices
 
 HEXAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
+
+
+def unimodular_by_minors(gens):
+    """The general-rank test: at most d generators whose maximal minors
+    have gcd one."""
+    k, d = len(gens), len(gens[0])
+    if k > d:
+        return False
+    g = 0
+    for cols in combinations(range(d), k):
+        g = gcd(g, brute_det([[row[c] for c in cols] for row in gens]))
+    return g == 1
 
 
 class TestHull:
@@ -60,6 +75,7 @@ class TestHull:
     def test_translate_checks_the_offset_rank(self):
         square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert square.translate((2, -1)) == hull([(2, -1), (3, -1), (3, 0), (2, 0)])
+        assert hull([(4,), (1,)]).translate((-3,)) == hull([(-2,), (1,)])
         for offset in ((2,), (2, -1, 7)):
             with pytest.raises(DimensionMismatchError):
                 square.translate(offset)
@@ -86,6 +102,19 @@ class TestHullCanonicalisesOnce:
         assert calls == [2]
         assert hull([(5,), (3,), (4,)]).vertices == ((3,), (5,))
         assert calls == [2, 1]
+
+    def test_translate_does_not_canonicalise_again(self, monkeypatch):
+        hexagon, segment = hull(HEXAGON), hull([(5,), (3,)])
+
+        def refuse(points, d):
+            raise AssertionError("a translate was canonicalised again")
+
+        monkeypatch.setattr(lattice_module, "_canonical_vertices", refuse)
+        moved = hexagon.translate((-4, 9))
+        assert moved.vertices == tuple((x - 4, y + 9) for x, y in HEXAGON)
+        assert segment.translate((2,)).vertices == ((5,), (7,))
+        monkeypatch.undo()
+        assert moved == LatticePolytope(2, moved.vertices)
 
     def test_hull_output_equals_a_validated_polytope(self):
         for points in ([(0, 0), (3, 1), (1, 1), (2, 5)], [(4,), (-1,)], [(2, 2)]):
@@ -204,8 +233,8 @@ class TestMinkowskiSum:
                 len(lattice_points(a)), len(lattice_points(b))
             )
             assert normal_fan_rays(total).rays == (
-                normal_fan_rays(a) | normal_fan_rays(b)
-            ).rays
+                normal_fan_rays(a).rays | normal_fan_rays(b).rays
+            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -225,7 +254,7 @@ class TestNormalFan:
         assert normal_fan_rays(hull([(0, 0), (1, 1)])).rays == {(1, -1), (-1, 1)}
 
     def test_point_has_no_rays(self):
-        assert len(normal_fan_rays(hull([(2, 7)]))) == 0
+        assert not normal_fan_rays(hull([(2, 7)])).rays
 
     def test_rank_one_rejected(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -251,6 +280,33 @@ class TestUnimodularSimplex:
         assert not is_unimodular_simplex([])
         assert not is_unimodular_simplex([(1, 0), (0, 1), (1, 1)])
         assert not is_unimodular_simplex([(0, 0)])
+        assert not is_unimodular_simplex([(1, 0), (1,)])
+        assert not is_unimodular_simplex([(1, "a")])
+        assert not is_unimodular_simplex([1])
+
+    def test_ranks_outside_one_and_two_rejected(self):
+        assert not is_unimodular_simplex([()])
+        assert not is_unimodular_simplex([(1, 0, 0)])
+        assert not is_unimodular_simplex([(1, 0, 0), (0, 1, 0)])
+        assert not is_unimodular_simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    @pytest.mark.parametrize("dim, cases", [(1, 399), (2, 120099)])
+    def test_matches_the_minor_gcd_on_every_small_list(self, dim, cases):
+        # Every list of 1-3 generators with entries in [-3, 3], the zero
+        # vector and repeats included.
+        vectors = list(product(range(-3, 4), repeat=dim))
+        seen = 0
+        for k in (1, 2, 3):
+            for gens in product(vectors, repeat=k):
+                assert is_unimodular_simplex(gens) == unimodular_by_minors(gens), gens
+                seen += 1
+        assert seen == cases
+
+    @pytest.mark.parametrize("dim", [0, 3, 4])
+    def test_simplex_of_unsupported_rank_rejected(self, dim):
+        gens = tuple(tuple(int(i == j) for j in range(dim)) for i in range(min(dim, 2)))
+        with pytest.raises(UnsupportedDimensionError):
+            UnimodularSimplex(dim, gens)
 
 
 class TestEdgeProfile:

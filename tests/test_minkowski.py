@@ -21,7 +21,6 @@ from syzkit import (
     hull,
     is_unimodular_simplex,
     lattice_points,
-    minkowski_sum_all,
     summand_from_vertices,
     verify_decomposition,
 )
@@ -31,6 +30,7 @@ from syzkit.minkowski import summand_sort_key
 from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
+    minkowski_sum_all,
     random_unimodular_simplex,
     seg,
     tri,

@@ -33,7 +33,6 @@ from syzkit import (
     hull,
     lattice_points,
     match_transition,
-    minkowski_sum_all,
     newton_polytope,
     syz_mirror,
     wall_factor,
@@ -44,6 +43,7 @@ from syzkit.cli import main
 from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
+    minkowski_sum_all,
     random_unimodular_simplex,
     seg,
     tri,
@@ -52,7 +52,7 @@ from conftest import (
 
 
 def rational_dict(poly):
-    return {e: int(c) for e, c in poly.rational_terms().items()}
+    return {e: int(c) for e, c in poly.terms.items()}
 
 
 def oracle_product(dim, summands):
@@ -634,7 +634,7 @@ class TestCliMatchesOracle:
         path = tmp_path / "dec.json"
         path.write_text(json.dumps(dec.to_json_dict()))
         g = oracle_product(dec.polytope.dim, dec.summands)
-        table = GWTable({e: int(q) for e, q in g.rational_terms().items()})
+        table = GWTable({e: int(q) for e, q in g.terms.items()})
         mirror_report = {
             "factored": [wall_factor(s).to_json_dict() for s in dec.summands],
             "expanded": g.to_json_dict(),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,13 +14,19 @@ from syzkit import (
     hull,
     lattice_points,
     match_transition,
-    minkowski_sum_all,
     solve_character_match,
     syz_mirror,
 )
 from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
-from conftest import ap_decomposition, random_unimodular_simplex, seg, zonotope
+from conftest import (
+    ap_decomposition,
+    brute_det,
+    minkowski_sum_all,
+    random_unimodular_simplex,
+    seg,
+    zonotope,
+)
 from parametric import parameter_name, toric_family
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
@@ -55,19 +62,28 @@ class TestBasisSimplex:
         assert BasisSimplex.default_for(segment).points == ((0,), (1,))
 
     @pytest.mark.parametrize("rank", [0, 3, 40])
-    def test_rank_outside_one_and_two_rejected_before_det(
-        self, monkeypatch, hexagon_triangles, rank
-    ):
-        def no_det(rows):
-            raise AssertionError("det ran on a basis of unsupported rank")
-
-        monkeypatch.setattr(transition_module, "det", no_det)
+    def test_rank_outside_one_and_two_rejected_before_det(self, hexagon_triangles, rank):
         # 0, e1, e1 + e2, ...: consecutive differences are the unit vectors
         points = [tuple(int(j < i) for j in range(rank)) for i in range(rank + 1)]
         with pytest.raises(InvalidBasisError, match="rank 1 or 2"):
             BasisSimplex(points)
         with pytest.raises(InvalidBasisError, match="rank 1 or 2"):
             match_transition(hexagon_triangles, points)
+
+    @pytest.mark.parametrize("dim, bound", [(1, 3), (2, 2)])
+    def test_accepts_exactly_a_unit_determinant(self, dim, bound):
+        # Every chain of dim + 1 points with entries in [-bound, bound].
+        coords = list(product(range(-bound, bound + 1), repeat=dim))
+        accepted = 0
+        for points in product(coords, repeat=dim + 1):
+            diffs = [[b - a for a, b in zip(p, q)] for p, q in zip(points, points[1:])]
+            if abs(brute_det(diffs)) == 1:
+                assert BasisSimplex(points).points == points
+                accepted += 1
+            else:
+                with pytest.raises(InvalidBasisError, match="not a lattice basis"):
+                    BasisSimplex(points)
+        assert accepted
 
     def test_degenerate_polytope_has_no_basis(self):
         flat = hull([(0, 0), (3, 0)])

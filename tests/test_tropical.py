@@ -11,14 +11,13 @@ from syzkit import (
     dual_fan_check,
     enumerate_decompositions,
     hull,
-    minkowski_sum_all,
     normal_fan_rays,
     tropical_rays,
     wall_chambers,
 )
 from syzkit import tropical as tropical_module
 from syzkit.lattice import primitive, vec_neg, vec_sub
-from conftest import random_unimodular_simplex, seg, tri, unimodular_simplices
+from conftest import minkowski_sum_all, random_unimodular_simplex, seg, tri, unimodular_simplices
 
 
 def dot(a, b):
