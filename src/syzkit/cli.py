@@ -11,7 +11,7 @@ import os
 import re
 import sys
 
-from .errors import SyzkitError
+from .errors import OutputTooLargeError, SyzkitError
 from .lattice import normal_fan_rays, polytope_from_json_dict
 from .minkowski import (
     DEFAULT_SEARCH_BUDGET,
@@ -22,6 +22,7 @@ from .minkowski import (
 from .mirror import (
     SECTOR_D0,
     DiscClass,
+    _class_count,
     disc_potential,
     enumerate_gw_classes,
     gw_invariant,
@@ -73,6 +74,19 @@ def _resolve_budget(args) -> int:
         except ValueError as exc:
             raise _InputError(f"SYZKIT_BUDGET is not an integer: {env!r}") from exc
     return DEFAULT_SEARCH_BUDGET
+
+
+# Cap on the bytes ``gw`` prints when it lists classes.
+MAX_GW_OUTPUT_BYTES = 2**28
+
+
+def _gw_output_bytes(head: dict, ks) -> int:
+    """Exact size of the printed ``gw`` listing that starts with ``head``.
+    Every entry of a class is 0 or 1, so each class serialises to the bytes
+    of the all-zero one, and the size is linear in the count."""
+    zero = {"sector": head["sector"], "multiplicities": [[0] * k for k in ks]}
+    one, two = (len(json.dumps({**head, "classes": [zero] * n}, indent=2)) for n in (1, 2))
+    return one + (head["count"] - 1) * (two - one) + len("\n")
 
 
 _POINT_GROUP = re.compile(r"\(([^()]*)\)")
@@ -130,13 +144,19 @@ def _cmd_gw(args):
             "invariant": gw_invariant(decomposition, chamber, beta),
         }
     sector = args.sector if args.sector is not None else SECTOR_D0
-    classes = enumerate_gw_classes(decomposition, chamber, sector, _resolve_budget(args))
-    return {
-        "chamber": chamber,
-        "sector": sector,
-        "count": len(classes),
-        "classes": [c.to_json_dict() for c in classes],
-    }
+    budget = _resolve_budget(args)
+    head = {"chamber": chamber, "sector": sector,
+            "count": _class_count(decomposition, chamber, sector)}
+    # past the budget, enumerate_gw_classes raises before it builds a class
+    if head["count"] <= budget:
+        size = _gw_output_bytes(head, decomposition.ks)
+        if size > MAX_GW_OUTPUT_BYTES:
+            raise OutputTooLargeError(
+                f"{head['count']} classes would print {size} bytes, "
+                f"past the cap of {MAX_GW_OUTPUT_BYTES}"
+            )
+    classes = enumerate_gw_classes(decomposition, chamber, sector, budget)
+    return {**head, "classes": [c.to_json_dict() for c in classes]}
 
 
 def _cmd_transition(args):

@@ -84,8 +84,6 @@ class MinkowskiDecomposition:
             runs[s if s.generators[0] > (0,) * s.dim else canonical_summand(s)] += m
         keys = {s: summand_sort_key(s) for s in runs}
         types = sorted(runs, key=keys.__getitem__)
-        summands = tuple(chain.from_iterable((s,) * runs[s] for s in types))
-        object.__setattr__(self, "summands", summands)
         d = self.polytope.dim
         if self.polytope.lexmin != (0,) * d:
             raise ValueError(
@@ -101,10 +99,25 @@ class MinkowskiDecomposition:
                 total[e] = total.get(e, 0) + runs[s] * n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
-        object.__setattr__(self, "_ks", tuple(s.k for s in summands))
-        object.__setattr__(
-            self, "_sort_key", tuple(chain.from_iterable((keys[s],) * runs[s] for s in types))
-        )
+        self._set_runs([(s, keys[s], runs[s]) for s in types])
+
+    @classmethod
+    def _of(cls, polytope: LatticePolytope, translation: IntVec, runs) -> "MinkowskiDecomposition":
+        """Wrap runs ``(summand, sort key, count)`` of canonical summands, in
+        sort-key order, whose edge profiles add up to the pinned polytope's,
+        without checking them again: the search builds its results so."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "polytope", polytope)
+        object.__setattr__(self, "translation", translation)
+        self._set_runs(runs)
+        return self
+
+    def _set_runs(self, runs) -> None:
+        """Store the runs ``(summand, sort key, count)`` expanded by their counts."""
+        expand = chain.from_iterable
+        object.__setattr__(self, "summands", tuple(expand((s,) * m for s, _, m in runs)))
+        object.__setattr__(self, "_ks", tuple(expand((s.k,) * m for s, _, m in runs)))
+        object.__setattr__(self, "_sort_key", tuple(expand((key,) * m for _, key, m in runs)))
 
     @property
     def p(self) -> int:
@@ -189,41 +202,51 @@ def enumerate_decompositions(
             f"past the cap of {MAX_SUMMANDS}"
         )
     triangles = _unimodular_triangles(left) if d == 2 else []
-    simplices = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
-    units = {u: UnimodularSimplex(d, (u,)) for u in left if u > vec_neg(u)}
-    # settle[i]: the directions whose pair no triangle from the i-th on touches
-    settle: list[list[IntVec]] = [[] for _ in range(len(triangles) + 1)]
+    units = [u for u in left if u > vec_neg(u)]
+    # Every candidate type is canonical by construction: summand_from_vertices
+    # roots each triangle, and each unit segment (u,) has u > -u.
+    types = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
+    types += [UnimodularSimplex(d, (u,)) for u in units]
+    keys = [summand_sort_key(s) for s in types]
+    order = sorted(range(len(types)), key=keys.__getitem__)
+    counts = [0] * len(types)  # the multiplicity of each type
+    # settle[i]: the pairs (u, -u) that no triangle from the i-th on touches
+    settle: list[list[tuple[IntVec, IntVec]]] = [[] for _ in range(len(triangles) + 1)]
     for u in left:
-        last = max((i + 1 for i, t in enumerate(triangles) if {u, vec_neg(u)} & set(t)), default=0)
-        settle[last].append(u)
+        nu = vec_neg(u)
+        last = max((i + 1 for i, t in enumerate(triangles) if {u, nu} & set(t)), default=0)
+        settle[last].append((u, nu))
     found: list[MinkowskiDecomposition] = []
-    chosen: list[UnimodularSimplex] = []
     nodes = 0
 
     def place(i: int) -> None:
         nonlocal nodes
-        if any(left[u] != left.get(vec_neg(u), 0) for u in settle[i]):
+        if any(left[u] != left.get(nu, 0) for u, nu in settle[i]):
             return
         if i == len(triangles):
-            summands = list(chosen)
-            for u, unit in units.items():
-                summands += [unit] * left[u]
-            found.append(MinkowskiDecomposition(base, shift, tuple(summands)))
+            # the settled pairs and the unit counts spend the edge budget exactly
+            for j, u in enumerate(units, len(triangles)):
+                counts[j] = left[u]
+            runs = [(types[t], keys[t], counts[t]) for t in order if counts[t]]
+            found.append(MinkowskiDecomposition._of(base, shift, runs))
             return
         edges = triangles[i]
         top = min(left[e] for e in edges)
         for m in range(top + 1):
             nodes += 1
             if nodes > max_nodes:
-                raise SearchBudgetExceededError(f"decomposition search exceeded {max_nodes} nodes")
+                raise SearchBudgetExceededError(
+                    f"decomposition search exceeded {max_nodes} nodes: "
+                    f"{len(found)} decompositions found in {nodes - 1} nodes visited"
+                )
             if m:
                 for e in edges:
                     left[e] -= 1
-                chosen.append(simplices[i])
+                counts[i] = m
             place(i + 1)
         for e in edges:
             left[e] += top
-        del chosen[len(chosen) - top:]
+        counts[i] = 0
 
     place(0)
     found.sort(key=MinkowskiDecomposition.sort_key)

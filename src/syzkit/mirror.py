@@ -265,6 +265,16 @@ def gw_invariant(
     return 1
 
 
+def _class_count(decomposition: MinkowskiDecomposition, chamber: int, sector: str) -> int:
+    """The number of classes in the sector with invariant 1: the product of
+    (1 + k_i) over the walls on the sector's side of a fiber in the chamber."""
+    if sector not in (SECTOR_D0, SECTOR_DINF):
+        raise ValueError("sector must be 'D0' or 'Dinf'")
+    _check_chamber(decomposition, chamber)
+    ks = decomposition.ks
+    return prod(1 + k for k in (ks[: chamber + 1] if sector == SECTOR_D0 else ks[chamber + 1 :]))
+
+
 def enumerate_gw_classes(
     decomposition: MinkowskiDecomposition,
     chamber: int,
@@ -277,14 +287,11 @@ def enumerate_gw_classes(
     of the fiber.  ``budget`` caps that count (default 10^7); a larger count
     raises SearchBudgetExceededError before any class is built.
     """
-    if sector not in (SECTOR_D0, SECTOR_DINF):
-        raise ValueError("sector must be 'D0' or 'Dinf'")
-    _check_chamber(decomposition, chamber)
+    count = _class_count(decomposition, chamber, sector)
     lower = sector == SECTOR_D0
     ks = decomposition.ks
     active = [(i <= chamber) if lower else (i > chamber) for i in range(len(ks))]
     max_classes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
-    count = prod(1 + k for k, on in zip(ks, active) if on)
     if count > max_classes:
         raise SearchBudgetExceededError(
             f"{count} classes in sector {sector} at chamber {chamber} "

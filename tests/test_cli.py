@@ -7,16 +7,25 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzkit import decomposition_from_json_dict, hull, verify_decomposition
+from syzkit import (
+    decomposition_from_json_dict,
+    enumerate_decompositions,
+    enumerate_gw_classes,
+    hull,
+    verify_decomposition,
+)
 from syzkit import cli as cli_module
+from syzkit import mirror as mirror_module
 from syzkit import tropical as tropical_module
 from syzkit.cli import main
-from conftest import zonotope
+from conftest import ap_decomposition, zonotope
 
 HEXAGON_JSON = {
     "dim": 2,
@@ -380,6 +389,69 @@ class TestGW:
             "--chamber", "-1", "--sector", "D0",
         )
         assert json.loads(out)["count"] == 1
+
+
+class TestGwOutputCap:
+    """``gw`` predicts the bytes of its class listing from the count and
+    refuses a listing past MAX_GW_OUTPUT_BYTES before it builds a class."""
+
+    @staticmethod
+    def decomposition_file(tmp_path, dec):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(dec.to_json_dict()))
+        return str(path)
+
+    def test_past_the_cap_is_rejected_before_any_class(self, capsys, tmp_path, monkeypatch):
+        # A_20 at its top chamber: 2^21 classes, well inside the budget, of
+        # about 700 bytes each
+        path = self.decomposition_file(tmp_path, ap_decomposition(20))
+
+        def built(*args, **kwargs):
+            raise AssertionError("a class was built")
+
+        monkeypatch.setattr(cli_module, "enumerate_gw_classes", built)
+        monkeypatch.setattr(mirror_module, "DiscClass", built)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gw", "--decomposition", path)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert json.loads(out)["error"] == "OutputTooLarge"
+        assert "2097152 classes" in err and str(cli_module.MAX_GW_OUTPUT_BYTES) in err
+
+    def test_the_budget_still_caps_the_count(self, capsys, tmp_path, monkeypatch):
+        path = self.decomposition_file(tmp_path, ap_decomposition(20))
+        code, out, _ = run_cli(capsys, "gw", "--decomposition", path, "--budget", "1000")
+        assert (code, json.loads(out)["error"]) == (1, "SearchBudgetExceeded")
+        monkeypatch.setenv("SYZKIT_BUDGET", "1000")
+        code, out, _ = run_cli(capsys, "gw", "--decomposition", path)
+        assert (code, json.loads(out)["error"]) == (1, "SearchBudgetExceeded")
+
+    def test_predicted_size_is_exact_and_output_unchanged(self, capsys, tmp_path, monkeypatch):
+        decs = [ap_decomposition(p) for p in (0, 1, 4, 11)]
+        decs += enumerate_decompositions(zonotope(4, 2))[:4]
+        for dec in decs:
+            path = self.decomposition_file(tmp_path, dec)
+            for chamber, sector in product(range(-1, dec.p + 1), ("D0", "Dinf")):
+                argv = ("gw", "--decomposition", path, "--chamber", str(chamber),
+                        "--sector", sector)
+                code, out, _ = run_cli(capsys, *argv)
+                classes = enumerate_gw_classes(dec, chamber, sector)
+                report = {"chamber": chamber, "sector": sector, "count": len(classes),
+                          "classes": [c.to_json_dict() for c in classes]}
+                assert (code, out) == (0, json.dumps(report, indent=2) + "\n")
+                head = {key: report[key] for key in ("chamber", "sector", "count")}
+                size = len(out.encode())
+                assert cli_module._gw_output_bytes(head, dec.ks) == size
+                # the cap admits a listing of exactly its size
+                monkeypatch.setattr(cli_module, "MAX_GW_OUTPUT_BYTES", size)
+                assert run_cli(capsys, *argv)[:2] == (0, out)
+                monkeypatch.setattr(cli_module, "MAX_GW_OUTPUT_BYTES", size - 1)
+                code, out, _ = run_cli(capsys, *argv)
+                assert (code, json.loads(out)["error"]) == (1, "OutputTooLarge")
+                monkeypatch.undo()
+
+    def test_default_cap(self):
+        assert cli_module.MAX_GW_OUTPUT_BYTES == 2**28
 
 
 class TestTransition:

@@ -267,6 +267,24 @@ class TestEnumerate:
         with pytest.raises(SearchBudgetExceededError):
             enumerate_decompositions(hexagon, budget=2)
 
+    @pytest.mark.parametrize("budget, found", [(0, 0), (10, 1), (50, 6), (100, 13)])
+    def test_budget_error_says_how_far_the_search_got(self, monkeypatch, budget, found):
+        built = []
+        real = MinkowskiDecomposition._of.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(MinkowskiDecomposition, "_of", classmethod(counted))
+        with pytest.raises(SearchBudgetExceededError) as info:
+            enumerate_decompositions(zonotope(4, 5), budget=budget)
+        assert len(built) == found
+        assert str(info.value) == (
+            f"decomposition search exceeded {budget} nodes: "
+            f"{found} decompositions found in {budget} nodes visited"
+        )
+
     @pytest.mark.parametrize(
         "polytope, nodes",
         [
@@ -491,13 +509,77 @@ class TestDecompositionTypeAgainstPerSummand:
         backwards = (seg(vec_neg(step)),) * len(dec.summands)
         again = MinkowskiDecomposition(polytope, (0,) * polytope.dim, backwards)
         assert dec.summands == again.summands == (seg(step),) * vertices[1][0]
-        # one edge profile and one sort key per distinct type and
-        # construction, none per summand or per sort, and no hull, while the
-        # expanded key stays the per-summand one
+        # one sort key per distinct type and construction, none per summand or
+        # per sort, and no hull, while the expanded key stays the per-summand
+        # one; only the public construction profiles the segment, since the
+        # search builds its result without checking it again
         assert calls == Counter(
-            hull=0, edge_profile=2, summand_from_vertices=1, summand_sort_key=2
+            hull=0, edge_profile=1, summand_from_vertices=1, summand_sort_key=2
         )
         assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
+
+
+class TestSearchByConstruction:
+    """The search builds its results without the public constructor's
+    checks; each must equal its rebuild by that constructor, the per-summand
+    oracle's, and the whole list the backtracking search's."""
+
+    @staticmethod
+    def check(polytope, backtrack=True):
+        decs = enumerate_decompositions(polytope)
+        for dec in decs:
+            args = dec.polytope, dec.translation, dec.summands
+            again = MinkowskiDecomposition(*args)
+            assert again == dec
+            assert (again.summands, again.ks, again.sort_key(), again.to_json_dict()) == (
+                dec.summands, dec.ks, dec.sort_key(), dec.to_json_dict()
+            )
+            oracle = PerSummandDecomposition(*args)
+            assert (oracle.summands, oracle.ks, oracle.to_json_dict()) == (
+                dec.summands, dec.ks, dec.to_json_dict()
+            )
+            assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
+        if backtrack:
+            assert decs == backtrack_decompositions(polytope)
+        return decs
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_sums(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        parts = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), min_size=1, max_size=4))
+        shift = data.draw(st.tuples(*[st.integers(-9, 9)] * dim))
+        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim)
+        decs = self.check(polytope.translate(shift))
+        want = sorted(summand_sort_key(canonical_summand(s)) for s in parts)
+        assert any(sorted(d.sort_key()) == want for d in decs)
+
+    @pytest.mark.parametrize("name", TestDecompositionTypeAgainstPerSummand.CORPUS)
+    def test_corpus(self, name):
+        polytope = TestDecompositionTypeAgainstPerSummand.CORPUS[name]
+        # the backtracking oracle recurses once per summand
+        self.check(polytope, backtrack=sum(edge_profile(polytope).values()) < 200)
+
+    @pytest.mark.parametrize("name", TestDecompositionTypeAgainstPerSummand.CORPUS)
+    def test_work_per_search(self, monkeypatch, name):
+        polytope = TestDecompositionTypeAgainstPerSummand.CORPUS[name]
+        profile = edge_profile(pinned(polytope))
+        calls = Counter()
+        for owner, attr in (
+            (MinkowskiDecomposition, "__post_init__"),
+            (minkowski, "edge_profile"),
+            (minkowski, "summand_sort_key"),
+        ):
+            def counted(*args, real=getattr(owner, attr), attr=attr):
+                calls[attr] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        decs = enumerate_decompositions(polytope)
+        monkeypatch.undo()
+        # every triangle the profile admits, and a unit segment per direction u > -u
+        types = len(minkowski._unimodular_triangles(profile)) if polytope.dim == 2 else 0
+        types += sum(1 for u in profile if u > vec_neg(u))
+        assert decs and calls == Counter(edge_profile=1, summand_sort_key=types)
 
 
 class TestSummandCap:
