@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import LaurentPolynomial
 from .errors import (
+    OutputTooLargeError,
     SearchBudgetExceededError,
     ShapeMismatchError,
     VerificationFailedError,
@@ -121,73 +123,111 @@ def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
     return LaurentPolynomial._of(summand.dim, dict.fromkeys(summand.vertex_set(), Fraction(1)))
 
 
+# Cap on the bytes of the packed integer that one wall product forms.
+MAX_PACKED_BYTES = 2**28
+
+
 def _slot_bytes(bound: int) -> int:
     """Bytes per packed coefficient: every value up to ``bound``, plus a spare bit."""
     return (bound.bit_length() + 8) // 8
 
 
-def _balanced_product(factors: list[int]) -> int:
+def _balanced_product(factors) -> int:
     """Product of the ints in a pairwise tree, so the operands of each
     multiplication are of similar size; the empty product is 1."""
+    factors = list(factors)
     while len(factors) > 1:
         factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
     return factors[0] if factors else 1
 
 
-def _wall_product(dim: int, summands) -> dict[IntVec, int]:
-    """Nonzero coefficients of the product of the summands' wall factors.
+def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple, Fraction]:
+    """The terms ``lead + e: n_e`` of the product of the summands' wall
+    factors, with ``e`` in lexicographic order.
 
     Kronecker substitution: each factor is shifted to nonnegative exponents,
-    an exponent e in the bounding box of the product becomes the mixed-radix
-    index sum(e_j * stride_j), and a polynomial becomes the integer
+    an exponent e in the bounding box of the product becomes its row-major
+    slot index in the box, and a polynomial becomes the integer
     sum(c_e * 2^(w * index)).  Every coefficient is a nonnegative integer at
     most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
     other and bigint arithmetic multiplies all the factors: each distinct
     factor is packed once and raised to its multiplicity, and the powers are
-    multiplied in a balanced tree.  The first coordinate has the largest
-    stride, so the slots are read row by row, with x fixed along each row of
-    radix[1] slots, and the result comes out in lexicographic order.
+    multiplied in a balanced tree.  Box order is lexicographic order, and
+    equal coefficients share one ``Fraction``.  ``lead`` is ``()`` for g and
+    ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``.  A product whose
+    packed integer would pass MAX_PACKED_BYTES raises before any packing.
     """
-    runs = Counter(summands)
-    offset = [0] * dim
-    radix = [1] * dim
-    shifted = []
-    for s, m in runs.items():
-        exps = ((0,) * dim,) + s.generators
-        low = [min(e[j] for e in exps) for j in range(dim)]
-        for j in range(dim):
-            offset[j] += m * low[j]
-            radix[j] += m * (max(e[j] for e in exps) - low[j])
-        shifted.append(([[x - t for x, t in zip(e, low)] for e in exps], m))
-    stride = [1] * dim
-    for j in range(dim - 2, -1, -1):
-        stride[j] = stride[j + 1] * radix[j + 1]
-    bound = prod((1 + s.k) ** m for s, m in runs.items())
+    runs = Counter(summands).items()
+    if dim == 1:
+        # A rank-1 generator u is 1 or -1: 1 + z^u fills two slots from min(0, u).
+        low = sum(m * min(0, s.generators[0][0]) for s, m in runs)
+        axes = (range(low, low + 1 + sum(m for _, m in runs)),)
+        types = [((0, 1), m) for _, m in runs]
+    else:
+        ox = oy = 0
+        rx = ry = 1
+        corners = []
+        for s, m in runs:
+            xs, ys = zip((0, 0), *s.generators)
+            lx, ly = min(xs), min(ys)
+            ox, oy = ox + m * lx, oy + m * ly
+            rx, ry = rx + m * (max(xs) - lx), ry + m * (max(ys) - ly)
+            corners.append(([(x - lx, y - ly) for x, y in zip(xs, ys)], m))
+        axes = (range(ox, ox + rx), range(oy, oy + ry))
+        types = [([x * ry + y for x, y in points], m) for points, m in corners]
+    bound = prod((1 + s.k) ** m for s, m in runs)
     width = _slot_bytes(bound)
+    size = prod(map(len, axes)) * width
+    if size > MAX_PACKED_BYTES:
+        raise OutputTooLargeError(
+            f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
+        )
     bits = 8 * width
-    packed = _balanced_product([
-        sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps) ** m
-        for exps, m in shifted
-    ])
+    # A generator: each factor is packed and raised only inside the product tree.
+    packed = _balanced_product(
+        sum(1 << bits * index for index in indices) ** m for indices, m in types
+    )
     raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    slots = raw if width == 1 else [
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    ]
     total = sum(slots)
     if total != bound:
         raise VerificationFailedError(
             f"the coefficients of g sum to {total}, not g(1, ..., 1) = {bound}; "
             "this indicates an implementation bug"
         )
-    if dim == 1:
-        (o,) = offset
-        return {(o + i,): n for i, n in enumerate(slots) if n}
-    ox, oy = offset
-    row = radix[1]
-    out = {}
-    for x, start in enumerate(range(0, len(slots), row), ox):
-        for y, n in enumerate(slots[start : start + row], oy):
-            if n:
-                out[x, y] = n
-    return out
+    values = {n: Fraction(n) for n in set(slots) if n}
+    keys = product(*[(c,) for c in lead], *axes)
+    return {e: values[n] for e, n in zip(keys, slots) if n}
+
+
+def _check_sign_points(dim: int, table: dict[IntVec, int], runs: Counter) -> None:
+    """g(eps) == prod f_i(eps) at the 2^dim points eps in {1, -1}^dim.
+
+    z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
+    so one pass sums g by the parity bits of its exponents, and each distinct
+    factor is evaluated once.  Unlike the sum check, this sees coefficients
+    swapped between exponents of different parity.
+    """
+    top = dim - 1  # in rank 1, v[0] is v[-1]
+    parity = [0] * (1 << dim)
+    for v, n in table.items():
+        parity[v[0] & 1 | (v[-1] & 1) << top] += n
+    factors = [
+        ([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs.items()
+    ]
+    for point in range(1 << dim):
+        # sign[b] is the value at this point of every z^v whose parity bits are b
+        sign = [1 - 2 * ((b & point).bit_count() & 1) for b in range(1 << dim)]
+        left = sum(map(mul, sign, parity))
+        right = prod((1 + sum(sign[b] for b in us)) ** m for us, m in factors)
+        if left != right:
+            eps = tuple(-1 if point >> j & 1 else 1 for j in range(dim))
+            raise VerificationFailedError(
+                f"g is {left} at the sign point {eps}, but the wall factors multiply "
+                f"to {right} there; this indicates an implementation bug"
+            )
 
 
 def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
@@ -196,23 +236,29 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     The Newton polytope of the product is the decomposition's polytope, and
     the table holds the (positive integer) coefficients of g.  The Newton
     check needs no hull: the hull of the support is P exactly when the
-    support lies in P and every vertex of P carries a term.
+    support lies in P and every vertex of P carries a term.  g must also
+    equal the product of the wall factors at every sign point.
     """
     polytope = decomposition.polytope
-    factored = tuple(wall_factor(s) for s in decomposition.summands)
-    coefficients = _wall_product(polytope.dim, decomposition.summands)
+    summands = decomposition.summands
+    runs = Counter(summands)
+    factors = {s: wall_factor(s) for s in runs}
+    terms = _wall_product(polytope.dim, summands)
     if not (
-        coefficients.keys() <= set(lattice_points(polytope))
-        and all(v in coefficients for v in polytope.vertices)
+        terms.keys() <= set(lattice_points(polytope))
+        and all(v in terms for v in polytope.vertices)
     ):
         raise VerificationFailedError(
             "the Newton polytope of g is not the decomposition's polytope; "
             "this indicates an implementation bug"
         )
-    expanded = LaurentPolynomial._of(
-        polytope.dim, {e: Fraction(n) for e, n in coefficients.items()}
+    table = {e: c.numerator for e, c in terms.items()}
+    _check_sign_points(polytope.dim, table, runs)
+    return SYZMirror(
+        tuple(map(factors.__getitem__, summands)),
+        LaurentPolynomial._of(polytope.dim, terms),
+        GWTable._of(table),
     )
-    return SYZMirror(factored, expanded, GWTable._of(coefficients))
 
 
 def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:
@@ -321,9 +367,9 @@ def chamber_uv(
     """
     _check_chamber(decomposition, chamber)
     d = decomposition.polytope.dim
-    below = _wall_product(d, decomposition.summands[: chamber + 1])
-    above = _wall_product(d, decomposition.summands[chamber + 1 :])
+    below = decomposition.summands[: chamber + 1]
+    above = decomposition.summands[chamber + 1 :]
     return (
-        LaurentPolynomial._of(d + 1, {(1,) + e: Fraction(n) for e, n in below.items()}),
-        LaurentPolynomial._of(d + 1, {(-1,) + e: Fraction(n) for e, n in above.items()}),
+        LaurentPolynomial._of(d + 1, _wall_product(d, below, (1,))),
+        LaurentPolynomial._of(d + 1, _wall_product(d, above, (-1,))),
     )

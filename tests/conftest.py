@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ from syzkit import (
     minkowski_sum,
     summand_from_vertices,
 )
+from syzkit.mirror import _slot_bytes
 
 HEXAGON_CORNERS = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
 
@@ -123,3 +125,14 @@ def zonotope(m, n):
     for d in dirs:
         corners = [(x + t * n * d[0], y + t * n * d[1]) for x, y in corners for t in (0, 1)]
     return hull(corners)
+
+
+def packed_bytes(dec):
+    """Bytes of the packed integer of a decomposition's g: the slots of P's
+    bounding box times the slot width that g(1, ..., 1) needs."""
+    verts = dec.polytope.vertices
+    box = math.prod(
+        max(v[j] for v in verts) - min(v[j] for v in verts) + 1
+        for j in range(dec.polytope.dim)
+    )
+    return box * _slot_bytes(math.prod(1 + k for k in dec.ks))

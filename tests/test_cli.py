@@ -25,7 +25,7 @@ from syzkit import cli as cli_module
 from syzkit import mirror as mirror_module
 from syzkit import tropical as tropical_module
 from syzkit.cli import main
-from conftest import ap_decomposition, zonotope
+from conftest import ap_decomposition, packed_bytes, zonotope
 
 HEXAGON_JSON = {
     "dim": 2,
@@ -815,3 +815,9 @@ def pinned_digest(tmp_path):
 class TestPinnedOutput:
     def test_transcript_hash(self, tmp_path):
         assert pinned_digest(tmp_path) == PINNED_OUTPUT_SHA256
+
+    def test_packed_products_fit_under_the_cap(self):
+        """Every g that the transcript computes packs under MAX_PACKED_BYTES."""
+        for vertices in PINNED_POLYTOPES.values():
+            for dec in enumerate_decompositions(hull(vertices))[:3]:
+                assert packed_bytes(dec) <= mirror_module.MAX_PACKED_BYTES

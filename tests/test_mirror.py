@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -17,6 +18,7 @@ from syzkit import (
     GWTable,
     LaurentPolynomial,
     MinkowskiDecomposition,
+    OutputTooLargeError,
     SECTOR_D0,
     SECTOR_DINF,
     SECTOR_NONE,
@@ -44,6 +46,7 @@ from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
     minkowski_sum_all,
+    packed_bytes,
     random_unimodular_simplex,
     seg,
     tri,
@@ -112,6 +115,23 @@ def _box_simplices():
 
 
 BOX_SIMPLICES = _box_simplices()
+
+
+def dilated_triangle(m):
+    """m copies of the standard triangle, whose product g(1, 1) is 3^m."""
+    corners = [(0, 0), (m, 0), (0, m)]
+    return MinkowskiDecomposition(hull(corners), (0, 0), (tri((1, 0), (0, 1)),) * m)
+
+
+# Decompositions on both sides of one-byte slots, with the slot width of g:
+# g(1, ..., 1) is 64 and 128 for A_5 and A_6, 81 and 243 for 4 and 5 triangles.
+SLOT_WIDTH_BOUNDARY = [
+    (ap_decomposition(5), 1),
+    (ap_decomposition(6), 2),
+    (dilated_triangle(4), 1),
+    (dilated_triangle(5), 2),
+]
+SLOT_WIDTH_IDS = ["A_5", "A_6", "4 triangles", "5 triangles"]
 
 
 def brute_invariant(sector, rows, chamber):
@@ -506,6 +526,33 @@ class TestRowDecoder:
         self.assert_same(dec.polytope.dim, dec.summands[: chamber + 1])
         self.assert_same(dec.polytope.dim, dec.summands[chamber + 1 :])
 
+    @staticmethod
+    def assert_halves(dec, chamber):
+        """Both halves of ``chamber_uv`` are the oracle's terms with z0^(+-1)
+        prepended, as Fractions, with their keys in the same order."""
+        d = dec.polytope.dim
+        halves = (dec.summands[: chamber + 1], dec.summands[chamber + 1 :])
+        for poly, lead, part in zip(chamber_uv(dec, chamber), ((1,), (-1,)), halves):
+            want = {lead + e: Fraction(n) for e, n in mixed_radix_wall_product(d, part).items()}
+            assert list(poly.terms.items()) == list(want.items())
+            assert_canonical(poly)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(DECOMPOSITIONS), st.data())
+    def test_chamber_halves_carry_their_lead(self, dec, data):
+        self.assert_halves(dec, data.draw(st.integers(-1, dec.p)))
+
+    @pytest.mark.parametrize("dec, width", SLOT_WIDTH_BOUNDARY, ids=SLOT_WIDTH_IDS)
+    def test_both_sides_of_one_byte_slots(self, dec, width):
+        assert mirror_module._slot_bytes(math.prod(1 + k for k in dec.ks)) == width
+        d = dec.polytope.dim
+        expanded = syz_mirror(dec).expanded
+        want = {e: Fraction(n) for e, n in mixed_radix_wall_product(d, dec.summands).items()}
+        assert list(expanded.terms.items()) == list(want.items())
+        assert_canonical(expanded)
+        for chamber in range(-1, dec.p + 1):
+            self.assert_halves(dec, chamber)
+
 
 def assert_canonical(poly):
     """The invariants the public constructor establishes hold for ``poly``."""
@@ -563,6 +610,19 @@ class TestTrustedTable:
                 GWTable({(0, 0): bad})
 
 
+class TestSharedWallFactors:
+    """``syz_mirror`` builds one wall factor per distinct summand."""
+
+    @pytest.mark.parametrize("dec", mirror_corpus())
+    def test_one_factor_object_per_distinct_summand(self, dec):
+        factored = syz_mirror(dec).factored
+        assert len(factored) == len(dec.summands)
+        for f, s in zip(factored, dec.summands):
+            assert f == wall_factor(s)
+        for (f, s), (g, t) in combinations(zip(factored, dec.summands), 2):
+            assert (f is g) == (s == t)
+
+
 class TestCanonicalTerms:
     """Every polynomial syzkit builds without the public constructor's
     checks satisfies the invariants those checks establish."""
@@ -574,6 +634,7 @@ class TestCanonicalTerms:
         *enumerate_decompositions(hull([(3, 4)])),
         *enumerate_decompositions(hull(HEXAGON_CORNERS)),
         *enumerate_decompositions(zonotope(4, 3)),
+        *(dec for dec, _ in SLOT_WIDTH_BOUNDARY),
     ]
 
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
@@ -767,6 +828,179 @@ class TestIdentityChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["caught", "1"] * 2
+
+
+def swappable_slots(dec):
+    """Two slots of g's packed integer, in the kernel's box, whose
+    coefficients differ and whose exponents differ mod 2."""
+    d = dec.polytope.dim
+    g = mixed_radix_wall_product(d, dec.summands)
+    verts = dec.polytope.vertices
+    low = [min(v[j] for v in verts) for j in range(d)]
+    radix = [max(v[j] for v in verts) - low[j] + 1 for j in range(d)]
+
+    def slot(e):
+        index = 0
+        for x, lo, r in zip(e, low, radix):
+            index = index * r + x - lo
+        return index
+
+    for e, f in combinations(g, 2):
+        if g[e] != g[f] and any((x - y) % 2 for x, y in zip(e, f)):
+            return slot(e), slot(f)
+    raise AssertionError("no two such slots")
+
+
+def swap_packed_slots(monkeypatch, width, i, j):
+    """Make the kernel's product tree return its packed integer with slots
+    i and j swapped: their sum, and the support, stay the same."""
+    real = mirror_module._balanced_product
+    bits = 8 * width
+    mask = (1 << bits) - 1
+
+    def swapped(factors):
+        packed = real(factors)
+        a, b = packed >> bits * i & mask, packed >> bits * j & mask
+        return packed + ((b - a) << bits * i) + ((a - b) << bits * j)
+
+    monkeypatch.setattr(mirror_module, "_balanced_product", swapped)
+
+
+class TestSignPointCheck:
+    """``syz_mirror`` checks g(eps) == prod f_i(eps) at every eps in {1, -1}^d."""
+
+    DECOMPOSITIONS = [
+        ap_decomposition(5),
+        ap_decomposition(20),
+        *enumerate_decompositions(hull(HEXAGON_CORNERS)),
+        *enumerate_decompositions(zonotope(4, 3))[:4],
+        dilated_triangle(5),
+    ]
+
+    @pytest.mark.parametrize("dec", DECOMPOSITIONS)
+    def test_swapped_slots_are_caught(self, monkeypatch, dec):
+        d = dec.polytope.dim
+        real = mirror_module._wall_product(d, dec.summands)
+        width = mirror_module._slot_bytes(math.prod(1 + k for k in dec.ks))
+        swap_packed_slots(monkeypatch, width, *swappable_slots(dec))
+        # The kernel's sum check passes the swap, and so does the Newton
+        # check: the support is unchanged.
+        swapped = mirror_module._wall_product(d, dec.summands)
+        assert swapped != real
+        assert list(swapped) == list(real)
+        assert sum(swapped.values()) == sum(real.values())
+        with pytest.raises(VerificationFailedError, match="sign point"):
+            syz_mirror(dec)
+
+    @pytest.mark.parametrize("dec", DECOMPOSITIONS)
+    def test_every_changed_coefficient_is_caught(self, dec):
+        """Changing one coefficient by one changes g at every sign point."""
+        runs = Counter(dec.summands)
+        table = dict(syz_mirror(dec).table.entries)
+        mirror_module._check_sign_points(dec.polytope.dim, table, runs)
+        for e in list(table):
+            table[e] += 1
+            with pytest.raises(VerificationFailedError, match="sign point"):
+                mirror_module._check_sign_points(dec.polytope.dim, table, runs)
+            table[e] -= 1
+
+    def test_check_survives_python_O(self):
+        # A_5: g = 1 + 6z + 15z^2 + ..., in one-byte slots; swap 6 and 15
+        script = "\n".join([
+            "import sys",
+            "assert False, 'asserts are live'",
+            "from syzkit import MinkowskiDecomposition, UnimodularSimplex, hull",
+            "from syzkit import VerificationFailedError, syz_mirror",
+            "import syzkit.mirror as m",
+            "step = UnimodularSimplex(1, ((1,),))",
+            "dec = MinkowskiDecomposition(hull([(0,), (6,)]), (0,), (step,) * 6)",
+            "real = m._balanced_product",
+            "m._balanced_product = lambda fs: real(fs) + (9 << 8) - (9 << 16)",
+            "try:",
+            "    syz_mirror(dec)",
+            "except VerificationFailedError as exc:",
+            "    print('caught', sys.flags.optimize, 'sign point' in str(exc))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["caught", "1", "True"]
+
+
+def diagonal_steps(n):
+    """[(0, 0), (n, n)] as n unit steps: n + 1 terms in a box of (n + 1)^2 slots."""
+    return MinkowskiDecomposition(hull([(0, 0), (n, n)]), (0, 0), (seg((1, 1)),) * n)
+
+
+class TestPackedSizeCap:
+    """The kernel predicts the bytes of its packed integer and refuses a
+    product past MAX_PACKED_BYTES before it packs anything."""
+
+    def test_default_cap(self):
+        assert mirror_module.MAX_PACKED_BYTES == 2**28
+
+    def test_cli_refuses_the_long_diagonal_quickly(self, tmp_path):
+        path = tmp_path / "diagonal.json"
+        path.write_text(json.dumps({
+            "polytope": {"dim": 2, "vertices": [[0, 0], [20000, 20000]]},
+            "translation": [0, 0],
+            "summands": [{"generators": [[1, 1]]}] * 20000,
+        }))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "mirror", "--decomposition", str(path)],
+            capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["error"] == "OutputTooLarge"
+        predicted = 20001**2 * mirror_module._slot_bytes(2**20000)
+        assert str(predicted) in report["detail"]
+        assert str(mirror_module.MAX_PACKED_BYTES) in report["detail"]
+
+    def test_nothing_is_packed_past_the_cap(self, monkeypatch):
+        dec = diagonal_steps(20000)
+
+        def packed(factors):
+            raise AssertionError("a product was packed")
+
+        monkeypatch.setattr(mirror_module, "_balanced_product", packed)
+        start = time.perf_counter()
+        with pytest.raises(OutputTooLargeError, match=str(packed_bytes(dec))):
+            syz_mirror(dec)
+        for chamber in (dec.p // 2, dec.p):
+            with pytest.raises(OutputTooLargeError):
+                chamber_uv(dec, chamber)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("dec", mirror_corpus())
+    def test_cap_admits_the_benchmark_corpus(self, monkeypatch, dec):
+        assert packed_bytes(dec) <= mirror_module.MAX_PACKED_BYTES
+        real = mirror_module._balanced_product
+        sizes = []
+
+        def measured(factors):
+            packed = real(factors)
+            sizes.append((packed.bit_length() + 7) // 8)
+            return packed
+
+        monkeypatch.setattr(mirror_module, "_balanced_product", measured)
+        syz_mirror(dec)
+        assert 0 < sizes[0] <= packed_bytes(dec)
+
+    def test_a2000_packs_half_a_megabyte(self, monkeypatch):
+        dec = ap_decomposition(2000)
+        size = packed_bytes(dec)
+        assert size == 2002 * 251
+        monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size - 1)
+        with pytest.raises(OutputTooLargeError, match=f"{size} bytes"):
+            mirror_module._wall_product(1, dec.summands)
+        monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size)
+        terms = mirror_module._wall_product(1, dec.summands)
+        assert terms[1000,] == math.comb(2001, 1000)
 
 
 class TestGwClassBudget:
