@@ -27,6 +27,16 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _rational(value) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction; floats, strings
+    and bools raise TypeError."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 class LaurentPolynomial:
     """``dim`` z-variables and sparse exact rational terms.
 
@@ -37,14 +47,13 @@ class LaurentPolynomial:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms=()):
-        self.dim = int(dim)
+        self.dim = json_int(dim)
         clean: dict[IntVec, Fraction] = {}
         for exp, coeff in dict(terms).items():
-            e = tuple(int(x) for x in exp)
+            e = tuple(map(json_int, exp))
             if len(e) != self.dim:
                 raise DimensionMismatchError(f"exponent {e} does not have length {self.dim}")
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+            coeff = _rational(coeff)
             if coeff:
                 clean[e] = coeff
         self.terms = clean
@@ -118,8 +127,12 @@ class LaurentPolynomial:
         return LaurentPolynomial._of(self.dim, {e: c * q for e, c in self.terms.items()})
 
     def prepend_variable(self, exponent: int) -> "LaurentPolynomial":
-        """Add a distinguished leading variable carrying the given exponent on every term."""
+        """Add a distinguished leading variable carrying the given exponent on
+        every term.  An exponent equal to an int, such as ``Fraction(2)``, is
+        taken as that int; any other raises TypeError."""
         lead = (int(exponent),)
+        if lead[0] != exponent:
+            raise TypeError(f"expected an integer exponent, got {exponent!r}")
         return LaurentPolynomial._of(self.dim + 1, {lead + e: c for e, c in self.terms.items()})
 
     def specialize(self, values) -> "LaurentPolynomial":
@@ -187,8 +200,8 @@ class Character:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self):
-        gamma = Fraction(self.gamma)
-        alpha = tuple(Fraction(a) for a in self.alpha)
+        gamma = _rational(self.gamma)
+        alpha = tuple(map(_rational, self.alpha))
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", alpha)
         if gamma <= 0 or any(a <= 0 for a in alpha):
@@ -205,7 +218,7 @@ class Character:
         """The weight at one exponent; ``_weight_pairs`` gives many at once."""
         total = self.gamma
         for a, e in zip(self.alpha, exp):
-            total *= a ** int(e)
+            total *= a ** json_int(e)
         return total
 
     def to_json_dict(self) -> dict:

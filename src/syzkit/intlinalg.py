@@ -1,7 +1,7 @@
 """Exact integer linear algebra on small dense matrices."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -19,98 +19,59 @@ def _exact_root(n: int, k: int) -> int | None:
         x = y
 
 
-_MANTISSA_BITS = 64
+def _strip(n: int, q: int) -> tuple[int, int]:
+    """``(k, n // q**k)`` with q**k the largest power of q > 1 dividing n > 0,
+    by repeated squaring: O(log k) divisions."""
+    if n % q:
+        return 0, n
+    k, rest = _strip(n // q, q * q)
+    return (2 * k + 2, rest // q) if rest % q == 0 else (2 * k + 1, rest)
 
 
-def _cut(m: int, s: int, up: bool) -> tuple[int, int]:
-    """``m * 2**s`` cut to a mantissa of at most ``_MANTISSA_BITS`` bits,
-    rounded down, or up when ``up``."""
-    k = m.bit_length() - _MANTISSA_BITS
-    if k <= 0:
-        return m, s
-    q = m >> k
-    if up and q << k != m:
-        q += 1
-    return q, s + k
-
-
-def _power_log2_range(n: int, e: int) -> tuple[int, int]:
-    """Integers lo, hi with 2**lo <= n**e < 2**hi, for n >= 1 and e >= 0.
-
-    Binary powering on mantissas cut down for the lower bound and up for the
-    upper, so the cost grows with the bit length of e and n**e is never formed.
-    """
-    bounds = []
-    for up in (False, True):
-        acc, base = (1, 0), _cut(n, 0, up)
-        k = e
-        while k:
-            if k & 1:
-                acc = _cut(acc[0] * base[0], acc[1] + base[1], up)
-            k >>= 1
-            if k:
-                base = _cut(base[0] * base[0], 2 * base[1], up)
-        bounds.append(acc)
-    (m_lo, s_lo), (m_hi, s_hi) = bounds
-    return m_lo.bit_length() - 1 + s_lo, m_hi.bit_length() + s_hi
-
-
-def _may_equal(target: Fraction, ys: list[Fraction], exps) -> bool:
-    """False when ``prod(y ** e)`` provably differs from ``target``: their
-    log2 ranges, read off bit lengths, are disjoint.  No power is formed."""
-    lo, hi = _power_log2_range(target.numerator, 1)
-    d_lo, d_hi = _power_log2_range(target.denominator, 1)
-    lo, hi = lo - d_hi, hi - d_lo
-    p_lo = p_hi = 0
-    for y, e in zip(ys, exps):
-        num, den = (y.numerator, y.denominator) if e >= 0 else (y.denominator, y.numerator)
-        n_lo, n_hi = _power_log2_range(num, abs(e))
-        d_lo, d_hi = _power_log2_range(den, abs(e))
-        p_lo += n_lo - d_hi
-        p_hi += n_hi - d_lo
-    return p_lo < hi and lo < p_hi
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which every number > 0 is a product
+    of powers, by gcd splitting: two members with a common factor g > 1
+    give way to g and what is left of each once the powers of g are gone."""
+    base: list[int] = []
+    work = [a for a in numbers if a > 1]
+    while work:
+        a = work.pop()
+        for i, q in enumerate(base):
+            g = gcd(a, q)
+            if g > 1:
+                del base[i]
+                work += [x for x in (g, _strip(a, g)[1], _strip(q, g)[1]) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
 
 
 def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
     """Positive rationals x_1..x_n with prod_j x_j ** A[i][j] = b_i for every
     row i, or None when no such rationals exist; every b_i must be positive.
 
-    Unimodular column operations bring A to a staircase form H with A U = H.
-    Forward substitution solves prod_j y_j ** H[r][j] = b_r, taking an exact
-    root at each pivot, and x_i = prod_j y_j ** U[i][j].  Free columns are
-    pinned to 1, so the output is deterministic.  Nothing is factored: a
-    prime's exponents in x are those of the integer system A e = v_p(b).
+    Unimodular column operations bring A to a staircase form H with A U = H,
+    kept as one list per column: A's column above U's.  Over a coprime base
+    of the b_i's numerators and denominators the system is the integer
+    system A e = v(b) on exponent vectors, solved by forward substitution
+    through H; x_i = prod_j y_j ** U[i][j].  A pivot h that does not divide
+    a member's exponent c needs that member to be an exact t-th power,
+    t = h / gcd(h, c), and the member is replaced by its root.  Since the
+    members are pairwise coprime, this is exact: nothing is factored and no
+    power of a b_i is formed.  Free columns are pinned to 1, so the output
+    is deterministic.
     """
     m = len(rows)
-    h = [[int(x) for x in r] for r in rows]
-    for r in h:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
+    a = [[int(x) for x in r] for r in rows]
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
     b = [Fraction(x) for x in rhs]
     if any(x <= 0 for x in b):
         raise ValueError("right-hand side must be positive")
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap(j, k):
-        for r in range(m):
-            h[r][j], h[r][k] = h[r][k], h[r][j]
-        for r in range(n):
-            u[r][j], u[r][k] = u[r][k], u[r][j]
-
-    def combine(j, k, q):
-        # column j -= q * column k
-        for r in range(m):
-            h[r][j] -= q * h[r][k]
-        for r in range(n):
-            u[r][j] -= q * u[r][k]
-
-    def negate(j):
-        for r in range(m):
-            h[r][j] = -h[r][j]
-        for r in range(n):
-            u[r][j] = -u[r][j]
+    cols = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
 
     pivot_col: dict[int, int] = {}
     c = 0
@@ -118,40 +79,51 @@ def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
         if c >= n:
             break
         while True:
-            nonzero = [j for j in range(c, n) if h[r][j] != 0]
+            nonzero = [j for j in range(c, n) if cols[j][r] != 0]
             if not nonzero:
                 break
-            best = min(nonzero, key=lambda j: abs(h[r][j]))
-            if best != c:
-                swap(c, best)
+            best = min(nonzero, key=lambda j: abs(cols[j][r]))
+            cols[c], cols[best] = cols[best], cols[c]
+            p = cols[c]
             reduced = True
             for j in range(c + 1, n):
-                if h[r][j] != 0:
-                    combine(j, c, h[r][j] // h[r][c])
-                    if h[r][j] != 0:
-                        reduced = False
+                if cols[j][r] != 0:
+                    q = cols[j][r] // p[r]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], p)]
+                    reduced = reduced and cols[j][r] == 0
             if reduced:
                 break
-        if c < n and h[r][c] != 0:
-            if h[r][c] < 0:
-                negate(c)
+        if c < n and cols[c][r] != 0:
+            if cols[c][r] < 0:
+                cols[c] = [-x for x in cols[c]]
             pivot_col[r] = c
             c += 1
 
-    y = [Fraction(1)] * n
+    base = _coprime_base([x.numerator for x in b] + [x.denominator for x in b])
+    v = [[_strip(x.numerator, q)[0] - _strip(x.denominator, q)[0] for q in base] for x in b]
+    y = [[0] * len(base) for _ in range(n)]
     for r in range(m):
-        # A row without a pivot must hold as it stands; a power that cannot
-        # equal b_r is not formed, however large its exponent.
-        if r not in pivot_col and not _may_equal(b[r], y, h[r]):
-            return None
-        residue = b[r] / prod(y[j] ** e for j, e in enumerate(h[r]))
-        if r in pivot_col:
-            j = pivot_col[r]
-            num = _exact_root(residue.numerator, h[r][j])
-            den = _exact_root(residue.denominator, h[r][j])
-            if num is None or den is None:
+        residue = [e - sum(cols[j][r] * y[j][k] for j in range(n)) for k, e in enumerate(v[r])]
+        if r not in pivot_col:
+            # A row without a pivot must hold as it stands.
+            if any(residue):
                 return None
-            y[j] = Fraction(num, den)
-        elif residue != 1:
-            return None
-    return [prod(y[j] ** e for j, e in enumerate(row)) for row in u]
+            continue
+        j = pivot_col[r]
+        h = cols[j][r]
+        for k, e in enumerate(residue):
+            if e % h:
+                t = h // gcd(h, e)
+                root = _exact_root(base[k], t)
+                if root is None:
+                    return None
+                base[k] = root
+                for vec in (*v, *y, residue):
+                    vec[k] *= t
+        y[j] = [e // h for e in residue]
+    out = []
+    for i in range(n):
+        e = [sum(cols[j][m + i] * y[j][k] for j in range(n)) for k in range(len(base))]
+        out.append(Fraction(prod(q**x for q, x in zip(base, e) if x > 0),
+                            prod(q**-x for q, x in zip(base, e) if x < 0)))
+    return out

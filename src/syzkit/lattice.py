@@ -92,9 +92,9 @@ class LatticePolytope:
     vertices: tuple[IntVec, ...]
 
     def __post_init__(self):
-        verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
+        verts = tuple(tuple(map(json_int, v)) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", json_int(self.dim))
         _check_dim(self.dim)
         if not verts:
             raise EmptyInputError("a polytope needs at least one vertex")
@@ -118,8 +118,9 @@ class LatticePolytope:
         return self.vertices[0]
 
     def translate(self, offset: IntVec) -> "LatticePolytope":
+        offset = tuple(map(json_int, offset))
         if len(offset) != self.dim:
-            raise DimensionMismatchError(f"offset {tuple(offset)} does not have rank {self.dim}")
+            raise DimensionMismatchError(f"offset {offset} does not have rank {self.dim}")
         # A translate of a canonical vertex list is still canonical.
         return LatticePolytope._of(self.dim, tuple(vec_add(v, offset) for v in self.vertices))
 
@@ -139,7 +140,7 @@ def polytope_from_json_dict(data: dict) -> LatticePolytope:
 
 def hull(points) -> LatticePolytope:
     """Canonical convex hull of a nonempty set of lattice points (rank 1 or 2)."""
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [tuple(map(json_int, p)) for p in points]
     if not pts:
         raise EmptyInputError("hull of an empty point set")
     d = len(pts[0])
@@ -203,7 +204,7 @@ class RaySet:
     rays: frozenset
 
     def __post_init__(self):
-        rays = frozenset(tuple(int(x) for x in r) for r in self.rays)
+        rays = frozenset(tuple(map(json_int, r)) for r in self.rays)
         for r in rays:
             if len(r) != 2:
                 raise UnsupportedDimensionError("rays live in rank two")
@@ -231,8 +232,8 @@ def is_unimodular_simplex(generators) -> bool:
     input (empty, mixed or unsupported rank, too many vectors) yields False.
     """
     try:
-        gens = [tuple(int(x) for x in g) for g in generators]
-    except (TypeError, ValueError):
+        gens = [tuple(map(json_int, g)) for g in generators]
+    except TypeError:
         return False
     d = len(gens[0]) if gens else 0
     if d not in SUPPORTED_DIMS or any(len(g) != d for g in gens):
@@ -251,9 +252,9 @@ class UnimodularSimplex:
     generators: tuple[IntVec, ...]
 
     def __post_init__(self):
-        gens = tuple(sorted(tuple(int(x) for x in g) for g in self.generators))
+        gens = tuple(sorted(tuple(map(json_int, g)) for g in self.generators))
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", json_int(self.dim))
         _check_dim(self.dim)
         if not gens:
             raise ValueError("a simplex needs at least one generator")

@@ -50,7 +50,7 @@ def summand_sort_key(summand: UnimodularSimplex) -> tuple:
 
 def summand_from_vertices(dim: int, vertices) -> UnimodularSimplex:
     """Summand rooted so its lexicographic minimum vertex sits at the origin."""
-    verts = sorted(set(tuple(int(x) for x in v) for v in vertices))
+    verts = sorted(set(tuple(map(json_int, v)) for v in vertices))
     root = verts[0]
     return UnimodularSimplex(dim, tuple(vec_sub(v, root) for v in verts[1:]))
 
@@ -74,7 +74,7 @@ class MinkowskiDecomposition:
     summands: tuple[UnimodularSimplex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
+        object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
         # Summands are mostly a few types repeated, so each distinct one is
         # canonicalised, rank-checked and profiled once, weighted by its count.
         # One whose least generator is lexicographically positive is already
@@ -190,7 +190,7 @@ def enumerate_decompositions(
     A polytope whose half lattice perimeter exceeds MAX_SUMMANDS could yield
     that many summands, and raises OutputTooLargeError before any is built.
     """
-    max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
+    max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else json_int(budget)
     d = polytope.dim
     shift = polytope.lexmin
     base = polytope.translate(vec_neg(shift))
@@ -264,7 +264,7 @@ class CayleyCone:
         object.__setattr__(
             self,
             "generators",
-            tuple(tuple(int(x) for x in g) for g in self.generators),
+            tuple(tuple(map(json_int, g)) for g in self.generators),
         )
 
     def to_json_dict(self) -> dict:

@@ -48,7 +48,7 @@ class DiscClass:
     def __post_init__(self):
         if self.sector not in _SECTORS:
             raise ValueError(f"sector must be one of {_SECTORS}")
-        rows = tuple(tuple(int(x) for x in row) for row in self.multiplicities)
+        rows = tuple(tuple(map(json_int, row)) for row in self.multiplicities)
         object.__setattr__(self, "multiplicities", rows)
         for row in rows:
             if any(x < 0 for x in row):
@@ -80,10 +80,10 @@ class GWTable:
     def __post_init__(self):
         clean = {}
         for point, n in dict(self.entries).items():
-            n = int(n)
+            n = json_int(n)
             if n <= 0:
                 raise ValueError(f"invariant at {point} must be a positive integer")
-            clean[tuple(int(x) for x in point)] = n
+            clean[tuple(map(json_int, point))] = n
         object.__setattr__(self, "entries", clean)
 
     @classmethod
@@ -337,7 +337,7 @@ def enumerate_gw_classes(
     lower = sector == SECTOR_D0
     ks = decomposition.ks
     active = [(i <= chamber) if lower else (i > chamber) for i in range(len(ks))]
-    max_classes = DEFAULT_SEARCH_BUDGET if budget is None else int(budget)
+    max_classes = DEFAULT_SEARCH_BUDGET if budget is None else json_int(budget)
     if count > max_classes:
         raise SearchBudgetExceededError(
             f"{count} classes in sector {sector} at chamber {chamber} "

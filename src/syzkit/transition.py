@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Character, _weight_pairs, fraction_str
-from .errors import InvalidBasisError, VerificationFailedError
+from .errors import InvalidBasisError, VerificationFailedError, json_int
 from .intlinalg import solve_multiplicative
 from .lattice import (
     SUPPORTED_DIMS,
     IntVec,
     LatticePolytope,
     cross,
+    is_unimodular_simplex,
     lattice_points,
     primitive,
     vec_sub,
@@ -35,7 +36,7 @@ class BasisSimplex:
     points: tuple[IntVec, ...]
 
     def __post_init__(self):
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+        pts = tuple(tuple(map(json_int, p)) for p in self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise InvalidBasisError("empty basis")
@@ -44,9 +45,8 @@ class BasisSimplex:
             raise InvalidBasisError(f"expected {d + 1} points of rank {d}")
         if d not in SUPPORTED_DIMS:
             raise InvalidBasisError(f"a basis has rank 1 or 2, not rank {d}")
-        # The determinant of the differences: d_1 in rank 1, cross(d_1, d_2) in rank 2.
         diffs = [list(vec_sub(b, a)) for a, b in zip(pts, pts[1:])]
-        if abs(diffs[0][0] if d == 1 else cross(*diffs)) != 1:
+        if not is_unimodular_simplex(diffs):
             raise InvalidBasisError(
                 f"consecutive differences {diffs} are not a lattice basis"
             )

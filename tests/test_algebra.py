@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from syzkit import (
     Character,
@@ -360,8 +360,8 @@ def large_exponent_problems(draw):
 
     The near points come first in lexicographic order, so they hold every
     pivot of the column reduction and the far points land in rows without
-    one, which the bit-length bound guards.  The origin pins gamma to a
-    small ratio, so no weight either solver forms is a large number."""
+    one, where only exponents grow.  The origin pins gamma to a small
+    ratio, so no weight either solver forms is a large number."""
     dim = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(("character", "perturbed", "powers", "random")))
     unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -386,9 +386,8 @@ def large_exponent_problems(draw):
 
 
 class TestCharacterMatchBound:
-    """A row without a pivot is compared by bit lengths before any power of
-    a solved unknown is formed, so exponents far past the coefficients'
-    size cost nothing."""
+    """A row without a pivot is checked on exponent vectors over a coprime
+    base, so exponents far past the coefficients' size cost nothing."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(large_exponent_problems())
@@ -412,6 +411,39 @@ class TestCharacterMatchBound:
         f = one_plus(1, (1,), (e,))
         g = poly(1, {(0,): 1, (1,): 2, (e,): 2**e})
         assert solve_character_match(f, g) == Character(1, (Fraction(2),))
+
+
+class TestCharacterMatchFarPoints:
+    """Far points that take pivots leave large entries left of later
+    pivots; those multiply exponents, and no large power is formed."""
+
+    def test_fuzzed_far_support_is_no_match(self):
+        # Found by a strategy with far points at negative coordinates; the
+        # solver on rational values did not finish in 120 s.
+        support = [(-108687, 10**6), (0, 0), (272986, 501)]
+        f = LP(2, dict(zip(support, (Fraction(38, 7), Fraction(8, 3), Fraction(3, 2)))))
+        g = LP(2, dict(zip(support, (Fraction(2), Fraction(19, 4), Fraction(8, 5)))))
+        start = time.perf_counter()
+        assert solve_character_match(f, g) is None
+        assert time.perf_counter() - start < 1.0
+        assert factoring_character_match(f, g) is None
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_drawn_character_is_recovered(self, data):
+        dim = data.draw(st.integers(1, 2))
+        coordinate = st.integers(-10**3, 10**3)
+        support = data.draw(st.lists(st.tuples(*[coordinate] * dim), min_size=dim + 1,
+                                     max_size=5, unique=True))
+        # The exponent rows (1, v) have full rank, so the character is unique.
+        diffs = [tuple(a - b for a, b in zip(v, support[0])) for v in support[1:]]
+        assume(dim == 1 or any(u[0] * w[1] != u[1] * w[0] for u in diffs for w in diffs))
+        f = LP(dim, {v: data.draw(POSITIVE) for v in support})
+        character = Character(data.draw(POSITIVE), tuple(data.draw(POSITIVE) for _ in range(dim)))
+        g = apply_character(f, character)
+        start = time.perf_counter()
+        assert solve_character_match(f, g) == character
+        assert time.perf_counter() - start < 1.0
 
 
 SCALES = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))

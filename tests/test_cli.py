@@ -15,17 +15,29 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syzkit import (
+    BasisSimplex,
+    CayleyCone,
+    Character,
+    DiscClass,
+    GWTable,
+    LatticePolytope,
+    LaurentPolynomial,
+    MinkowskiDecomposition,
+    RaySet,
+    UnimodularSimplex,
     decomposition_from_json_dict,
     enumerate_decompositions,
     enumerate_gw_classes,
     hull,
+    summand_from_vertices,
     verify_decomposition,
 )
 from syzkit import cli as cli_module
 from syzkit import mirror as mirror_module
 from syzkit import tropical as tropical_module
 from syzkit.cli import main
-from conftest import ap_decomposition, packed_bytes, zonotope
+from syzkit.svg import render_diagram
+from conftest import ap_decomposition, packed_bytes, seg, zonotope
 
 HEXAGON_JSON = {
     "dim": 2,
@@ -479,6 +491,14 @@ class TestTransition:
         assert code == 2
         assert "basis" in err
 
+    def test_non_integer_basis_coordinate(self, capsys, square_dec_file):
+        code, out, err = run_cli(
+            capsys, "transition", "--decomposition", square_dec_file,
+            "--basis", "(0,0),(1,x),(1,1)",
+        )
+        assert (code, out) == (2, "")
+        assert "basis" in err
+
     def test_invalid_basis_is_domain_error(self, capsys, square_dec_file):
         code, out, _ = run_cli(
             capsys, "transition", "--decomposition", square_dec_file,
@@ -553,6 +573,13 @@ class TestTropical:
         ET.fromstring(content)
         # the flat polytope renders as a line, plus one line per ray
         assert content.count("<line") == 3
+
+    def test_svg_for_a_single_point(self):
+        content = render_diagram(hull([(2, 1)]), set(), scale=10)
+        ET.fromstring(content)
+        # the point is a filled circle; the origin marker is the other one
+        assert '<circle cx="20" cy="-10" r="3" fill="#1f6feb"/>' in content
+        assert "<line" not in content and "<polygon" not in content
 
     @pytest.mark.parametrize("scale", ["0", "-3", "1" + "0" * 400], ids=["zero", "negative", "10^400"])
     def test_svg_scale_out_of_range(self, capsys, hex_triangles_file, tmp_path, scale):
@@ -679,8 +706,48 @@ NOT_AN_INTEGER = pytest.mark.parametrize(
 )
 
 
+SQUARE = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+# Every public constructor and integer parameter, each given one value that
+# is not an integer.
+PUBLIC_CONSTRUCTORS = {
+    "hull": lambda bad: hull([(0, 0), (bad, 0)]),
+    "LatticePolytope vertex": lambda bad: LatticePolytope(1, ((0,), (bad,))),
+    "LatticePolytope dim": lambda bad: LatticePolytope(bad, ((0,),)),
+    "translate": lambda bad: SQUARE.translate((bad, 0)),
+    "RaySet": lambda bad: RaySet(frozenset({(bad, 1)})),
+    "UnimodularSimplex generator": lambda bad: UnimodularSimplex(2, [(bad, 0)]),
+    "UnimodularSimplex dim": lambda bad: UnimodularSimplex(bad, [(1,)]),
+    "summand_from_vertices": lambda bad: summand_from_vertices(2, [(0, 0), (bad, 1)]),
+    "MinkowskiDecomposition": lambda bad: MinkowskiDecomposition(
+        SQUARE, (bad, 0), (seg((1, 0)), seg((0, 1)))
+    ),
+    "enumerate_decompositions budget": lambda bad: enumerate_decompositions(SQUARE, bad),
+    "CayleyCone": lambda bad: CayleyCone(((bad, 0, 1),)),
+    "DiscClass": lambda bad: DiscClass("D0", ((bad,),)),
+    "GWTable point": lambda bad: GWTable({(bad, 0): 1}),
+    "GWTable count": lambda bad: GWTable({(0, 0): bad}),
+    "enumerate_gw_classes budget": lambda bad: enumerate_gw_classes(
+        ap_decomposition(1), 0, "D0", bad
+    ),
+    "BasisSimplex": lambda bad: BasisSimplex(((0, 0), (bad, 0), (0, 1))),
+    "LaurentPolynomial dim": lambda bad: LaurentPolynomial(bad, {}),
+    "LaurentPolynomial exponent": lambda bad: LaurentPolynomial(1, {(bad,): 1}),
+    "LaurentPolynomial coefficient": lambda bad: LaurentPolynomial(1, {(0,): bad}),
+    "Character gamma": lambda bad: Character(bad, (1,)),
+    "Character alpha": lambda bad: Character(1, (bad,)),
+}
+
+
 class TestIntegerOnlyInput:
     """Every coordinate, dimension and multiplicity must be a JSON integer."""
+
+    @NOT_AN_INTEGER
+    @pytest.mark.parametrize("build", PUBLIC_CONSTRUCTORS.values(), ids=PUBLIC_CONSTRUCTORS)
+    def test_public_constructor(self, bad, build):
+        # int() once truncated these: hull([(0.9, 0), (2.9, 0)]) was [0, 2]
+        with pytest.raises(TypeError):
+            build(bad)
 
     @NOT_AN_INTEGER
     @pytest.mark.parametrize("where", ["vertex", "dim"])

@@ -6,7 +6,8 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzkit.intlinalg import _cut, _exact_root, _may_equal, _power_log2_range, solve_multiplicative
+from syzkit.intlinalg import _exact_root, solve_multiplicative
+from root_solver import _cut, _may_equal, _power_log2_range, solve_multiplicative as solve_by_roots
 from conftest import brute_det
 
 
@@ -241,6 +242,11 @@ class TestSolveMultiplicative:
         assert solve_multiplicative([[1, 2], [2, 4]], [3, 10], 2) is None
         # a free column is pinned at 1
         assert solve_multiplicative([[1, 0]], [7], 2) == [7, 1]
+        # base members 64 and 729 are replaced by their cube and square roots
+        assert solve_multiplicative([[3, 0], [0, 2]], [64, Fraction(1, 729)], 2) == [
+            4, Fraction(1, 27)
+        ]
+        assert solve_multiplicative([[4]], [2**6 * 3**4], 1) is None
 
     def test_no_rows_or_no_unknowns(self):
         assert solve_multiplicative([], [], 3) == [1, 1, 1]
@@ -278,6 +284,33 @@ class TestSolveMultiplicative:
             expected = [prod(Fraction(p) ** per_prime[p][j] for p in c) for j in range(n)]
         assert solve_multiplicative(rows, rhs, n) == expected
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_root_solver(self, data):
+        # The exact-root solver on Fraction values, which this one replaced.
+        m = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(0, 4))
+        rows = [data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+        for j in data.draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else ():
+            for row in rows:
+                row[j] = 0  # a free column
+        positive = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+        kind = data.draw(st.sampled_from(("solution", "powers", "random")))
+        if kind == "solution":
+            x = [data.draw(positive) ** data.draw(st.integers(1, 3)) for _ in range(n)]
+            rhs = [prod((a ** e for a, e in zip(x, row)), start=Fraction(1)) for row in rows]
+        else:
+            k = data.draw(st.integers(2, 6)) if kind == "powers" else 1
+            rhs = [data.draw(positive) ** k for _ in range(m)]
+        assert solve_multiplicative(rows, rhs, n) == solve_by_roots(rows, rhs, n)
+
+    def test_a_power_of_two_costs_few_divisions(self):
+        start = perf_counter()
+        assert solve_multiplicative([[1, 0], [0, 1], [1, 1]], [2**100000, 3, 3 * 2**100000], 2) == [
+            2**100000, 3
+        ]
+        assert perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_basis_solve_matches_the_inverse(self, n):
         rng = random.Random(41 + n)
@@ -291,7 +324,8 @@ class TestSolveMultiplicative:
 
 
 class TestPowerBound:
-    """Bit-length ranges of powers that are never formed."""
+    """Bit-length ranges of powers that are never formed, as the root solver
+    in ``root_solver.py`` uses them."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 2**200), st.integers(-5, 5))

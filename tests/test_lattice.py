@@ -9,6 +9,7 @@ from syzkit import (
     DimensionMismatchError,
     EmptyInputError,
     LatticePolytope,
+    RaySet,
     UnimodularSimplex,
     UnsupportedDimensionError,
     edge_profile,
@@ -85,6 +86,18 @@ class TestHull:
             LatticePolytope(2, ((1, 0), (0, 0), (1, 1), (0, 1)))
         with pytest.raises(ValueError):
             LatticePolytope(2, ((0, 0), (1, 1), (2, 2)))  # a collinear middle point
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: LatticePolytope(2, ()), EmptyInputError),
+        (lambda: LatticePolytope(2, ((0,),)), DimensionMismatchError),
+        (lambda: RaySet(frozenset({(1, 0, 0)})), UnsupportedDimensionError),
+        (lambda: RaySet(frozenset({(2, 4)})), ValueError),
+        (lambda: UnimodularSimplex(2, ()), ValueError),
+    ], ids=["no vertex", "vertex of the wrong rank", "rank-3 ray", "non-primitive ray",
+            "simplex without generators"])
+    def test_public_constructor_errors(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestHullCanonicalisesOnce:

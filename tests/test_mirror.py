@@ -321,6 +321,10 @@ class TestEnumerateClasses:
         classes = enumerate_gw_classes(hexagon_segments, -1, SECTOR_D0)
         assert classes == [DiscClass(SECTOR_D0, ((0,), (0,), (0,)))]
 
+    def test_sector_none_has_no_classes_to_list(self, conifold):
+        with pytest.raises(ValueError, match="sector must be"):
+            enumerate_gw_classes(conifold, 0, SECTOR_NONE)
+
     def test_conifold_middle_chamber(self, conifold):
         assert len(enumerate_gw_classes(conifold, 0, SECTOR_D0)) == 2
         assert len(enumerate_gw_classes(conifold, 0, SECTOR_DINF)) == 2
@@ -604,7 +608,8 @@ class TestTrustedTable:
             assert type(n) is int and n > 0
 
     def test_public_constructor_still_validates(self):
-        assert GWTable({(1.0, 2): 3.0}).entries == {(1, 2): 3}
+        with pytest.raises(TypeError):
+            GWTable({(1.0, 2): 3.0})
         for bad in (0, -2):
             with pytest.raises(ValueError):
                 GWTable({(0, 0): bad})

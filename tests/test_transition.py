@@ -90,6 +90,17 @@ class TestBasisSimplex:
         with pytest.raises(InvalidBasisError):
             BasisSimplex.default_for(flat)
 
+    @pytest.mark.parametrize("fails, match", [
+        (lambda: BasisSimplex(()), "empty basis"),
+        (lambda: BasisSimplex(((0,), (1,))).validate_for(hull([(0, 0), (1, 1)])),
+         "rank differs"),
+        (lambda: BasisSimplex.default_for(hull([(0, 0), (2, 0)])), "no unimodular chain"),
+        (lambda: BasisSimplex.default_for(hull([(5,)])), "no unimodular chain"),
+    ], ids=["empty", "basis of the wrong rank", "flat segment", "point in rank 1"])
+    def test_error_paths(self, fails, match):
+        with pytest.raises(InvalidBasisError, match=match):
+            fails()
+
 
 class TestToricFamily:
     def test_dp6_family_shape(self, hexagon):

@@ -126,6 +126,11 @@ class TestDualFanCheck:
             for s in dec.summands:
                 assert tropical_rays(s).rays <= fan.rays
 
+    def test_rank_one_rejected(self):
+        segment = MinkowskiDecomposition(hull([(0,), (2,)]), (0,), (seg((1,)), seg((1,))))
+        with pytest.raises(UnsupportedDimensionError):
+            dual_fan_check(segment)
+
     def test_random_decompositions(self):
         rng = random.Random(59)
         for _ in range(60):
