@@ -6,130 +6,51 @@ summand as a wall factor 1 + sum z^u, multiply the factors into the mirror
 g(z) whose coefficients are the open disc counts, and match that mirror
 against the parameterized family attached to a toric resolution via a
 monomial change of coordinates plus an exact parameter specialization.
+
+Public names and submodules are imported on first use (PEP 562), so a
+process loads only the modules it reaches.
 """
 
-from .algebra import (
-    Character,
-    LaurentPolynomial,
-    apply_character,
-    fraction_str,
-    newton_polytope,
-    solve_character_match,
-)
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidBasisError,
-    OutputTooLargeError,
-    SearchBudgetExceededError,
-    ShapeMismatchError,
-    SupportMismatchError,
-    SyzkitError,
-    UnsupportedDimensionError,
-    VerificationFailedError,
-    ZeroPolynomialError,
-)
-from .lattice import (
-    IntVec,
-    LatticePolytope,
-    RaySet,
-    UnimodularSimplex,
-    edge_profile,
-    hull,
-    is_unimodular_simplex,
-    lattice_points,
-    minkowski_sum,
-    normal_fan_rays,
-    polytope_from_json_dict,
-)
-from .minkowski import (
-    DEFAULT_SEARCH_BUDGET,
-    CayleyCone,
-    MinkowskiDecomposition,
-    canonical_summand,
-    cayley_cone,
-    decomposition_from_json_dict,
-    enumerate_decompositions,
-    summand_from_vertices,
-    verify_decomposition,
-)
-from .mirror import (
-    SECTOR_D0,
-    SECTOR_DINF,
-    SECTOR_NONE,
-    DiscClass,
-    GWTable,
-    SYZMirror,
-    chamber_uv,
-    disc_potential,
-    enumerate_gw_classes,
-    gw_invariant,
-    syz_mirror,
-    wall_factor,
-)
-from .transition import (
-    BasisSimplex,
-    TransitionReport,
-    match_transition,
-)
-from .tropical import dual_fan_check, tropical_rays, wall_chambers
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisSimplex",
-    "CayleyCone",
-    "Character",
-    "DEFAULT_SEARCH_BUDGET",
-    "DimensionMismatchError",
-    "DiscClass",
-    "EmptyInputError",
-    "GWTable",
-    "IntVec",
-    "InvalidBasisError",
-    "LatticePolytope",
-    "LaurentPolynomial",
-    "MinkowskiDecomposition",
-    "OutputTooLargeError",
-    "RaySet",
-    "SECTOR_D0",
-    "SECTOR_DINF",
-    "SECTOR_NONE",
-    "SYZMirror",
-    "SearchBudgetExceededError",
-    "ShapeMismatchError",
-    "SupportMismatchError",
-    "SyzkitError",
-    "TransitionReport",
-    "UnimodularSimplex",
-    "UnsupportedDimensionError",
-    "VerificationFailedError",
-    "ZeroPolynomialError",
-    "apply_character",
-    "canonical_summand",
-    "cayley_cone",
-    "chamber_uv",
-    "decomposition_from_json_dict",
-    "disc_potential",
-    "dual_fan_check",
-    "edge_profile",
-    "enumerate_decompositions",
-    "enumerate_gw_classes",
-    "fraction_str",
-    "gw_invariant",
-    "hull",
-    "is_unimodular_simplex",
-    "lattice_points",
-    "match_transition",
-    "minkowski_sum",
-    "newton_polytope",
-    "normal_fan_rays",
-    "polytope_from_json_dict",
-    "solve_character_match",
-    "summand_from_vertices",
-    "syz_mirror",
-    "tropical_rays",
-    "verify_decomposition",
-    "wall_chambers",
-    "wall_factor",
-]
+_SUBMODULES = frozenset((
+    "algebra", "cli", "errors", "intlinalg", "lattice", "minkowski", "mirror", "svg",
+    "transition", "tropical",
+))
+
+# The module that defines each public name.
+_HOMES = {name: module for module, names in {
+    "algebra": "Character LaurentPolynomial apply_character fraction_str newton_polytope "
+               "solve_character_match",
+    "errors": "DimensionMismatchError EmptyInputError InvalidBasisError OutputTooLargeError "
+              "SearchBudgetExceededError ShapeMismatchError SupportMismatchError SyzkitError "
+              "UnsupportedDimensionError VerificationFailedError ZeroPolynomialError",
+    "lattice": "IntVec LatticePolytope RaySet UnimodularSimplex edge_profile hull "
+               "is_unimodular_simplex lattice_points minkowski_sum normal_fan_rays "
+               "polytope_from_json_dict",
+    "minkowski": "DEFAULT_SEARCH_BUDGET CayleyCone MinkowskiDecomposition canonical_summand "
+                 "cayley_cone decomposition_from_json_dict enumerate_decompositions "
+                 "summand_from_vertices verify_decomposition",
+    "mirror": "SECTOR_D0 SECTOR_DINF SECTOR_NONE DiscClass GWTable SYZMirror chamber_uv "
+              "disc_potential enumerate_gw_classes gw_invariant syz_mirror wall_factor",
+    "transition": "BasisSimplex TransitionReport match_transition",
+    "tropical": "dual_fan_check tropical_rays wall_chambers",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Cached as a global, so the next lookup does not come back here.
+    value = globals()[name] = getattr(_import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | _HOMES.keys())

@@ -9,13 +9,13 @@ return new objects and never touch their inputs, so sharing across threads
 is safe.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .errors import (
     DimensionMismatchError,
     SupportMismatchError,
+    Value,
     ZeroPolynomialError,
     json_int,
 )
@@ -191,13 +191,11 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """Diagonal monomial rescaling: the term at exponent v picks up
     gamma * prod(alpha_j ** v_j)."""
 
-    gamma: Fraction
-    alpha: tuple[Fraction, ...]
+    __slots__ = _fields = ("gamma", "alpha")
 
     def __post_init__(self):
         gamma = _rational(self.gamma)

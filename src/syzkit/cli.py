@@ -3,6 +3,10 @@
 JSON reports go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors (with a machine-readable {"error": ..., "detail": ...}
 object on stdout), 2 on parse or flag errors.
+
+The geometry is imported here; ``mirror`` and ``transition``, which pull in
+the algebra, are imported by the handlers that use them, so ``decompose``,
+``tropical`` and ``cayley`` never load them.
 """
 
 import argparse
@@ -19,17 +23,7 @@ from .minkowski import (
     decomposition_from_json_dict,
     enumerate_decompositions,
 )
-from .mirror import (
-    SECTOR_D0,
-    DiscClass,
-    _class_count,
-    disc_potential,
-    enumerate_gw_classes,
-    gw_invariant,
-    syz_mirror,
-)
 from .svg import render_diagram
-from .transition import match_transition
 from .tropical import dual_fan_check, tropical_rays, wall_chambers
 
 
@@ -65,15 +59,18 @@ def _load_decomposition(path):
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SYZKIT_BUDGET")
-    if env is not None:
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, env = "SYZKIT_BUDGET", os.environ.get("SYZKIT_BUDGET")
+        if env is None:
+            return DEFAULT_SEARCH_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise _InputError(f"SYZKIT_BUDGET is not an integer: {env!r}") from exc
-    return DEFAULT_SEARCH_BUDGET
+    if budget < 0:
+        raise _InputError(f"{source} must be a nonnegative integer, not {budget}")
+    return budget
 
 
 # Cap on the bytes ``gw`` prints when it lists classes.
@@ -111,6 +108,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_mirror(args):
+    from .mirror import syz_mirror
+
     decomposition = _load_decomposition(args.decomposition)
     mirror = syz_mirror(decomposition)
     if args.format == "expanded":
@@ -125,11 +124,15 @@ def _cmd_mirror(args):
 
 
 def _cmd_potential(args):
+    from .mirror import disc_potential
+
     decomposition = _load_decomposition(args.decomposition)
     return disc_potential(decomposition).to_json_dict()
 
 
 def _cmd_gw(args):
+    from .mirror import SECTOR_D0, DiscClass, _class_count, enumerate_gw_classes, gw_invariant
+
     decomposition = _load_decomposition(args.decomposition)
     chamber = args.chamber if args.chamber is not None else decomposition.p
     if args.disc_class is not None:
@@ -160,6 +163,8 @@ def _cmd_gw(args):
 
 
 def _cmd_transition(args):
+    from .transition import match_transition
+
     decomposition = _load_decomposition(args.decomposition)
     basis = _parse_basis(args.basis) if args.basis is not None else None
     return match_transition(decomposition, basis).to_json_dict()

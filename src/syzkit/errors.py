@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the integer check of JSON input.
+"""Exception types shared across the toolkit, the integer check of JSON
+input, and the base of the immutable value classes.
 
 Every error carries a stable machine-readable ``code`` that the CLI echoes
 in its JSON error reports.
@@ -10,6 +11,55 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+class Value:
+    """Immutable value with the declared fields ``_fields``, kept in slots.
+
+    The constructor sets the fields, then calls ``__post_init__``, the one
+    validator of outside input; ``_of`` paths set their slots directly with
+    ``object.__setattr__``.  Equality and hash read the declared fields only,
+    and an instance equals only instances of its own exact type.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:  # the fields after the positional ones, by name
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SyzkitError(Exception):

@@ -4,13 +4,13 @@ Points are plain tuples of Python ints, so every computation here is
 arbitrary precision; no floating point enters this module.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     UnsupportedDimensionError,
+    Value,
     json_int,
 )
 
@@ -79,17 +79,15 @@ def _canonical_vertices(points: list[IntVec], d: int) -> list[IntVec]:
     return lower[:-1] + upper[:-1]
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    """Vertex-represented convex lattice polytope.
+class LatticePolytope(Value):
+    """Vertex-represented convex lattice polytope of rank ``dim``.
 
     Vertices are stored canonically: counterclockwise starting from the
     lexicographic minimum in rank two, increasing in rank one.  Single points
     and segments are valid degenerate cases.
     """
 
-    dim: int
-    vertices: tuple[IntVec, ...]
+    __slots__ = _fields = ("dim", "vertices")
 
     def __post_init__(self):
         verts = tuple(tuple(map(json_int, v)) for v in self.vertices)
@@ -197,11 +195,10 @@ def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
     return profile
 
 
-@dataclass(frozen=True)
-class RaySet:
+class RaySet(Value):
     """Finite set of primitive ray directions in the plane."""
 
-    rays: frozenset
+    __slots__ = _fields = ("rays",)
 
     def __post_init__(self):
         rays = frozenset(tuple(map(json_int, r)) for r in self.rays)
@@ -243,13 +240,18 @@ def is_unimodular_simplex(generators) -> bool:
     return len(gens) == 2 and d == 2 and abs(cross(*gens)) == 1
 
 
-@dataclass(frozen=True)
-class UnimodularSimplex:
+class UnimodularSimplex(Value):
     """Simplex with vertex set {0, u_1, ..., u_k}; the generators u_l span a
     saturated sublattice, so the simplex is unimodular in its span."""
 
-    dim: int
-    generators: tuple[IntVec, ...]
+    _fields = ("dim", "generators")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, dim: int, generators: tuple[IntVec, ...]):
+        # Written out, not Value's: the search builds one per candidate type.
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self):
         gens = tuple(sorted(tuple(map(json_int, g)) for g in self.generators))
@@ -263,6 +265,14 @@ class UnimodularSimplex:
                 raise DimensionMismatchError(f"generator {g} does not have rank {self.dim}")
         if not is_unimodular_simplex(gens):
             raise ValueError(f"generators {gens} do not span a unimodular simplex")
+
+    def __hash__(self):
+        # Kept from the first call: every kernel counts and looks up summands.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.dim, self.generators)))
+            return self._hash
 
     @property
     def k(self) -> int:

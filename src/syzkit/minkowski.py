@@ -9,13 +9,13 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
     DimensionMismatchError,
     OutputTooLargeError,
     SearchBudgetExceededError,
+    Value,
     json_int,
 )
 from .lattice import (
@@ -36,6 +36,16 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 # units of the polytope's edge budget and a triangle three, so no
 # decomposition has more than half the lattice perimeter in summands.
 MAX_SUMMANDS = 1_000_000
+
+
+def _search_budget(budget) -> int:
+    """The cap ``budget`` names: DEFAULT_SEARCH_BUDGET for None, else a
+    nonnegative int; a negative one raises ValueError."""
+    if budget is None:
+        return DEFAULT_SEARCH_BUDGET
+    if json_int(budget) < 0:
+        raise ValueError(f"the budget must be nonnegative, not {budget}")
+    return budget
 
 
 def _point_key(v: IntVec) -> tuple:
@@ -59,8 +69,7 @@ def canonical_summand(summand: UnimodularSimplex) -> UnimodularSimplex:
     return summand_from_vertices(summand.dim, summand.vertex_set())
 
 
-@dataclass(frozen=True)
-class MinkowskiDecomposition:
+class MinkowskiDecomposition(Value):
     """A polytope written as a Minkowski sum of unimodular simplices.
 
     The polytope is pinned with its lexicographic minimum vertex at the
@@ -69,9 +78,8 @@ class MinkowskiDecomposition:
     canonical order, which also fixes the wall indexing downstream.
     """
 
-    polytope: LatticePolytope
-    translation: IntVec
-    summands: tuple[UnimodularSimplex, ...]
+    _fields = ("polytope", "translation", "summands")
+    __slots__ = _fields + ("_ks", "_sort_key")
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
@@ -186,11 +194,12 @@ def enumerate_decompositions(
     touching a direction pair ``{u, -u}`` is placed, the budget left on the
     pair must be symmetric, and it is spent on that many unit segments.
     ``budget`` caps the search nodes (default 10^7), one node per choice of
-    one triangle's multiplicity; past it, SearchBudgetExceededError is raised.
+    one triangle's multiplicity; past it, SearchBudgetExceededError is raised,
+    and a negative one raises ValueError.
     A polytope whose half lattice perimeter exceeds MAX_SUMMANDS could yield
     that many summands, and raises OutputTooLargeError before any is built.
     """
-    max_nodes = DEFAULT_SEARCH_BUDGET if budget is None else json_int(budget)
+    max_nodes = _search_budget(budget)
     d = polytope.dim
     shift = polytope.lexmin
     base = polytope.translate(vec_neg(shift))
@@ -253,12 +262,11 @@ def enumerate_decompositions(
     return found
 
 
-@dataclass(frozen=True)
-class CayleyCone:
+class CayleyCone(Value):
     """Generators of the cone over the summands placed at the standard basis
     heights e_0, ..., e_p."""
 
-    generators: tuple[IntVec, ...]
+    __slots__ = _fields = ("generators",)
 
     def __post_init__(self):
         object.__setattr__(

@@ -8,24 +8,23 @@ all walls).
 """
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import LaurentPolynomial
 from .errors import (
     OutputTooLargeError,
     SearchBudgetExceededError,
     ShapeMismatchError,
+    Value,
     VerificationFailedError,
     json_int,
 )
 from .lattice import IntVec, UnimodularSimplex, lattice_points
-from .minkowski import DEFAULT_SEARCH_BUDGET, MinkowskiDecomposition
+from .minkowski import MinkowskiDecomposition, _search_budget
 
 SECTOR_D0 = "D0"
 SECTOR_DINF = "Dinf"
@@ -34,16 +33,14 @@ SECTOR_NONE = "none"
 _SECTORS = (SECTOR_D0, SECTOR_DINF, SECTOR_NONE)
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(Value):
     """Disc class: boundary sector plus the wall multiplicity table n^i_j.
 
     Classes in the D0 or Dinf sector have Maslov index two; sector "none"
     marks a bare Maslov-zero combination.
     """
 
-    sector: str
-    multiplicities: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("sector", "multiplicities")
 
     def __post_init__(self):
         if self.sector not in _SECTORS:
@@ -71,11 +68,10 @@ class DiscClass:
         )
 
 
-@dataclass(frozen=True, eq=True)
-class GWTable:
+class GWTable(Value):
     """Nonzero one-pointed invariants n_v indexed by lattice points."""
 
-    entries: dict
+    __slots__ = _fields = ("entries",)
 
     def __post_init__(self):
         clean = {}
@@ -112,10 +108,8 @@ class GWTable:
         }
 
 
-class SYZMirror(NamedTuple):
-    factored: tuple[LaurentPolynomial, ...]
-    expanded: LaurentPolynomial
-    table: GWTable
+# The wall factors, their product g, and g's coefficients as a GWTable.
+SYZMirror = namedtuple("SYZMirror", ("factored", "expanded", "table"))
 
 
 def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
@@ -331,13 +325,14 @@ def enumerate_gw_classes(
 
     The count is the product of (1 + k_i) over the walls on the sector's side
     of the fiber.  ``budget`` caps that count (default 10^7); a larger count
-    raises SearchBudgetExceededError before any class is built.
+    raises SearchBudgetExceededError before any class is built, and a negative
+    budget raises ValueError.
     """
     count = _class_count(decomposition, chamber, sector)
     lower = sector == SECTOR_D0
     ks = decomposition.ks
     active = [(i <= chamber) if lower else (i > chamber) for i in range(len(ks))]
-    max_classes = DEFAULT_SEARCH_BUDGET if budget is None else json_int(budget)
+    max_classes = _search_budget(budget)
     if count > max_classes:
         raise SearchBudgetExceededError(
             f"{count} classes in sector {sector} at chamber {chamber} "

@@ -9,11 +9,10 @@ is 1 and gamma and the alphas come out as exact rational monomials in the
 basis coefficients.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Character, _weight_pairs, fraction_str
-from .errors import InvalidBasisError, VerificationFailedError, json_int
+from .errors import InvalidBasisError, Value, VerificationFailedError, json_int
 from .intlinalg import solve_multiplicative
 from .lattice import (
     SUPPORTED_DIMS,
@@ -29,11 +28,10 @@ from .minkowski import MinkowskiDecomposition
 from .mirror import syz_mirror
 
 
-@dataclass(frozen=True)
-class BasisSimplex:
+class BasisSimplex(Value):
     """Lattice points v_1..v_n whose consecutive differences form a lattice basis."""
 
-    points: tuple[IntVec, ...]
+    __slots__ = _fields = ("points",)
 
     def __post_init__(self):
         pts = tuple(tuple(map(json_int, p)) for p in self.points)
@@ -104,15 +102,11 @@ def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimple
     raise InvalidBasisError("no unimodular chain of lattice points exists")
 
 
-@dataclass(frozen=True)
-class TransitionReport:
+class TransitionReport(Value):
     """Basis simplex, matching character, parameter specialization, and the
     exact-verification flag."""
 
-    basis: BasisSimplex
-    character: Character
-    specialization: dict
-    verified: bool
+    __slots__ = _fields = ("basis", "character", "specialization", "verified")
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,9 +182,4 @@ def match_transition(
             "character and specialization failed to reproduce the mirror; "
             "this indicates an implementation bug"
         )
-    return TransitionReport(
-        basis=basis,
-        character=character,
-        specialization=specialization,
-        verified=True,
-    )
+    return TransitionReport(basis, character, specialization, True)

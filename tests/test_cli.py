@@ -124,6 +124,35 @@ class TestDecompose:
         assert code == 2
         assert "SYZKIT_BUDGET" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget_flag(self, capsys, hexagon_file, square_dec_file, budget):
+        for argv in (("decompose", hexagon_file), ("gw", "--decomposition", square_dec_file)):
+            code, out, err = run_cli(capsys, *argv, "--budget", budget)
+            assert (code, out) == (2, "")
+            assert f"--budget must be a nonnegative integer, not {budget}" in err
+
+    def test_negative_env_budget(self, capsys, hexagon_file, square_dec_file, monkeypatch):
+        monkeypatch.setenv("SYZKIT_BUDGET", "-5")
+        for argv in (("decompose", hexagon_file), ("gw", "--decomposition", square_dec_file)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "SYZKIT_BUDGET must be a nonnegative integer, not -5" in err
+
+    def test_closed_stdout_has_no_traceback(self, tmp_path):
+        # the listing of 5000 unit steps is larger than a pipe buffer, so the
+        # write fails however late the reader goes away
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"dim": 1, "vertices": [[0], [5000]]}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "syzkit", "decompose", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+
     def test_long_segment_has_no_traceback(self, tmp_path):
         # the search once recursed one level per summand and died here
         path = tmp_path / "segment.json"
@@ -421,7 +450,7 @@ class TestGwOutputCap:
         def built(*args, **kwargs):
             raise AssertionError("a class was built")
 
-        monkeypatch.setattr(cli_module, "enumerate_gw_classes", built)
+        monkeypatch.setattr(mirror_module, "enumerate_gw_classes", built)
         monkeypatch.setattr(mirror_module, "DiscClass", built)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "gw", "--decomposition", path)

@@ -267,6 +267,10 @@ class TestEnumerate:
         with pytest.raises(SearchBudgetExceededError):
             enumerate_decompositions(hexagon, budget=2)
 
+    def test_negative_budget_rejected(self, hexagon):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_decompositions(hexagon, budget=-1)
+
     @pytest.mark.parametrize("budget, found", [(0, 0), (10, 1), (50, 6), (100, 13)])
     def test_budget_error_says_how_far_the_search_got(self, monkeypatch, budget, found):
         built = []

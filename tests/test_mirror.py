@@ -1016,6 +1016,10 @@ class TestGwClassBudget:
         with pytest.raises(SearchBudgetExceededError):
             enumerate_gw_classes(ap_decomposition(5), 5, SECTOR_D0, budget=63)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_gw_classes(ap_decomposition(5), 5, SECTOR_D0, budget=-3)
+
     def test_count_at_budget_is_listed(self):
         assert len(enumerate_gw_classes(ap_decomposition(5), 5, SECTOR_D0, budget=64)) == 64
         # the inactive side does not count against the budget

@@ -1,0 +1,210 @@
+"""Package-level contracts: the value classes, the lazily resolved package
+names, and the modules each CLI command loads at start-up."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import syzkit
+from syzkit import (
+    BasisSimplex,
+    CayleyCone,
+    Character,
+    DiscClass,
+    GWTable,
+    LatticePolytope,
+    MinkowskiDecomposition,
+    RaySet,
+    SYZMirror,
+    TransitionReport,
+    UnimodularSimplex,
+    enumerate_decompositions,
+    hull,
+    match_transition,
+    syz_mirror,
+)
+from conftest import HEXAGON_CORNERS, seg, tri
+
+# The declared fields of every public value class, in constructor order.
+FIELDS = {
+    LatticePolytope: ("dim", "vertices"),
+    RaySet: ("rays",),
+    UnimodularSimplex: ("dim", "generators"),
+    MinkowskiDecomposition: ("polytope", "translation", "summands"),
+    CayleyCone: ("generators",),
+    Character: ("gamma", "alpha"),
+    DiscClass: ("sector", "multiplicities"),
+    GWTable: ("entries",),
+    BasisSimplex: ("points",),
+    TransitionReport: ("basis", "character", "specialization", "verified"),
+}
+
+# These hold dicts, so hashing them raises TypeError.
+UNHASHABLE = (GWTable, TransitionReport)
+
+
+def fields_of(value, cls=None):
+    return tuple(getattr(value, name) for name in FIELDS[cls or type(value)])
+
+
+def examples():
+    """(label, value) pairs: every value class through its public
+    constructor, and through ``_of`` where it has one."""
+    hexagon = hull(HEXAGON_CORNERS)
+    segments = (seg((1, 0)), seg((0, 1)), seg((1, 1)))
+    public = MinkowskiDecomposition(hexagon, (0, 0), segments)
+    (built, _) = enumerate_decompositions(hexagon)
+    report = match_transition(public, [(0, 1), (1, 1), (1, 2)])
+    return [
+        ("LatticePolytope", LatticePolytope(2, ((0, 0), (1, 0), (0, 1)))),
+        ("LatticePolytope._of", hexagon),
+        ("RaySet", RaySet(frozenset({(1, 0), (0, -1)}))),
+        ("UnimodularSimplex", tri((1, 0), (1, 1))),
+        ("MinkowskiDecomposition", public),
+        ("MinkowskiDecomposition._of", built),
+        ("CayleyCone", CayleyCone(((0, 0, 1), (1, 0, 1)))),
+        ("Character", Character(Fraction(3, 2), (Fraction(1), Fraction(2, 5)))),
+        ("DiscClass", DiscClass("D0", ((1, 0), (0,)))),
+        ("GWTable", GWTable({(0, 0): 1, (1, 1): 3})),
+        ("GWTable._of", syz_mirror(public).table),
+        ("BasisSimplex", report.basis),
+        ("TransitionReport", report),
+    ]
+
+
+EXAMPLES = examples()
+
+
+@pytest.mark.parametrize("label, value", EXAMPLES, ids=[label for label, _ in EXAMPLES])
+class TestValueClasses:
+    def test_hash_is_the_hash_of_the_fields(self, label, value):
+        if isinstance(value, UNHASHABLE):
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(fields_of(value))
+
+    def test_equal_to_a_rebuilt_copy(self, label, value):
+        cls = type(value)
+        again = cls(*fields_of(value))
+        assert again is not value
+        assert again == value and not again != value
+        assert cls(**dict(zip(FIELDS[cls], fields_of(value)))) == value
+        assert copy.copy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_unequal_to_a_subclass_or_a_foreign_object(self, label, value):
+        cls = type(value)
+        sub = type("Sub", (cls,), {})(*fields_of(value))
+        assert fields_of(sub, cls) == fields_of(value)
+        assert value != sub and sub != value
+        assert not value == sub and not sub == value
+        assert value != fields_of(value)
+        assert value != object()
+
+    def test_assignment_raises(self, label, value):
+        for name in (*FIELDS[type(value)], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, FIELDS[type(value)][0])
+
+    def test_the_constructor_takes_exactly_the_fields(self, label, value):
+        cls = type(value)
+        values = fields_of(value)
+        for args, kwargs in (
+            (values[:-1], {}),
+            ((*values, None), {}),
+            (values, {"extra": None}),
+            (values, {FIELDS[cls][0]: values[0]}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_repr_names_the_fields(self, label, value):
+        text = repr(value)
+        assert text.startswith(type(value).__name__ + "(")
+        assert all(f"{name}=" in text for name in FIELDS[type(value)])
+
+
+def test_syz_mirror_replace():
+    mirror = syz_mirror(MinkowskiDecomposition(hull(HEXAGON_CORNERS), (0, 0),
+                                               (seg((1, 0)), seg((0, 1)), seg((1, 1)))))
+    assert isinstance(mirror, SYZMirror)
+    assert SYZMirror._fields == ("factored", "expanded", "table")
+    table = GWTable({(0, 0): 1})
+    swapped = mirror._replace(table=table)
+    assert swapped.table is table
+    assert swapped.factored is mirror.factored and swapped.expanded is mirror.expanded
+
+
+class TestLazyNames:
+    def test_every_public_name_resolves_and_is_cached(self):
+        for name in syzkit.__all__:
+            value = getattr(syzkit, name)
+            assert vars(syzkit)[name] is value
+
+    def test_star_import_and_dir(self):
+        scope = {}
+        exec("from syzkit import *", scope)
+        assert set(syzkit.__all__) <= scope.keys()
+        assert set(syzkit.__all__) | {"cli", "svg", "lattice", "mirror"} <= set(dir(syzkit))
+
+    def test_submodules_resolve(self):
+        assert syzkit.svg.render_diagram is not None
+        assert syzkit.cli.main is not None
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            syzkit.no_such_name
+        with pytest.raises(ImportError):
+            exec("from syzkit import no_such_name", {})
+
+
+# The syzkit modules each command loads, and the extra ones of the algebra.
+GEOMETRY = {"syzkit", "syzkit.cli", "syzkit.errors", "syzkit.lattice", "syzkit.minkowski",
+            "syzkit.svg", "syzkit.tropical"}
+ALGEBRA = GEOMETRY | {"syzkit.algebra", "syzkit.intlinalg", "syzkit.mirror"}
+COMMAND_MODULES = {
+    "decompose": GEOMETRY,
+    "mirror": ALGEBRA,
+    "potential": ALGEBRA,
+    "gw": ALGEBRA,
+    "transition": ALGEBRA | {"syzkit.transition"},
+    "tropical": GEOMETRY,
+    "cayley": GEOMETRY,
+}
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_command_loads_only_its_modules(self, command, tmp_path):
+        hexagon = {"dim": 2, "vertices": [list(v) for v in HEXAGON_CORNERS]}
+        (tmp_path / "hexagon.json").write_text(json.dumps(hexagon))
+        dec = MinkowskiDecomposition(hull(HEXAGON_CORNERS), (0, 0),
+                                     (seg((1, 0)), seg((0, 1)), seg((1, 1))))
+        (tmp_path / "dec.json").write_text(json.dumps(dec.to_json_dict()))
+        args = {
+            "decompose": [str(tmp_path / "hexagon.json")],
+            "tropical": ["--svg", str(tmp_path / "out.svg")],
+        }.get(command, [])
+        if command != "decompose":
+            args = ["--decomposition", str(tmp_path / "dec.json"), *args]
+        # -S leaves out site hooks; -X importtime lists every module imported.
+        src = Path(syzkit.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "syzkit", command, *args],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert {m for m in imported if m.startswith("syzkit")} == COMMAND_MODULES[command]
+        assert "dataclasses" not in imported and "typing" not in imported
