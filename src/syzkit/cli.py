@@ -267,6 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a closed stdout exits 1 with no traceback."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes that flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,9 +10,10 @@ all walls).
 import warnings
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, product
 from math import prod
 from operator import mul
+from struct import Struct
 
 from .algebra import LaurentPolynomial
 from .errors import (
@@ -120,6 +121,10 @@ def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
 # Cap on the bytes of the packed integer that one wall product forms.
 MAX_PACKED_BYTES = 2**28
 
+# The Fractions 0..255, shared by every call, and little-endian slot readers.
+_BYTE_VALUES = tuple(map(Fraction, range(256)))
+_UNPACK = {2: Struct("<H").iter_unpack, 4: Struct("<I").iter_unpack, 8: Struct("<Q").iter_unpack}
+
 
 def _slot_bytes(bound: int) -> int:
     """Bytes per packed coefficient: every value up to ``bound``, plus a spare bit."""
@@ -146,10 +151,12 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
     other and bigint arithmetic multiplies all the factors: each distinct
     factor is packed once and raised to its multiplicity, and the powers are
-    multiplied in a balanced tree.  Box order is lexicographic order, and
-    equal coefficients share one ``Fraction``.  ``lead`` is ``()`` for g and
-    ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``.  A product whose
-    packed integer would pass MAX_PACKED_BYTES raises before any packing.
+    multiplied in a balanced tree.  It is read in whole slots (``struct`` at
+    2, 4 and 8 bytes), so a carry anywhere fails the sum check.  Box order is
+    lexicographic order.  Values up to 255 are the shared ``_BYTE_VALUES``;
+    a larger value gets one ``Fraction`` per call.  ``lead`` is ``()`` for g
+    and ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``.  A product
+    whose packed integer would pass MAX_PACKED_BYTES raises before any packing.
     """
     runs = Counter(summands).items()
     if dim == 1:
@@ -181,19 +188,22 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     packed = _balanced_product(
         sum(1 << bits * index for index in indices) ** m for indices, m in types
     )
-    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    slots = raw if width == 1 else [
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    ]
+    raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
+    if width == 1:
+        slots, values = raw, _BYTE_VALUES
+    else:
+        slots = list(chain.from_iterable(_UNPACK[width](raw))) if width in _UNPACK else [
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ]
+        values = {n: _BYTE_VALUES[n] if n < 256 else Fraction(n) for n in set(slots)}
     total = sum(slots)
     if total != bound:
         raise VerificationFailedError(
             f"the coefficients of g sum to {total}, not g(1, ..., 1) = {bound}; "
             "this indicates an implementation bug"
         )
-    values = {n: Fraction(n) for n in set(slots) if n}
     keys = product(*[(c,) for c in lead], *axes)
-    return {e: values[n] for e, n in zip(keys, slots) if n}
+    return dict(compress(zip(keys, map(values.__getitem__, slots)), slots))
 
 
 def _check_sign_points(dim: int, table: dict[IntVec, int], runs: Counter) -> None:

@@ -153,6 +153,21 @@ class TestDecompose:
         assert proc.wait() == 1
         assert "Traceback" not in err
 
+    def test_closed_stdout_through_cli_main_has_no_traceback(self, tmp_path):
+        # the console script calls cli.main directly, not through __main__
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"dim": 1, "vertices": [[0], [5000]]}))
+        script = "import sys; from syzkit.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "decompose", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+
     def test_long_segment_has_no_traceback(self, tmp_path):
         # the search once recursed one level per summand and died here
         path = tmp_path / "segment.json"

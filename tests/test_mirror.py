@@ -558,6 +558,57 @@ class TestRowDecoder:
             self.assert_halves(dec, chamber)
 
 
+# A_p and m dilated triangles on both sides of each slot-width change up to
+# nine bytes: g(1, ..., 1) is 2^(p + 1) and 3^m.
+DECODER_CASES = {
+    **{f"A_{p}": ap_decomposition(p) for p in (5, 6, 13, 14, 21, 22, 29, 30, 37, 38)},
+    **{f"A_{p}": ap_decomposition(p) for p in (53, 54, 61, 62)},
+    **{f"{m} triangles": dilated_triangle(m) for m in (4, 5, 9, 10, 14, 15, 19, 20)},
+    **{f"{m} triangles": dilated_triangle(m) for m in (34, 35, 39, 40)},
+}
+
+
+class TestSlotDecoders:
+    """Every way the kernel reads its slots against the mixed-radix oracle:
+    the shared one-byte values, ``struct`` at 2, 4 and 8 bytes, and
+    ``int.from_bytes`` at 3, 5 to 7 and 9 bytes; on g and on both halves of
+    every chamber."""
+
+    def test_cases_cover_every_width(self):
+        bounds = [math.prod(1 + k for k in dec.ks) for dec in DECODER_CASES.values()]
+        assert sorted(set(map(mirror_module._slot_bytes, bounds))) == list(range(1, 10))
+
+    @pytest.mark.parametrize("name", list(DECODER_CASES))
+    def test_matches_the_oracle(self, name):
+        dec = DECODER_CASES[name]
+        d = dec.polytope.dim
+        got = mirror_module._wall_product(d, dec.summands)
+        assert list(got.items()) == list(mixed_radix_wall_product(d, dec.summands).items())
+        assert all(type(c) is Fraction for c in got.values())
+        for chamber in range(-1, dec.p + 1):
+            TestRowDecoder.assert_halves(dec, chamber)
+
+    @pytest.mark.parametrize("p", [5, 6, 13, 21], ids=lambda p: f"A_{p}")
+    def test_fractions_are_built_past_one_byte_only(self, monkeypatch, p):
+        """Values up to 255 are the module's shared Fractions, in every
+        call; each larger distinct value gets one new Fraction."""
+        built = []
+
+        def counting_fraction(n):
+            built.append(n)
+            return Fraction(n)
+
+        monkeypatch.setattr(mirror_module, "Fraction", counting_fraction)
+        dec = ap_decomposition(p)
+        got = mirror_module._wall_product(1, dec.summands)
+        values = {math.comb(p + 1, k) for k in range(p + 2)}
+        assert sorted(built) == sorted(n for n in values if n > 255)
+        assert len(set(map(id, got.values()))) == len(values)
+        for c in got.values():
+            if c < 256:
+                assert c is mirror_module._BYTE_VALUES[c.numerator]
+
+
 def assert_canonical(poly):
     """The invariants the public constructor establishes hold for ``poly``."""
     assert type(poly.dim) is int
@@ -726,6 +777,34 @@ class TestIdentityChecks:
         with pytest.raises(VerificationFailedError):
             chamber_uv(ap_decomposition(20), 20)
 
+    # A forced slot width for each decode path (one byte, struct at 2, 4 and
+    # 8 bytes, int.from_bytes at 3), with an A_p whose middle coefficient
+    # C(p + 1, (p + 1) // 2) does not fit in it.
+    NARROW_SLOTS = [(1, 20), (2, 20), (3, 30), (4, 40), (8, 80)]
+
+    @pytest.mark.parametrize("width, p", NARROW_SLOTS)
+    def test_carry_on_every_decode_path_is_caught(self, monkeypatch, width, p):
+        dec = ap_decomposition(p)
+        assert math.comb(p + 1, (p + 1) // 2) >= 256**width
+        monkeypatch.setattr(mirror_module, "_slot_bytes", lambda bound: width)
+        with pytest.raises(VerificationFailedError, match="sum to"):
+            syz_mirror(dec)
+        with pytest.raises(VerificationFailedError, match="sum to"):
+            chamber_uv(dec, dec.p)
+
+    @pytest.mark.parametrize("p", [5, 6, 14, 22, 54, 62], ids=lambda p: f"A_{p}")
+    def test_carry_past_the_box_is_caught(self, monkeypatch, p):
+        """A packed integer with a unit past its box, at slot widths 1, 2, 3,
+        4, 8 and 9, is read in whole slots, so the sum check rejects it."""
+        dec = ap_decomposition(p)
+        past_box = 1 << 8 * packed_bytes(dec)
+        real = mirror_module._balanced_product
+        monkeypatch.setattr(mirror_module, "_balanced_product", lambda fs: real(fs) + past_box)
+        with pytest.raises(VerificationFailedError, match="sum to"):
+            syz_mirror(dec)
+        with pytest.raises(VerificationFailedError, match="sum to"):
+            chamber_uv(dec, dec.p)
+
     def test_newton_polytope_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
         real = mirror_module._wall_product
 
@@ -833,6 +912,30 @@ class TestIdentityChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["caught", "1"] * 2
+
+    def test_narrow_slots_survive_python_O(self):
+        script = "\n".join([
+            "import sys",
+            "assert False, 'asserts are live'",
+            "from syzkit import MinkowskiDecomposition, UnimodularSimplex, hull",
+            "from syzkit import VerificationFailedError, chamber_uv, syz_mirror",
+            "import syzkit.mirror as m",
+            "step = UnimodularSimplex(1, ((1,),))",
+            f"for width, p in {self.NARROW_SLOTS!r}:",
+            "    dec = MinkowskiDecomposition(hull([(0,), (p + 1,)]), (0,), (step,) * (p + 1))",
+            "    m._slot_bytes = lambda bound: width",
+            "    for call in (syz_mirror, lambda d: chamber_uv(d, d.p)):",
+            "        try:",
+            "            call(dec)",
+            "        except VerificationFailedError:",
+            "            print('caught', width, sys.flags.optimize)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = [f"caught {width} 1" for width, _ in self.NARROW_SLOTS for _ in "uv"]
+        assert proc.stdout.splitlines() == want
 
 
 def swappable_slots(dec):
