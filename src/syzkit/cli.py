@@ -286,12 +286,9 @@ def _run(argv) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SyzkitError as exc:
-        print(json.dumps({"error": exc.code, "detail": str(exc)}, indent=2))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"error": "InvalidValue", "detail": str(exc)}, indent=2))
+    except (SyzkitError, ValueError) as exc:
+        code = exc.code if isinstance(exc, SyzkitError) else "InvalidValue"
+        print(json.dumps({"error": code, "detail": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=2))

@@ -17,9 +17,9 @@ class Value:
     """Immutable value with the declared fields ``_fields``, kept in slots.
 
     The constructor sets the fields, then calls ``__post_init__``, the one
-    validator of outside input; ``_of`` paths set their slots directly with
-    ``object.__setattr__``.  Equality and hash read the declared fields only,
-    and an instance equals only instances of its own exact type.
+    validator of outside input; ``_of`` sets them without it, for values that
+    syzkit built canonical itself.  Equality and hash read the declared fields
+    only, and an instance equals only instances of its own exact type.
     """
 
     __slots__ = ()
@@ -34,6 +34,14 @@ class Value:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance with the declared fields set to ``values``, unchecked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __post_init__(self):
         pass

@@ -102,15 +102,6 @@ class LatticePolytope(Value):
         if tuple(_canonical_vertices(list(verts), self.dim)) != verts:
             raise ValueError("vertices are not in canonical hull form; build polytopes with hull()")
 
-    @classmethod
-    def _of(cls, dim: int, vertices: tuple[IntVec, ...]) -> "LatticePolytope":
-        """Wrap vertices that ``_canonical_vertices`` already put in canonical
-        hull form, without running it again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", vertices)
-        return self
-
     @property
     def lexmin(self) -> IntVec:
         return self.vertices[0]

@@ -64,9 +64,7 @@ class DiscClass(Value):
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiscClass":
-        return DiscClass(
-            data["sector"], tuple(tuple(map(json_int, row)) for row in data["multiplicities"])
-        )
+        return DiscClass(data["sector"], data["multiplicities"])
 
 
 class GWTable(Value):
@@ -82,14 +80,6 @@ class GWTable(Value):
                 raise ValueError(f"invariant at {point} must be a positive integer")
             clean[tuple(map(json_int, point))] = n
         object.__setattr__(self, "entries", clean)
-
-    @classmethod
-    def _of(cls, entries: dict[IntVec, int]) -> "GWTable":
-        """Wrap entries that are already canonical: int-tuple keys mapped to
-        positive values of type ``int``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        return self
 
     def count(self, point) -> int:
         return self.entries.get(tuple(point), 0)
@@ -131,13 +121,11 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _balanced_product(factors) -> int:
-    """Product of the ints in a pairwise tree, so the operands of each
-    multiplication are of similar size; the empty product is 1."""
-    factors = list(factors)
-    while len(factors) > 1:
-        factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
+def _packed_product(types, bits: int) -> int:
+    """The packed product: each type ``(slot indices, multiplicity)`` is
+    packed once in ``bits``-bit slots and raised to its multiplicity, and the
+    powers are multiplied left to right; the empty product is 1."""
+    return prod(sum(1 << bits * index for index in indices) ** m for indices, m in types)
 
 
 def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple, Fraction]:
@@ -149,14 +137,14 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     slot index in the box, and a polynomial becomes the integer
     sum(c_e * 2^(w * index)).  Every coefficient is a nonnegative integer at
     most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
-    other and bigint arithmetic multiplies all the factors: each distinct
-    factor is packed once and raised to its multiplicity, and the powers are
-    multiplied in a balanced tree.  It is read in whole slots (``struct`` at
-    2, 4 and 8 bytes), so a carry anywhere fails the sum check.  Box order is
-    lexicographic order.  Values up to 255 are the shared ``_BYTE_VALUES``;
-    a larger value gets one ``Fraction`` per call.  ``lead`` is ``()`` for g
-    and ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``.  A product
-    whose packed integer would pass MAX_PACKED_BYTES raises before any packing.
+    other and bigint arithmetic multiplies all the factors in
+    ``_packed_product``: one power per distinct summand type.  The product is
+    read in whole slots (``struct`` at 2, 4 and 8 bytes), so a carry anywhere
+    fails the sum check.  Box order is lexicographic order.  Values up to
+    255 are the shared ``_BYTE_VALUES``; a larger value gets one ``Fraction``
+    per call.  ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the
+    halves of ``chamber_uv``.  A product whose packed integer would pass
+    MAX_PACKED_BYTES raises before any packing.
     """
     runs = Counter(summands).items()
     if dim == 1:
@@ -184,10 +172,7 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
             f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
         )
     bits = 8 * width
-    # A generator: each factor is packed and raised only inside the product tree.
-    packed = _balanced_product(
-        sum(1 << bits * index for index in indices) ** m for indices, m in types
-    )
+    packed = _packed_product(types, bits)
     raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
     if width == 1:
         slots, values = raw, _BYTE_VALUES
@@ -270,11 +255,12 @@ def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:
     return syz_mirror(decomposition).expanded.prepend_variable(1)
 
 
-def _check_chamber(decomposition: MinkowskiDecomposition, chamber: int) -> None:
+def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
+    """The number of walls below a fiber in the chamber: walls i <= chamber
+    are in its D0 sector, the rest in Dinf."""
     if not -1 <= chamber <= decomposition.p:
-        raise ValueError(
-            f"chamber {chamber} outside -1..{decomposition.p}"
-        )
+        raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
+    return chamber + 1
 
 
 def _check_shape(decomposition: MinkowskiDecomposition, beta: DiscClass) -> None:
@@ -294,7 +280,7 @@ def gw_invariant(
     i > chamber only.  Maslov-zero classes always count 0.
     """
     _check_shape(decomposition, beta)
-    _check_chamber(decomposition, chamber)
+    cut = _cut(decomposition, chamber)
     if beta.sector == SECTOR_NONE:
         warnings.warn(
             "one-pointed invariants are defined for Maslov-index-two classes; "
@@ -302,17 +288,9 @@ def gw_invariant(
             stacklevel=2,
         )
         return 0
-    lower = beta.sector == SECTOR_D0
-    for i, row in enumerate(beta.multiplicities):
-        touched = sum(row)
-        if touched > 1:
-            return 0
-        if touched:
-            if lower and i > chamber:
-                return 0
-            if not lower and i <= chamber:
-                return 0
-    return 1
+    rows = beta.multiplicities
+    far = rows[cut:] if beta.sector == SECTOR_D0 else rows[:cut]
+    return int(all(sum(row) <= 1 for row in rows) and not any(map(any, far)))
 
 
 def _class_count(decomposition: MinkowskiDecomposition, chamber: int, sector: str) -> int:
@@ -320,9 +298,9 @@ def _class_count(decomposition: MinkowskiDecomposition, chamber: int, sector: st
     (1 + k_i) over the walls on the sector's side of a fiber in the chamber."""
     if sector not in (SECTOR_D0, SECTOR_DINF):
         raise ValueError("sector must be 'D0' or 'Dinf'")
-    _check_chamber(decomposition, chamber)
+    cut = _cut(decomposition, chamber)
     ks = decomposition.ks
-    return prod(1 + k for k in (ks[: chamber + 1] if sector == SECTOR_D0 else ks[chamber + 1 :]))
+    return prod(1 + k for k in (ks[:cut] if sector == SECTOR_D0 else ks[cut:]))
 
 
 def enumerate_gw_classes(
@@ -339,26 +317,19 @@ def enumerate_gw_classes(
     budget raises ValueError.
     """
     count = _class_count(decomposition, chamber, sector)
-    lower = sector == SECTOR_D0
-    ks = decomposition.ks
-    active = [(i <= chamber) if lower else (i > chamber) for i in range(len(ks))]
     max_classes = _search_budget(budget)
     if count > max_classes:
         raise SearchBudgetExceededError(
             f"{count} classes in sector {sector} at chamber {chamber} "
             f"exceed the budget of {max_classes}"
         )
-    options = []
-    for k, on in zip(ks, active):
-        zero = (0,) * k
-        if on:
-            rows = [zero] + [
-                tuple(1 if j == t else 0 for j in range(k)) for t in range(k)
-            ]
-        else:
-            rows = [zero]
-        options.append(rows)
-    return [DiscClass(sector, combo) for combo in product(*options)]
+    cut = _cut(decomposition, chamber)
+    ks = decomposition.ks
+    # A wall on the sector's side takes the zero row or one unit row, any other the zero row.
+    near = [[(0,) * k, *(tuple(int(j == t) for j in range(k)) for t in range(k))] for k in ks]
+    far = [[(0,) * k] for k in ks]
+    options = near[:cut] + far[cut:] if sector == SECTOR_D0 else far[:cut] + near[cut:]
+    return [DiscClass._of(sector, combo) for combo in product(*options)]
 
 
 def chamber_uv(
@@ -370,11 +341,10 @@ def chamber_uv(
     times those above; their product is the expanded mirror with the z0
     exponent cancelled.
     """
-    _check_chamber(decomposition, chamber)
+    cut = _cut(decomposition, chamber)
     d = decomposition.polytope.dim
-    below = decomposition.summands[: chamber + 1]
-    above = decomposition.summands[chamber + 1 :]
+    summands = decomposition.summands
     return (
-        LaurentPolynomial._of(d + 1, _wall_product(d, below, (1,))),
-        LaurentPolynomial._of(d + 1, _wall_product(d, above, (-1,))),
+        LaurentPolynomial._of(d + 1, _wall_product(d, summands[:cut], (1,))),
+        LaurentPolynomial._of(d + 1, _wall_product(d, summands[cut:], (-1,))),
     )

@@ -2,36 +2,47 @@
 
 Write-only output: the y axis is flipped to the usual mathematical
 orientation and the viewBox is computed from the content bounds plus a
-one-lattice-unit margin.
+one-lattice-unit margin.  Every coordinate is an integer count of
+thousandths, so no floating point enters this module.
 """
 
-import sys
-from math import sqrt
+from math import isqrt
+
+# Cap on the view box extent: under the largest double, so an SVG viewer can
+# read every coordinate.
+MAX_REACH = 10**308
 
 
-def _fmt(x: float) -> str:
-    text = f"{x:.3f}".rstrip("0").rstrip(".")
-    return "0" if text in ("", "-0") else text
+def _fmt(q: int) -> str:
+    """``q`` thousandths as a decimal with no trailing zeros."""
+    whole, frac = divmod(abs(q), 1000)
+    return f"{'-' * (q < 0)}{whole}.{frac:03d}".rstrip("0").rstrip(".")
+
+
+def _tip(a: int, n: int, scale: int) -> int:
+    """``a * scale / sqrt(n)`` in thousandths, rounded to the nearest; it is
+    never exactly halfway."""
+    reach = (isqrt(4 * (a * scale * 1000) ** 2 // n) + 1) // 2
+    return reach if a >= 0 else -reach
 
 
 def render_diagram(polytope, rays, scale: int = 40) -> str:
     """SVG document: the polytope on an integer grid (``scale`` px per lattice
     unit) and each ray as a unit-length segment from the origin.  A scale
-    below 1, or one whose view box would pass the float range, raises
-    ValueError."""
+    below 1, or one whose view box would pass MAX_REACH, raises ValueError."""
     reach = 2 * (max(abs(x) for v in polytope.vertices for x in v) + 2) * scale
-    if scale < 1 or reach > sys.float_info.max:
+    if scale < 1 or reach > MAX_REACH:
         raise ValueError("the scale must be at least 1 and keep the view box in the float range")
-    pts = [(v[0] * scale, -v[1] * scale) for v in polytope.vertices]
+    unit = scale * 1000
+    pts = [(v[0] * unit, -v[1] * unit) for v in polytope.vertices]
     tips = []
-    for r in sorted(tuple(v) for v in rays):
-        norm = sqrt(r[0] * r[0] + r[1] * r[1])
-        tips.append((r[0] / norm * scale, -r[1] / norm * scale))
-    xs = [p[0] for p in pts] + [p[0] for p in tips] + [0.0]
-    ys = [p[1] for p in pts] + [p[1] for p in tips] + [0.0]
-    margin = scale
-    min_x, max_x = min(xs) - margin, max(xs) + margin
-    min_y, max_y = min(ys) - margin, max(ys) + margin
+    for a, b in sorted(tuple(v) for v in rays):
+        n = a * a + b * b
+        tips.append((_tip(a, n, scale), _tip(-b, n, scale)))
+    xs = [p[0] for p in pts] + [p[0] for p in tips] + [0]
+    ys = [p[1] for p in pts] + [p[1] for p in tips] + [0]
+    min_x, max_x = min(xs) - unit, max(xs) + unit
+    min_y, max_y = min(ys) - unit, max(ys) + unit
     view = f"{_fmt(min_x)} {_fmt(min_y)} {_fmt(max_x - min_x)} {_fmt(max_y - min_y)}"
 
     lines = [

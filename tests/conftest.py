@@ -118,11 +118,13 @@ def unimodular_simplices(dim, bound=3):
     return sorted(found, key=lambda s: (s.k, s.generators))
 
 
+ZONOTOPE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)]
+
+
 def zonotope(m, n):
     """Minkowski sum of the segments [0, n*d] over the first m directions d."""
-    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)][:m]
     corners = [(0, 0)]
-    for d in dirs:
+    for d in ZONOTOPE_DIRECTIONS[:m]:
         corners = [(x + t * n * d[0], y + t * n * d[1]) for x, y in corners for t in (0, 1)]
     return hull(corners)
 

@@ -34,10 +34,11 @@ from syzkit import (
 )
 from syzkit import cli as cli_module
 from syzkit import mirror as mirror_module
+from syzkit import svg as svg_module
 from syzkit import tropical as tropical_module
 from syzkit.cli import main
 from syzkit.svg import render_diagram
-from conftest import ap_decomposition, packed_bytes, seg, zonotope
+from conftest import HEXAGON_CORNERS, ap_decomposition, packed_bytes, seg, zonotope
 
 HEXAGON_JSON = {
     "dim": 2,
@@ -657,6 +658,15 @@ class TestTropical:
         assert all(math.isfinite(float(x)) for x in view)
         assert float(view[2]) > 0 and float(view[3]) > 0
 
+    def test_view_box_cap(self):
+        """The hexagon reaches 2 units, so its view box spans 8 * scale."""
+        assert svg_module.MAX_REACH == 10**308
+        hexagon = hull(HEXAGON_CORNERS)
+        largest = svg_module.MAX_REACH // 8
+        ET.fromstring(render_diagram(hexagon, [(1, 1)], scale=largest))
+        with pytest.raises(ValueError, match="scale"):
+            render_diagram(hexagon, [(1, 1)], scale=largest + 1)
+
     def test_huge_scale_has_no_traceback(self, hex_triangles_file, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "syzkit", "tropical", "--decomposition", hex_triangles_file,
@@ -921,6 +931,34 @@ def pinned_digest(tmp_path):
             ):
                 run(argv[0], *dec, *argv[1:])
     return digest.hexdigest()
+
+
+# Polytopes for the SVG digest: each drawing branch (polygon, line, point),
+# with vertices on both sides of both axes.
+SVG_POLYTOPES = [
+    [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)],
+    [(-3, -1), (4, -2), (5, 3), (-1, 6)],
+    [(0, 0), (7, 2), (3, 5)],
+    [(-2, 5), (9, -4)],
+    [(-6, -6), (6, 6)],
+    [(2, 1)],
+]
+SVG_SCALES = [*range(1, 61), 997, 4096, 10**6, 10**9 + 7, 10**10]
+# Every primitive ray with entries in [-12, 12], drawn together.
+SVG_RAYS = [(a, b) for a in range(-12, 13) for b in range(-12, 13) if math.gcd(a, b) == 1]
+SVG_SHA256 = "c89ce75d23ef11f5e44ac32ae06703a1803a78a243048b148b1ac1bd111c0c58"
+
+
+class TestSvgDigest:
+    def test_render_digest(self):
+        """One SHA-256 of the diagrams at 65 scales up to 10^10, recorded
+        from the floating-point renderer that the integer one replaced."""
+        digest = hashlib.sha256()
+        for vertices in SVG_POLYTOPES:
+            polytope = hull(vertices)
+            for scale in SVG_SCALES:
+                digest.update(render_diagram(polytope, SVG_RAYS, scale).encode())
+        assert digest.hexdigest() == SVG_SHA256
 
 
 class TestPinnedOutput:

@@ -44,6 +44,7 @@ from syzkit import transition as transition_module
 from syzkit.cli import main
 from conftest import (
     HEXAGON_CORNERS,
+    ZONOTOPE_DIRECTIONS,
     ap_decomposition,
     minkowski_sum_all,
     packed_bytes,
@@ -87,10 +88,10 @@ def mixed_radix_wall_product(dim, summands):
     bound = math.prod((1 + s.k) ** m for s, m in runs.items())
     width = mirror_module._slot_bytes(bound)
     bits = 8 * width
-    packed = mirror_module._balanced_product([
+    packed = math.prod(
         sum(1 << (bits * sum(x * t for x, t in zip(e, stride))) for e in exps) ** m
         for exps, m in shifted
-    ])
+    )
     raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
     slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     assert sum(slots) == bound
@@ -121,6 +122,21 @@ def dilated_triangle(m):
     """m copies of the standard triangle, whose product g(1, 1) is 3^m."""
     corners = [(0, 0), (m, 0), (0, m)]
     return MinkowskiDecomposition(hull(corners), (0, 0), (tri((1, 0), (0, 1)),) * m)
+
+
+def mirror_corpus():
+    """The decompositions of the benchmark's mirror workload: A_p for p a
+    power of two up to 128, every decomposition of Z(4,3), Z(5,2) and the
+    hexagon, and five random sums of up to four simplices."""
+    decs = [ap_decomposition(2**i) for i in range(8)]
+    for polytope in (zonotope(4, 3), zonotope(5, 2), hull(HEXAGON_CORNERS)):
+        decs += enumerate_decompositions(polytope)
+    rng = random.Random(7)
+    for _ in range(5):
+        parts = tuple(random_unimodular_simplex(rng) for _ in range(rng.randint(1, 4)))
+        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+        decs.append(MinkowskiDecomposition(polytope, (0, 0), parts))
+    return decs
 
 
 # Decompositions on both sides of one-byte slots, with the slot width of g:
@@ -392,6 +408,15 @@ class TestChamberUV:
                 u, v = chamber_uv(dec, chamber)
                 assert u * v == g
 
+    @pytest.mark.parametrize("dec", mirror_corpus())
+    def test_halves_count_the_classes_of_their_sector(self, dec):
+        """u at z = 1 is the number of D0 classes with invariant 1, and v the
+        number of Dinf ones: both sides of one cut."""
+        for chamber in range(-1, dec.p + 1):
+            u, v = chamber_uv(dec, chamber)
+            assert sum(u.terms.values()) == mirror_module._class_count(dec, chamber, SECTOR_D0)
+            assert sum(v.terms.values()) == mirror_module._class_count(dec, chamber, SECTOR_DINF)
+
 
 class TestWallProductKernel:
     """The packed-integer kernel against the schoolbook fold it replaced."""
@@ -457,8 +482,7 @@ class TestWallProductKernel:
         assert v == one.prepend_variable(-1)
 
     def test_odd_numbers_of_distinct_repeated_factors(self):
-        """Runs of repeated factors whose count of distinct types is odd, so
-        the product tree carries a lone factor up a level."""
+        """Runs of repeated factors with an odd count of distinct types."""
         seen = set()
         for polytope in (zonotope(5, 2), zonotope(3, 3), hull([(0, 0), (4, 4)])):
             for dec in enumerate_decompositions(polytope):
@@ -516,6 +540,12 @@ class TestRowDecoder:
     @given(st.lists(st.sampled_from(BOX_SIMPLICES), max_size=10))
     def test_rank_two(self, parts):
         self.assert_same(2, parts)
+
+    @pytest.mark.parametrize("m, n", [(4, 40), (8, 10)], ids=["Z(4,40)", "Z(8,10)"])
+    def test_many_steps_and_many_types(self, m, n):
+        """Z(m, n) as m * n unit segments: 160 steps of four types, and eight
+        types of ten steps each."""
+        self.assert_same(2, [seg(d) for d in ZONOTOPE_DIRECTIONS[:m] for _ in range(n)])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_product(self, dim):
@@ -628,21 +658,6 @@ def polynomial_pairs(draw):
     return tuple(
         LaurentPolynomial(dim, draw(st.dictionaries(exps, coeffs, max_size=6))) for _ in "fg"
     )
-
-
-def mirror_corpus():
-    """The decompositions of the benchmark's mirror workload: A_p for p a
-    power of two up to 128, every decomposition of Z(4,3), Z(5,2) and the
-    hexagon, and five random sums of up to four simplices."""
-    decs = [ap_decomposition(2**i) for i in range(8)]
-    for polytope in (zonotope(4, 3), zonotope(5, 2), hull(HEXAGON_CORNERS)):
-        decs += enumerate_decompositions(polytope)
-    rng = random.Random(7)
-    for _ in range(5):
-        parts = tuple(random_unimodular_simplex(rng) for _ in range(rng.randint(1, 4)))
-        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
-        decs.append(MinkowskiDecomposition(polytope, (0, 0), parts))
-    return decs
 
 
 class TestTrustedTable:
@@ -798,8 +813,10 @@ class TestIdentityChecks:
         4, 8 and 9, is read in whole slots, so the sum check rejects it."""
         dec = ap_decomposition(p)
         past_box = 1 << 8 * packed_bytes(dec)
-        real = mirror_module._balanced_product
-        monkeypatch.setattr(mirror_module, "_balanced_product", lambda fs: real(fs) + past_box)
+        real = mirror_module._packed_product
+        monkeypatch.setattr(
+            mirror_module, "_packed_product", lambda types, bits: real(types, bits) + past_box
+        )
         with pytest.raises(VerificationFailedError, match="sum to"):
             syz_mirror(dec)
         with pytest.raises(VerificationFailedError, match="sum to"):
@@ -960,18 +977,18 @@ def swappable_slots(dec):
 
 
 def swap_packed_slots(monkeypatch, width, i, j):
-    """Make the kernel's product tree return its packed integer with slots
-    i and j swapped: their sum, and the support, stay the same."""
-    real = mirror_module._balanced_product
+    """Make the kernel's packed product come back with slots i and j
+    swapped: their sum, and the support, stay the same."""
+    real = mirror_module._packed_product
     bits = 8 * width
     mask = (1 << bits) - 1
 
-    def swapped(factors):
-        packed = real(factors)
+    def swapped(types, slot_bits):
+        packed = real(types, slot_bits)
         a, b = packed >> bits * i & mask, packed >> bits * j & mask
         return packed + ((b - a) << bits * i) + ((a - b) << bits * j)
 
-    monkeypatch.setattr(mirror_module, "_balanced_product", swapped)
+    monkeypatch.setattr(mirror_module, "_packed_product", swapped)
 
 
 class TestSignPointCheck:
@@ -1022,8 +1039,8 @@ class TestSignPointCheck:
             "import syzkit.mirror as m",
             "step = UnimodularSimplex(1, ((1,),))",
             "dec = MinkowskiDecomposition(hull([(0,), (6,)]), (0,), (step,) * 6)",
-            "real = m._balanced_product",
-            "m._balanced_product = lambda fs: real(fs) + (9 << 8) - (9 << 16)",
+            "real = m._packed_product",
+            "m._packed_product = lambda types, bits: real(types, bits) + (9 << 8) - (9 << 16)",
             "try:",
             "    syz_mirror(dec)",
             "except VerificationFailedError as exc:",
@@ -1072,10 +1089,10 @@ class TestPackedSizeCap:
     def test_nothing_is_packed_past_the_cap(self, monkeypatch):
         dec = diagonal_steps(20000)
 
-        def packed(factors):
+        def packed(types, bits):
             raise AssertionError("a product was packed")
 
-        monkeypatch.setattr(mirror_module, "_balanced_product", packed)
+        monkeypatch.setattr(mirror_module, "_packed_product", packed)
         start = time.perf_counter()
         with pytest.raises(OutputTooLargeError, match=str(packed_bytes(dec))):
             syz_mirror(dec)
@@ -1087,15 +1104,15 @@ class TestPackedSizeCap:
     @pytest.mark.parametrize("dec", mirror_corpus())
     def test_cap_admits_the_benchmark_corpus(self, monkeypatch, dec):
         assert packed_bytes(dec) <= mirror_module.MAX_PACKED_BYTES
-        real = mirror_module._balanced_product
+        real = mirror_module._packed_product
         sizes = []
 
-        def measured(factors):
-            packed = real(factors)
+        def measured(types, bits):
+            packed = real(types, bits)
             sizes.append((packed.bit_length() + 7) // 8)
             return packed
 
-        monkeypatch.setattr(mirror_module, "_balanced_product", measured)
+        monkeypatch.setattr(mirror_module, "_packed_product", measured)
         syz_mirror(dec)
         assert 0 < sizes[0] <= packed_bytes(dec)
 

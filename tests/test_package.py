@@ -26,6 +26,7 @@ from syzkit import (
     TransitionReport,
     UnimodularSimplex,
     enumerate_decompositions,
+    enumerate_gw_classes,
     hull,
     match_transition,
     syz_mirror,
@@ -72,6 +73,7 @@ def examples():
         ("CayleyCone", CayleyCone(((0, 0, 1), (1, 0, 1)))),
         ("Character", Character(Fraction(3, 2), (Fraction(1), Fraction(2, 5)))),
         ("DiscClass", DiscClass("D0", ((1, 0), (0,)))),
+        ("DiscClass._of", enumerate_gw_classes(public, 1, "D0")[-1]),
         ("GWTable", GWTable({(0, 0): 1, (1, 1): 3})),
         ("GWTable._of", syz_mirror(public).table),
         ("BasisSimplex", report.basis),
