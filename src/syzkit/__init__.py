@@ -16,8 +16,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset((
-    "algebra", "cli", "errors", "intlinalg", "lattice", "minkowski", "mirror", "svg",
-    "transition", "tropical",
+    "algebra", "cli", "errors", "gw", "intlinalg", "lattice", "minkowski", "mirror",
+    "svg", "transition", "tropical",
 ))
 
 # The module that defines each public name.
@@ -27,14 +27,14 @@ _HOMES = {name: module for module, names in {
     "errors": "DimensionMismatchError EmptyInputError InvalidBasisError OutputTooLargeError "
               "SearchBudgetExceededError ShapeMismatchError SupportMismatchError SyzkitError "
               "UnsupportedDimensionError VerificationFailedError ZeroPolynomialError",
+    "gw": "SECTOR_D0 SECTOR_DINF SECTOR_NONE DiscClass enumerate_gw_classes gw_invariant",
     "lattice": "IntVec LatticePolytope RaySet UnimodularSimplex edge_profile hull "
                "is_unimodular_simplex lattice_points minkowski_sum normal_fan_rays "
                "polytope_from_json_dict",
     "minkowski": "DEFAULT_SEARCH_BUDGET CayleyCone MinkowskiDecomposition canonical_summand "
                  "cayley_cone decomposition_from_json_dict enumerate_decompositions "
                  "summand_from_vertices verify_decomposition",
-    "mirror": "SECTOR_D0 SECTOR_DINF SECTOR_NONE DiscClass GWTable SYZMirror chamber_uv "
-              "disc_potential enumerate_gw_classes gw_invariant syz_mirror wall_factor",
+    "mirror": "GWTable SYZMirror chamber_uv disc_potential syz_mirror wall_factor",
     "transition": "BasisSimplex TransitionReport match_transition",
     "tropical": "dual_fan_check tropical_rays wall_chambers",
 }.items() for name in names.split()}

@@ -19,7 +19,6 @@ from .errors import (
     ZeroPolynomialError,
     json_int,
 )
-from .intlinalg import solve_multiplicative
 from .lattice import IntVec, LatticePolytope, hull
 
 
@@ -289,6 +288,8 @@ def solve_character_match(
     alpha_j ** v_j, a multiplicative system in (gamma, alpha) that one column
     reduction of the exponent rows solves with exact roots, no factoring.
     """
+    from .intlinalg import solve_multiplicative
+
     if f.dim != g.dim:
         raise DimensionMismatchError(f"{f.dim} variables vs {g.dim}")
     support = f.support()

@@ -4,9 +4,9 @@ JSON reports go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors (with a machine-readable {"error": ..., "detail": ...}
 object on stdout), 2 on parse or flag errors.
 
-The geometry is imported here; ``mirror`` and ``transition``, which pull in
-the algebra, are imported by the handlers that use them, so ``decompose``,
-``tropical`` and ``cayley`` never load them.
+The geometry is imported here, and each other module by the handlers that
+use it: ``decompose`` and ``cayley`` load the geometry alone, ``gw`` loads
+no algebra, and only ``tropical`` loads ``svg`` and ``tropical``.
 """
 
 import argparse
@@ -23,8 +23,6 @@ from .minkowski import (
     decomposition_from_json_dict,
     enumerate_decompositions,
 )
-from .svg import render_diagram
-from .tropical import dual_fan_check, tropical_rays, wall_chambers
 
 
 class _InputError(Exception):
@@ -131,7 +129,7 @@ def _cmd_potential(args):
 
 
 def _cmd_gw(args):
-    from .mirror import SECTOR_D0, DiscClass, _class_count, enumerate_gw_classes, gw_invariant
+    from .gw import SECTOR_D0, DiscClass, _class_count, enumerate_gw_classes, gw_invariant
 
     decomposition = _load_decomposition(args.decomposition)
     chamber = args.chamber if args.chamber is not None else decomposition.p
@@ -171,6 +169,9 @@ def _cmd_transition(args):
 
 
 def _cmd_tropical(args):
+    from .svg import render_diagram
+    from .tropical import dual_fan_check, tropical_rays, wall_chambers
+
     decomposition = _load_decomposition(args.decomposition)
     if args.scale < 1:
         raise _InputError("--scale: the scale must be at least 1")

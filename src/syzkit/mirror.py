@@ -1,5 +1,5 @@
 """SYZ mirror of a smoothing: wall factors, the defining function g, the disc
-potential, and the open-invariant bookkeeping per chamber.
+potential, and the two sector generating functions per chamber.
 
 Symplectic areas and holonomies are replaced by the formal variables z0 and
 z^v, so generating functions live in the exact Laurent ring; the chamber
@@ -7,7 +7,6 @@ position is the single integer l between -1 (below all walls) and p (above
 all walls).
 """
 
-import warnings
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, compress, product
@@ -16,55 +15,10 @@ from operator import mul
 from struct import Struct
 
 from .algebra import LaurentPolynomial
-from .errors import (
-    OutputTooLargeError,
-    SearchBudgetExceededError,
-    ShapeMismatchError,
-    Value,
-    VerificationFailedError,
-    json_int,
-)
+from .errors import OutputTooLargeError, Value, VerificationFailedError, json_int
+from .gw import _cut
 from .lattice import IntVec, UnimodularSimplex, lattice_points
-from .minkowski import MinkowskiDecomposition, _search_budget
-
-SECTOR_D0 = "D0"
-SECTOR_DINF = "Dinf"
-SECTOR_NONE = "none"
-
-_SECTORS = (SECTOR_D0, SECTOR_DINF, SECTOR_NONE)
-
-
-class DiscClass(Value):
-    """Disc class: boundary sector plus the wall multiplicity table n^i_j.
-
-    Classes in the D0 or Dinf sector have Maslov index two; sector "none"
-    marks a bare Maslov-zero combination.
-    """
-
-    __slots__ = _fields = ("sector", "multiplicities")
-
-    def __post_init__(self):
-        if self.sector not in _SECTORS:
-            raise ValueError(f"sector must be one of {_SECTORS}")
-        rows = tuple(tuple(map(json_int, row)) for row in self.multiplicities)
-        object.__setattr__(self, "multiplicities", rows)
-        for row in rows:
-            if any(x < 0 for x in row):
-                raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def maslov_index(self) -> int:
-        return 2 if self.sector in (SECTOR_D0, SECTOR_DINF) else 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sector": self.sector,
-            "multiplicities": [list(row) for row in self.multiplicities],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "DiscClass":
-        return DiscClass(data["sector"], data["multiplicities"])
+from .minkowski import MinkowskiDecomposition
 
 
 class GWTable(Value):
@@ -253,83 +207,6 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
 def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:
     """z0 times the expanded mirror; term exponents are (1, v)."""
     return syz_mirror(decomposition).expanded.prepend_variable(1)
-
-
-def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
-    """The number of walls below a fiber in the chamber: walls i <= chamber
-    are in its D0 sector, the rest in Dinf."""
-    if not -1 <= chamber <= decomposition.p:
-        raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
-    return chamber + 1
-
-
-def _check_shape(decomposition: MinkowskiDecomposition, beta: DiscClass) -> None:
-    if tuple(map(len, beta.multiplicities)) != decomposition.ks:
-        raise ShapeMismatchError(
-            "multiplicity table shape does not match the decomposition"
-        )
-
-
-def gw_invariant(
-    decomposition: MinkowskiDecomposition, chamber: int, beta: DiscClass
-) -> int:
-    """One-pointed invariant of the class: 1 when each wall contributes at most
-    one unit and only walls on the class's side of the fiber are touched.
-
-    D0 classes may touch walls i <= chamber only; Dinf classes walls
-    i > chamber only.  Maslov-zero classes always count 0.
-    """
-    _check_shape(decomposition, beta)
-    cut = _cut(decomposition, chamber)
-    if beta.sector == SECTOR_NONE:
-        warnings.warn(
-            "one-pointed invariants are defined for Maslov-index-two classes; "
-            "a Maslov-zero class counts 0",
-            stacklevel=2,
-        )
-        return 0
-    rows = beta.multiplicities
-    far = rows[cut:] if beta.sector == SECTOR_D0 else rows[:cut]
-    return int(all(sum(row) <= 1 for row in rows) and not any(map(any, far)))
-
-
-def _class_count(decomposition: MinkowskiDecomposition, chamber: int, sector: str) -> int:
-    """The number of classes in the sector with invariant 1: the product of
-    (1 + k_i) over the walls on the sector's side of a fiber in the chamber."""
-    if sector not in (SECTOR_D0, SECTOR_DINF):
-        raise ValueError("sector must be 'D0' or 'Dinf'")
-    cut = _cut(decomposition, chamber)
-    ks = decomposition.ks
-    return prod(1 + k for k in (ks[:cut] if sector == SECTOR_D0 else ks[cut:]))
-
-
-def enumerate_gw_classes(
-    decomposition: MinkowskiDecomposition,
-    chamber: int,
-    sector: str,
-    budget: int | None = None,
-) -> list[DiscClass]:
-    """All classes in the sector with invariant 1, in deterministic order.
-
-    The count is the product of (1 + k_i) over the walls on the sector's side
-    of the fiber.  ``budget`` caps that count (default 10^7); a larger count
-    raises SearchBudgetExceededError before any class is built, and a negative
-    budget raises ValueError.
-    """
-    count = _class_count(decomposition, chamber, sector)
-    max_classes = _search_budget(budget)
-    if count > max_classes:
-        raise SearchBudgetExceededError(
-            f"{count} classes in sector {sector} at chamber {chamber} "
-            f"exceed the budget of {max_classes}"
-        )
-    cut = _cut(decomposition, chamber)
-    ks = decomposition.ks
-    # A wall on the sector's side takes the zero row or one unit row, any other the zero row.
-    near = [[(0,) * k, *(tuple(int(j == t) for j in range(k)) for t in range(k))] for k in ks]
-    far = [[(0,) * k] for k in ks]
-    options = near[:cut] + far[cut:] if sector == SECTOR_D0 else far[:cut] + near[cut:]
-    return [DiscClass._of(sector, combo) for combo in product(*options)]
 
 
 def chamber_uv(

@@ -33,6 +33,7 @@ from syzkit import (
     verify_decomposition,
 )
 from syzkit import cli as cli_module
+from syzkit import gw as gw_module
 from syzkit import mirror as mirror_module
 from syzkit import svg as svg_module
 from syzkit import tropical as tropical_module
@@ -466,8 +467,8 @@ class TestGwOutputCap:
         def built(*args, **kwargs):
             raise AssertionError("a class was built")
 
-        monkeypatch.setattr(mirror_module, "enumerate_gw_classes", built)
-        monkeypatch.setattr(mirror_module, "DiscClass", built)
+        monkeypatch.setattr(gw_module, "enumerate_gw_classes", built)
+        monkeypatch.setattr(gw_module, "DiscClass", built)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "gw", "--decomposition", path)
         assert time.perf_counter() - start < 1
@@ -681,12 +682,15 @@ class TestTropical:
         computes the rays of their one type once, and the dual-fan check
         once more."""
         calls = {"cli": 0, "dual_fan_check": 0}
-        for owner, name in ((cli_module, "cli"), (tropical_module, "dual_fan_check")):
-            def counted(summand, real=owner.tropical_rays, name=name):
-                calls[name] += 1
-                return real(summand)
+        # the handler imports tropical_rays when it runs, so one patch sees
+        # both callers; the calling module tells them apart
+        callers = {"syzkit.cli": "cli", "syzkit.tropical": "dual_fan_check"}
 
-            monkeypatch.setattr(owner, "tropical_rays", counted)
+        def counted(summand, real=tropical_module.tropical_rays):
+            calls[callers[sys._getframe(1).f_globals["__name__"]]] += 1
+            return real(summand)
+
+        monkeypatch.setattr(tropical_module, "tropical_rays", counted)
         dec_file = tmp_path / "diagonal.json"
         dec_file.write_text(json.dumps({
             "polytope": {"dim": 2, "vertices": [[0, 0], [2000, 2000]]},

@@ -39,6 +39,7 @@ from syzkit import (
     syz_mirror,
     wall_factor,
 )
+from syzkit import gw as gw_module
 from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from syzkit.cli import main
@@ -414,8 +415,8 @@ class TestChamberUV:
         number of Dinf ones: both sides of one cut."""
         for chamber in range(-1, dec.p + 1):
             u, v = chamber_uv(dec, chamber)
-            assert sum(u.terms.values()) == mirror_module._class_count(dec, chamber, SECTOR_D0)
-            assert sum(v.terms.values()) == mirror_module._class_count(dec, chamber, SECTOR_DINF)
+            assert sum(u.terms.values()) == gw_module._class_count(dec, chamber, SECTOR_D0)
+            assert sum(v.terms.values()) == gw_module._class_count(dec, chamber, SECTOR_DINF)
 
 
 class TestWallProductKernel:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,11 +154,17 @@ class TestLazyNames:
             value = getattr(syzkit, name)
             assert vars(syzkit)[name] is value
 
+    def test_every_class_and_function_lives_in_its_home(self):
+        for name in syzkit.__all__:
+            value = getattr(syzkit, name)
+            if type(value) in (type, types.FunctionType):
+                assert value.__module__ == "syzkit." + syzkit._HOMES[name], name
+
     def test_star_import_and_dir(self):
         scope = {}
         exec("from syzkit import *", scope)
         assert set(syzkit.__all__) <= scope.keys()
-        assert set(syzkit.__all__) | {"cli", "svg", "lattice", "mirror"} <= set(dir(syzkit))
+        assert set(syzkit.__all__) | {"cli", "gw", "svg", "lattice", "mirror"} <= set(dir(syzkit))
 
     def test_submodules_resolve(self):
         assert syzkit.svg.render_diagram is not None
@@ -170,19 +177,23 @@ class TestLazyNames:
             exec("from syzkit import no_such_name", {})
 
 
-# The syzkit modules each command loads, and the extra ones of the algebra.
-GEOMETRY = {"syzkit", "syzkit.cli", "syzkit.errors", "syzkit.lattice", "syzkit.minkowski",
-            "syzkit.svg", "syzkit.tropical"}
-ALGEBRA = GEOMETRY | {"syzkit.algebra", "syzkit.intlinalg", "syzkit.mirror"}
+# The syzkit modules each command loads: the geometry, and the modules its
+# handler imports on top of it.
+GEOMETRY = {"syzkit", "syzkit.cli", "syzkit.errors", "syzkit.lattice", "syzkit.minkowski"}
+GW = GEOMETRY | {"syzkit.gw"}
+MIRROR = GW | {"syzkit.algebra", "syzkit.mirror"}
 COMMAND_MODULES = {
     "decompose": GEOMETRY,
-    "mirror": ALGEBRA,
-    "potential": ALGEBRA,
-    "gw": ALGEBRA,
-    "transition": ALGEBRA | {"syzkit.transition"},
-    "tropical": GEOMETRY,
+    "mirror": MIRROR,
+    "potential": MIRROR,
+    "gw": GW,
+    "transition": MIRROR | {"syzkit.intlinalg", "syzkit.transition"},
+    "tropical": GEOMETRY | {"syzkit.svg", "syzkit.tropical"},
     "cayley": GEOMETRY,
 }
+
+# The commands that form no polynomial, so load no exact rationals.
+NO_FRACTIONS = {"decompose", "tropical", "cayley", "gw"}
 
 
 class TestStartupImports:
@@ -210,3 +221,5 @@ class TestStartupImports:
                     for line in proc.stderr.splitlines() if line.startswith("import time:")}
         assert {m for m in imported if m.startswith("syzkit")} == COMMAND_MODULES[command]
         assert "dataclasses" not in imported and "typing" not in imported
+        if command in NO_FRACTIONS:
+            assert "fractions" not in imported and "decimal" not in imported
