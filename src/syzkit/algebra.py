@@ -58,9 +58,10 @@ class LaurentPolynomial:
         self.terms = clean
 
     @classmethod
-    def _of(cls, dim: int, terms: dict[IntVec, Fraction]) -> "LaurentPolynomial":
+    def _of(cls, dim: int, terms: dict[IntVec, int | Fraction]) -> "LaurentPolynomial":
         """Wrap terms that are already canonical: int-tuple keys of length
-        ``dim`` mapped to nonzero values of exact type ``Fraction``."""
+        ``dim`` mapped to nonzero values of exact type ``int`` (as the wall
+        kernel emits) or ``Fraction``."""
         self = object.__new__(cls)
         self.dim = dim
         self.terms = terms
@@ -301,7 +302,7 @@ def solve_character_match(
         b = g.coefficient(v)
         if a <= 0 or b <= 0:
             raise ValueError("positive coefficients required")
-        ratios.append(b / a)
+        ratios.append(Fraction(b, a))
     x = solve_multiplicative([(1,) + v for v in support], ratios, f.dim + 1)
     if x is None:
         return None

@@ -8,7 +8,6 @@ all walls).
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import chain, compress, product
 from math import prod
 from operator import mul
@@ -59,14 +58,13 @@ SYZMirror = namedtuple("SYZMirror", ("factored", "expanded", "table"))
 
 def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
     """The wall-crossing function 1 + sum of z^u over the summand's generators."""
-    return LaurentPolynomial._of(summand.dim, dict.fromkeys(summand.vertex_set(), Fraction(1)))
+    return LaurentPolynomial._of(summand.dim, dict.fromkeys(summand.vertex_set(), 1))
 
 
 # Cap on the bytes of the packed integer that one wall product forms.
 MAX_PACKED_BYTES = 2**28
 
-# The Fractions 0..255, shared by every call, and little-endian slot readers.
-_BYTE_VALUES = tuple(map(Fraction, range(256)))
+# Little-endian slot readers.
 _UNPACK = {2: Struct("<H").iter_unpack, 4: Struct("<I").iter_unpack, 8: Struct("<Q").iter_unpack}
 
 
@@ -82,7 +80,7 @@ def _packed_product(types, bits: int) -> int:
     return prod(sum(1 << bits * index for index in indices) ** m for indices, m in types)
 
 
-def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple, Fraction]:
+def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
     """The terms ``lead + e: n_e`` of the product of the summands' wall
     factors, with ``e`` in lexicographic order.
 
@@ -94,10 +92,10 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     other and bigint arithmetic multiplies all the factors in
     ``_packed_product``: one power per distinct summand type.  The product is
     read in whole slots (``struct`` at 2, 4 and 8 bytes), so a carry anywhere
-    fails the sum check.  Box order is lexicographic order.  Values up to
-    255 are the shared ``_BYTE_VALUES``; a larger value gets one ``Fraction``
-    per call.  ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the
-    halves of ``chamber_uv``.  A product whose packed integer would pass
+    fails the sum check.  Box order is lexicographic order.  Each nonzero
+    slot is emitted as the ``int`` it was read as, with no conversion.
+    ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the halves of
+    ``chamber_uv``.  A product whose packed integer would pass
     MAX_PACKED_BYTES raises before any packing.
     """
     runs = Counter(summands).items()
@@ -129,12 +127,11 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     packed = _packed_product(types, bits)
     raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
     if width == 1:
-        slots, values = raw, _BYTE_VALUES
+        slots = raw
+    elif width in _UNPACK:
+        slots = list(chain.from_iterable(_UNPACK[width](raw)))
     else:
-        slots = list(chain.from_iterable(_UNPACK[width](raw))) if width in _UNPACK else [
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-        ]
-        values = {n: _BYTE_VALUES[n] if n < 256 else Fraction(n) for n in set(slots)}
+        slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     total = sum(slots)
     if total != bound:
         raise VerificationFailedError(
@@ -142,7 +139,7 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
             "this indicates an implementation bug"
         )
     keys = product(*[(c,) for c in lead], *axes)
-    return dict(compress(zip(keys, map(values.__getitem__, slots)), slots))
+    return dict(compress(zip(keys, slots), slots))
 
 
 def _check_sign_points(dim: int, table: dict[IntVec, int], runs: Counter) -> None:
@@ -177,7 +174,8 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """Wall factors in summand order, their exact product g, and the invariant table.
 
     The Newton polytope of the product is the decomposition's polytope, and
-    the table holds the (positive integer) coefficients of g.  The Newton
+    the table holds the (positive integer) coefficients of g: it wraps the
+    same dict as the expanded mirror.  The Newton
     check needs no hull: the hull of the support is P exactly when the
     support lies in P and every vertex of P carries a term.  g must also
     equal the product of the wall factors at every sign point.
@@ -195,12 +193,11 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
             "the Newton polytope of g is not the decomposition's polytope; "
             "this indicates an implementation bug"
         )
-    table = {e: c.numerator for e, c in terms.items()}
-    _check_sign_points(polytope.dim, table, runs)
+    _check_sign_points(polytope.dim, terms, runs)
     return SYZMirror(
         tuple(map(factors.__getitem__, summands)),
         LaurentPolynomial._of(polytope.dim, terms),
-        GWTable._of(table),
+        GWTable._of(terms),
     )
 
 

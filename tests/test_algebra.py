@@ -13,12 +13,16 @@ from syzkit import (
     SupportMismatchError,
     ZeroPolynomialError,
     apply_character,
+    enumerate_decompositions,
     hull,
     minkowski_sum,
     newton_polytope,
     solve_character_match,
+    syz_mirror,
 )
+from syzkit import intlinalg
 from syzkit.algebra import _weight_pairs
+from conftest import zonotope
 import parametric
 from parametric import Coefficient, lift
 from test_intlinalg import solve_integer
@@ -305,6 +309,34 @@ class TestSolveCharacterMatch:
             )
             recovered = solve_character_match(f, apply_character(f, c))
             assert recovered == c
+
+
+class TestCharacterMatchOnKernelOutput:
+    """The wall kernel's polynomials carry int coefficients, whose ratios
+    must reach the solver as exact Fractions, never as floats."""
+
+    def test_two_decompositions_of_z32(self, monkeypatch):
+        first, second = enumerate_decompositions(zonotope(3, 2))[:2]
+        f, g = syz_mirror(first).expanded, syz_mirror(second).expanded
+        assert {type(c) for p in (f, g) for c in p.terms.values()} == {int}
+        assert f.support() == g.support()
+        ratios = [Fraction(g.terms[v], f.terms[v]) for v in f.support()]
+        assert ratios.count(Fraction(7, 6)) > 1
+        calls = []
+        solve = intlinalg.solve_multiplicative
+
+        def recording(rows, rhs, n):
+            calls.append(list(rhs))
+            return solve(rows, rhs, n)
+
+        monkeypatch.setattr(intlinalg, "solve_multiplicative", recording)
+        for left, right in ((f, g), (f, f)):
+            copies = (LP(left.dim, left.terms), LP(right.dim, right.terms))
+            assert solve_character_match(left, right) == solve_character_match(*copies)
+        assert calls[0] == calls[1] == ratios
+        assert calls[2] == calls[3] == [1] * len(ratios)
+        assert all(type(x) is Fraction for rhs in calls for x in rhs)
+        assert solve_character_match(f, f).is_identity()
 
 
 POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))

@@ -564,27 +564,47 @@ class TestRowDecoder:
     @staticmethod
     def assert_halves(dec, chamber):
         """Both halves of ``chamber_uv`` are the oracle's terms with z0^(+-1)
-        prepended, as Fractions, with their keys in the same order."""
+        prepended, as ints, with their keys in the same order."""
         d = dec.polytope.dim
         halves = (dec.summands[: chamber + 1], dec.summands[chamber + 1 :])
         for poly, lead, part in zip(chamber_uv(dec, chamber), ((1,), (-1,)), halves):
-            want = {lead + e: Fraction(n) for e, n in mixed_radix_wall_product(d, part).items()}
+            want = {lead + e: n for e, n in mixed_radix_wall_product(d, part).items()}
             assert list(poly.terms.items()) == list(want.items())
-            assert_canonical(poly)
+            assert_integral(poly)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.sampled_from(DECOMPOSITIONS), st.data())
     def test_chamber_halves_carry_their_lead(self, dec, data):
         self.assert_halves(dec, data.draw(st.integers(-1, dec.p)))
 
+    @pytest.mark.parametrize("dec", DECOMPOSITIONS)
+    def test_halves_are_the_generating_functions_of_their_classes(self, dec):
+        """Exponent by exponent, u (v) counts the D0 (Dinf) classes with
+        invariant 1 by their boundary sum_i sum_j n^i_j u^i_j, where u^i_j is
+        the j-th generator of wall i: the listing in ``gw`` is combinatorics
+        alone, and the kernel's integer coefficients must agree with it."""
+        generators = [s.generators for s in dec.summands]
+        sides = ((1, SECTOR_D0), (-1, SECTOR_DINF))
+        for chamber in range(-1, dec.p + 1):
+            for half, (lead, sector) in zip(chamber_uv(dec, chamber), sides):
+                boundaries = Counter()
+                for beta in enumerate_gw_classes(dec, chamber, sector):
+                    boundary = [0] * dec.polytope.dim
+                    for row, us in zip(beta.multiplicities, generators):
+                        for n, u in zip(row, us):
+                            boundary = [b + n * x for b, x in zip(boundary, u)]
+                    boundaries[tuple(boundary)] += 1
+                assert {e[0] for e in half.terms} == {lead}
+                assert dict(boundaries) == {e[1:]: c for e, c in half.terms.items()}
+
     @pytest.mark.parametrize("dec, width", SLOT_WIDTH_BOUNDARY, ids=SLOT_WIDTH_IDS)
     def test_both_sides_of_one_byte_slots(self, dec, width):
         assert mirror_module._slot_bytes(math.prod(1 + k for k in dec.ks)) == width
         d = dec.polytope.dim
         expanded = syz_mirror(dec).expanded
-        want = {e: Fraction(n) for e, n in mixed_radix_wall_product(d, dec.summands).items()}
+        want = mixed_radix_wall_product(d, dec.summands)
         assert list(expanded.terms.items()) == list(want.items())
-        assert_canonical(expanded)
+        assert_integral(expanded)
         for chamber in range(-1, dec.p + 1):
             self.assert_halves(dec, chamber)
 
@@ -601,7 +621,7 @@ DECODER_CASES = {
 
 class TestSlotDecoders:
     """Every way the kernel reads its slots against the mixed-radix oracle:
-    the shared one-byte values, ``struct`` at 2, 4 and 8 bytes, and
+    one-byte slots as ``bytes``, ``struct`` at 2, 4 and 8 bytes, and
     ``int.from_bytes`` at 3, 5 to 7 and 9 bytes; on g and on both halves of
     every chamber."""
 
@@ -615,29 +635,31 @@ class TestSlotDecoders:
         d = dec.polytope.dim
         got = mirror_module._wall_product(d, dec.summands)
         assert list(got.items()) == list(mixed_radix_wall_product(d, dec.summands).items())
-        assert all(type(c) is Fraction for c in got.values())
+        assert all(type(c) is int for c in got.values())
         for chamber in range(-1, dec.p + 1):
             TestRowDecoder.assert_halves(dec, chamber)
 
-    @pytest.mark.parametrize("p", [5, 6, 13, 21], ids=lambda p: f"A_{p}")
-    def test_fractions_are_built_past_one_byte_only(self, monkeypatch, p):
-        """Values up to 255 are the module's shared Fractions, in every
-        call; each larger distinct value gets one new Fraction."""
+    @pytest.mark.parametrize("name", list(DECODER_CASES))
+    def test_builds_no_fraction(self, monkeypatch, name):
+        """The kernel emits the ints it reads: no ``Fraction`` is made by
+        ``_wall_product``, ``syz_mirror`` or ``chamber_uv``, at any slot width."""
+        dec = DECODER_CASES[name]
         built = []
+        new = Fraction.__new__
 
-        def counting_fraction(n):
-            built.append(n)
-            return Fraction(n)
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(mirror_module, "Fraction", counting_fraction)
-        dec = ap_decomposition(p)
-        got = mirror_module._wall_product(1, dec.summands)
-        values = {math.comb(p + 1, k) for k in range(p + 2)}
-        assert sorted(built) == sorted(n for n in values if n > 255)
-        assert len(set(map(id, got.values()))) == len(values)
-        for c in got.values():
-            if c < 256:
-                assert c is mirror_module._BYTE_VALUES[c.numerator]
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        Fraction(1)
+        assert built == [(1,)]
+        built.clear()
+        mirror_module._wall_product(dec.polytope.dim, dec.summands)
+        syz_mirror(dec)
+        for chamber in range(-1, dec.p + 1):
+            chamber_uv(dec, chamber)
+        assert built == []
 
 
 def assert_canonical(poly):
@@ -647,7 +669,14 @@ def assert_canonical(poly):
     for e, c in poly.terms.items():
         assert type(e) is tuple and len(e) == poly.dim
         assert all(type(x) is int for x in e)
-        assert c != 0 and type(c) is Fraction
+        assert c != 0 and type(c) in (int, Fraction)
+
+
+def assert_integral(poly):
+    """``poly`` is canonical and every coefficient is an exact ``int``, as
+    the wall kernel emits them."""
+    assert_canonical(poly)
+    assert all(type(c) is int for c in poly.terms.values())
 
 
 @st.composite
@@ -712,13 +741,47 @@ class TestCanonicalTerms:
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
     def test_mirror_polynomials(self, dec):
         mirror = syz_mirror(dec)
+        assert mirror.table.entries is mirror.expanded.terms
         for poly in (*mirror.factored, mirror.expanded, disc_potential(dec)):
-            assert_canonical(poly)
+            assert_integral(poly)
         for s in dec.summands:
-            assert_canonical(wall_factor(s))
+            assert_integral(wall_factor(s))
         for chamber in range(-1, dec.p + 1):
             for poly in chamber_uv(dec, chamber):
-                assert_canonical(poly)
+                assert_integral(poly)
+
+    # Rational points in rank 1 to 3, and a character with no unit entry.
+    POINTS = [
+        (Fraction(1, 2), Fraction(-3), Fraction(2, 5)),
+        (Fraction(-7, 3), Fraction(1, 4), Fraction(5)),
+        (Fraction(3, 2), Fraction(2, 3), Fraction(-1, 6)),
+    ]
+    SCALES = (Fraction(3, 2), Fraction(5, 7), Fraction(1, 4))
+
+    @pytest.mark.parametrize("dec", DECOMPOSITIONS)
+    def test_int_coefficients_behave_like_fractions(self, dec):
+        """Each kernel polynomial P and its public-constructor copy Q, whose
+        coefficients are Fractions, agree in every operation whose result is
+        printed or compared: the stdout of a command cannot tell them apart."""
+        mirror = syz_mirror(dec)
+        polys = [mirror.expanded, disc_potential(dec), *map(wall_factor, dec.summands)]
+        for chamber in range(-1, dec.p + 1):
+            polys += chamber_uv(dec, chamber)
+        for p in polys:
+            q = LaurentPolynomial(p.dim, p.terms)
+            assert all(type(c) is Fraction for c in q.terms.values())
+            assert p == q and q == p and hash(p) == hash(q)
+            assert repr(p) == repr(q)
+            for point in self.POINTS:
+                assert p.evaluate(point[: p.dim]) == q.evaluate(point[: p.dim])
+            character = Character(Fraction(2, 3), self.SCALES[: p.dim])
+            for left, right in (
+                (p, q),
+                (p.scale(Fraction(2, 3)), q.scale(Fraction(2, 3))),
+                (apply_character(p, character), apply_character(q, character)),
+            ):
+                assert left == right
+                assert json.dumps(left.to_json_dict()) == json.dumps(right.to_json_dict())
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
