@@ -17,6 +17,7 @@ from .errors import (
     SupportMismatchError,
     Value,
     ZeroPolynomialError,
+    _rational,
     json_int,
 )
 from .lattice import IntVec, LatticePolytope, hull
@@ -24,16 +25,6 @@ from .lattice import IntVec, LatticePolytope, hull
 
 def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def _rational(value) -> Fraction:
-    """``value`` as a Fraction if it is an int or a Fraction; floats, strings
-    and bools raise TypeError."""
-    if type(value) is Fraction:
-        return value
-    if type(value) is not int:
-        raise TypeError(f"expected an int or a Fraction, got {value!r}")
-    return Fraction(value)
 
 
 class LaurentPolynomial:

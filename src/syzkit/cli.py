@@ -175,7 +175,7 @@ def _cmd_tropical(args):
     decomposition = _load_decomposition(args.decomposition)
     if args.scale < 1:
         raise _InputError("--scale: the scale must be at least 1")
-    rays = {s: tropical_rays(s) for s in dict.fromkeys(decomposition.summands)}
+    rays = {s: tropical_rays(s) for s, _ in decomposition._kernel_runs()}
     union = frozenset().union(*(r.rays for r in rays.values()))
     # One entry per distinct type, listed once per wall.
     walls = {

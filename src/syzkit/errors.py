@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the integer check of JSON
-input, and the base of the immutable value classes.
+"""Exception types shared across the toolkit, the integer and rational
+checks of exact input, and the base of the immutable value classes.
 
 Every error carries a stable machine-readable ``code`` that the CLI echoes
 in its JSON error reports.
@@ -11,6 +11,16 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _rational(value):
+    """``value`` as a Fraction if it is an int or a Fraction, else TypeError."""
+    from fractions import Fraction  # here: most commands load no fractions
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 class Value:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import gcd, prod
 
+from .errors import _rational, json_int
+
 
 def _exact_root(n: int, k: int) -> int | None:
     """The k-th root of n >= 0 when it is an integer, else None, by an
@@ -49,7 +51,7 @@ def _coprime_base(numbers) -> list[int]:
 
 def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
     """Positive rationals x_1..x_n with prod_j x_j ** A[i][j] = b_i for every
-    row i, or None when no such rationals exist; every b_i must be positive.
+    row i, or None if none exist; A holds ints, b positive ints or Fractions.
 
     Unimodular column operations bring A to a staircase form H with A U = H,
     kept as one list per column: A's column above U's.  Over a coprime base
@@ -63,12 +65,12 @@ def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
     is deterministic.
     """
     m = len(rows)
-    a = [[int(x) for x in r] for r in rows]
+    a = [[json_int(x) for x in r] for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
-    b = [Fraction(x) for x in rhs]
+    b = [_rational(x) for x in rhs]
     if any(x <= 0 for x in b):
         raise ValueError("right-hand side must be positive")
     cols = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]

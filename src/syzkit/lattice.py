@@ -236,7 +236,7 @@ class UnimodularSimplex(Value):
     saturated sublattice, so the simplex is unimodular in its span."""
 
     _fields = ("dim", "generators")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "_box")
 
     def __init__(self, dim: int, generators: tuple[IntVec, ...]):
         # Written out, not Value's: the search builds one per candidate type.
@@ -264,6 +264,17 @@ class UnimodularSimplex(Value):
         except AttributeError:
             object.__setattr__(self, "_hash", hash((self.dim, self.generators)))
             return self._hash
+
+    def _kernel_box(self) -> tuple:
+        """The wall kernel's box, kept: least corner, extent, moved vertices, 1 + k."""
+        try:
+            return self._box
+        except AttributeError:
+            verts = self.vertex_set()
+            low, high = tuple(map(min, *verts)), tuple(map(max, *verts))
+            box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts)
+            object.__setattr__(self, "_box", box)
+            return box
 
     @property
     def k(self) -> int:

@@ -9,7 +9,7 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, groupby
 
 from .errors import (
     DimensionMismatchError,
@@ -79,7 +79,7 @@ class MinkowskiDecomposition(Value):
     """
 
     _fields = ("polytope", "translation", "summands")
-    __slots__ = _fields + ("_ks", "_sort_key")
+    __slots__ = _fields + ("_runs", "_ks", "_sort_key")
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
@@ -126,6 +126,14 @@ class MinkowskiDecomposition(Value):
         object.__setattr__(self, "summands", tuple(expand((s,) * m for s, _, m in runs)))
         object.__setattr__(self, "_ks", tuple(expand((s.k,) * m for s, _, m in runs)))
         object.__setattr__(self, "_sort_key", tuple(expand((key,) * m for _, key, m in runs)))
+
+    def _kernel_runs(self) -> list:
+        """The runs ``(summand, count)`` of the summands, kept from the first call."""
+        try:
+            return self._runs
+        except AttributeError:
+            object.__setattr__(self, "_runs", [(s, len([*g])) for s, g in groupby(self.summands)])
+            return self._runs
 
     @property
     def p(self) -> int:

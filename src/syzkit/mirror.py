@@ -7,7 +7,7 @@ position is the single integer l between -1 (below all walls) and p (above
 all walls).
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain, compress, product
 from math import prod
 from operator import mul
@@ -80,43 +80,36 @@ def _packed_product(types, bits: int) -> int:
     return prod(sum(1 << bits * index for index in indices) ** m for indices, m in types)
 
 
-def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
-    """The terms ``lead + e: n_e`` of the product of the summands' wall
-    factors, with ``e`` in lexicographic order.
+def _wall_product(dim: int, runs, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
+    """The terms ``lead + e: n_e`` of the product of the wall factors of the
+    runs ``(summand, count)``, with ``e`` in lexicographic order.
 
     Kronecker substitution: each factor is shifted to nonnegative exponents,
-    an exponent e in the bounding box of the product becomes its row-major
-    slot index in the box, and a polynomial becomes the integer
-    sum(c_e * 2^(w * index)).  Every coefficient is a nonnegative integer at
-    most g(1, ..., 1) = prod(1 + k_i), so w-bit slots never carry into each
-    other and bigint arithmetic multiplies all the factors in
-    ``_packed_product``: one power per distinct summand type.  The product is
-    read in whole slots (``struct`` at 2, 4 and 8 bytes), so a carry anywhere
-    fails the sum check.  Box order is lexicographic order.  Each nonzero
-    slot is emitted as the ``int`` it was read as, with no conversion.
-    ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the halves of
-    ``chamber_uv``.  A product whose packed integer would pass
+    an exponent e in the bounding box of the product (the count-weighted sum
+    of the boxes the summands keep) becomes its row-major slot index, and a
+    polynomial becomes the integer sum(c_e * 2^(w * index)).  Every
+    coefficient is a nonnegative integer at most g(1, ..., 1) = prod(1 + k_i),
+    so w-bit slots never carry into each other and bigint arithmetic
+    multiplies the factors in ``_packed_product``: one power per run of
+    nonzero count.  The product is read in whole slots (``struct`` at 2, 4
+    and 8 bytes), so a carry anywhere fails the sum check.  Box order is
+    lexicographic order.  Each nonzero slot is emitted as the ``int`` it was
+    read as.  ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the
+    halves of ``chamber_uv``.  A product whose packed integer would pass
     MAX_PACKED_BYTES raises before any packing.
     """
-    runs = Counter(summands).items()
-    if dim == 1:
-        # A rank-1 generator u is 1 or -1: 1 + z^u fills two slots from min(0, u).
-        low = sum(m * min(0, s.generators[0][0]) for s, m in runs)
-        axes = (range(low, low + 1 + sum(m for _, m in runs)),)
-        types = [((0, 1), m) for _, m in runs]
+    boxes = [(s._kernel_box(), m) for s, m in runs if m]
+    bound = prod([box[3] ** m for box, m in boxes])
+    if dim == 1:  # 1 + z^u fills both slots of its box
+        low = sum([m * box[0][0] for box, m in boxes])
+        axes = (range(low, low + 1 + sum([m for _, m in boxes])),)
+        types = [((0, 1), m) for _, m in boxes]
     else:
-        ox = oy = 0
-        rx = ry = 1
-        corners = []
-        for s, m in runs:
-            xs, ys = zip((0, 0), *s.generators)
-            lx, ly = min(xs), min(ys)
-            ox, oy = ox + m * lx, oy + m * ly
-            rx, ry = rx + m * (max(xs) - lx), ry + m * (max(ys) - ly)
-            corners.append(([(x - lx, y - ly) for x, y in zip(xs, ys)], m))
+        ox, oy, rx, ry = 0, 0, 1, 1
+        for ((lx, ly), (ex, ey), _, _), m in boxes:
+            ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
         axes = (range(ox, ox + rx), range(oy, oy + ry))
-        types = [([x * ry + y for x, y in points], m) for points, m in corners]
-    bound = prod((1 + s.k) ** m for s, m in runs)
+        types = [([x * ry + y for x, y in box[2]], m) for box, m in boxes]
     width = _slot_bytes(bound)
     size = prod(map(len, axes)) * width
     if size > MAX_PACKED_BYTES:
@@ -142,21 +135,19 @@ def _wall_product(dim: int, summands, lead: tuple[int, ...] = ()) -> dict[tuple,
     return dict(compress(zip(keys, slots), slots))
 
 
-def _check_sign_points(dim: int, table: dict[IntVec, int], runs: Counter) -> None:
+def _check_sign_points(dim: int, table: dict[IntVec, int], runs) -> None:
     """g(eps) == prod f_i(eps) at the 2^dim points eps in {1, -1}^dim.
 
     z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
-    so one pass sums g by the parity bits of its exponents, and each distinct
-    factor is evaluated once.  Unlike the sum check, this sees coefficients
-    swapped between exponents of different parity.
+    so one pass sums g by the parity bits of its exponents, and the factor of
+    each run ``(summand, count)`` is evaluated once.  Unlike the sum check,
+    this sees coefficients swapped between exponents of different parity.
     """
     top = dim - 1  # in rank 1, v[0] is v[-1]
     parity = [0] * (1 << dim)
     for v, n in table.items():
         parity[v[0] & 1 | (v[-1] & 1) << top] += n
-    factors = [
-        ([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs.items()
-    ]
+    factors = [([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs]
     for point in range(1 << dim):
         # sign[b] is the value at this point of every z^v whose parity bits are b
         sign = [1 - 2 * ((b & point).bit_count() & 1) for b in range(1 << dim)]
@@ -181,10 +172,9 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     equal the product of the wall factors at every sign point.
     """
     polytope = decomposition.polytope
-    summands = decomposition.summands
-    runs = Counter(summands)
-    factors = {s: wall_factor(s) for s in runs}
-    terms = _wall_product(polytope.dim, summands)
+    runs = decomposition._kernel_runs()
+    factors = {s: wall_factor(s) for s, _ in runs}
+    terms = _wall_product(polytope.dim, runs)
     if not (
         terms.keys() <= set(lattice_points(polytope))
         and all(v in terms for v in polytope.vertices)
@@ -195,7 +185,7 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
         )
     _check_sign_points(polytope.dim, terms, runs)
     return SYZMirror(
-        tuple(map(factors.__getitem__, summands)),
+        tuple(map(factors.__getitem__, decomposition.summands)),
         LaurentPolynomial._of(polytope.dim, terms),
         GWTable._of(terms),
     )
@@ -216,9 +206,13 @@ def chamber_uv(
     exponent cancelled.
     """
     cut = _cut(decomposition, chamber)
+    below, above = [], []
+    for s, m in decomposition._kernel_runs():  # a cut inside a run splits it
+        j, cut = min(cut, m), max(cut - m, 0)
+        below.append((s, j))
+        above.append((s, m - j))
     d = decomposition.polytope.dim
-    summands = decomposition.summands
     return (
-        LaurentPolynomial._of(d + 1, _wall_product(d, summands[:cut], (1,))),
-        LaurentPolynomial._of(d + 1, _wall_product(d, summands[cut:], (-1,))),
+        LaurentPolynomial._of(d + 1, _wall_product(d, below, (1,))),
+        LaurentPolynomial._of(d + 1, _wall_product(d, above, (-1,))),
     )

@@ -261,6 +261,17 @@ class TestSolveMultiplicative:
         for b in (0, -4, Fraction(-1, 9)):
             with pytest.raises(ValueError):
                 solve_multiplicative([[2]], [b], 1)
+        # inexact exponents and right-hand sides, which int() and Fraction()
+        # would truncate or parse into a wrong answer
+        for rows, rhs in (
+            ([[1.5]], [2]),
+            ([[1]], [1.5]),
+            ([[1]], ["3/2"]),
+            ([[True]], [2]),
+            ([[1]], [True]),
+        ):
+            with pytest.raises(TypeError):
+                solve_multiplicative(rows, rhs, 1)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())

@@ -1,3 +1,5 @@
+import json
+import pickle
 import random
 from itertools import combinations, product
 from math import gcd
@@ -320,6 +322,38 @@ class TestUnimodularSimplex:
         gens = tuple(tuple(int(i == j) for j in range(dim)) for i in range(min(dim, 2)))
         with pytest.raises(UnsupportedDimensionError):
             UnimodularSimplex(dim, gens)
+
+
+class TestKernelBox:
+    """The box a simplex keeps for the wall kernel, computed on first use."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(unimodular_simplices(1) + unimodular_simplices(2)))
+    def test_box_is_the_bounding_box_of_the_vertices(self, simplex):
+        fresh = UnimodularSimplex(simplex.dim, simplex.generators)
+
+        def public():
+            return (
+                fresh == simplex,
+                simplex == fresh,
+                hash(fresh),
+                repr(fresh),
+                pickle.dumps(fresh),
+                pickle.loads(pickle.dumps(fresh)) == fresh,
+                json.dumps(fresh.to_json_dict()),
+            )
+
+        before = public()
+        low, extent, moved, n = fresh._kernel_box()
+        verts = fresh.vertex_set()
+        axes = list(zip(*verts))
+        assert low == tuple(map(min, axes))
+        assert extent == tuple(max(a) - lo for a, lo in zip(axes, low))
+        assert moved == tuple(vec_sub(v, low) for v in verts)
+        assert n == 1 + fresh.k
+        assert fresh._kernel_box() is fresh._kernel_box()
+        assert public() == before
+        assert before[:2] == (True, True)
 
 
 class TestEdgeProfile:

@@ -523,6 +523,81 @@ class TestDecompositionTypeAgainstPerSummand:
         assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
 
 
+def assert_runs(dec):
+    """The runs ``(summand, count)`` a decomposition keeps for the wall
+    kernel name distinct canonical types in sort-key order, expand to its
+    summands, its ``ks`` and its ``sort_key``, and are kept."""
+    runs = dec._kernel_runs()
+    types = [s for s, _ in runs]
+    assert len(set(types)) == len(types)
+    assert all(canonical_summand(s) == s for s in types)
+    keys = list(map(summand_sort_key, types))
+    assert keys == sorted(set(keys))
+    assert all(type(m) is int and m > 0 for _, m in runs)
+    expand = [s for s, m in runs for _ in range(m)]
+    assert tuple(expand) == dec.summands
+    assert tuple(s.k for s in expand) == dec.ks
+    assert tuple(map(summand_sort_key, expand)) == dec.sort_key()
+    assert dec._kernel_runs() is runs
+    return runs
+
+
+class TestRuns:
+    """The runs a decomposition keeps for the wall kernel, from the search,
+    from the public constructor and from JSON."""
+
+    DECOMPOSITIONS = [
+        dec
+        for polytope in (
+            zonotope(4, 3),
+            zonotope(5, 2),
+            hull(HEXAGON_CORNERS),
+            hull([(0, 0), (2, 0), (0, 2)]),
+            hull([(0, 0), (4, 4)]),
+            hull([(0,), (9,)]),
+            hull([(3, 4)]),
+        )
+        for dec in enumerate_decompositions(polytope)
+    ]
+
+    def test_search(self):
+        for dec in self.DECOMPOSITIONS:
+            assert_runs(dec)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(DECOMPOSITIONS), st.data())
+    def test_shuffled_non_canonical_summands(self, dec, data):
+        d = dec.polytope.dim
+        summands = data.draw(st.permutations(dec.summands))
+        moved = tuple(rerooted(s, data.draw(st.sampled_from(s.vertex_set()))) for s in summands)
+        built = MinkowskiDecomposition(dec.polytope, dec.translation, moved)
+        assert assert_runs(built) == assert_runs(dec)
+        shift = data.draw(st.tuples(*[st.integers(-5, 5)] * d))
+        loaded = decomposition_from_json_dict({
+            "polytope": dec.polytope.translate(shift).to_json_dict(),
+            "translation": list(dec.translation),
+            "summands": [s.to_json_dict() for s in moved],
+        })
+        assert assert_runs(loaded) == assert_runs(dec)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_summand_lists(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        types = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), max_size=4))
+        summands = [
+            rerooted(s, data.draw(st.sampled_from(s.vertex_set())))
+            for s in types
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        summands = data.draw(st.permutations(summands))
+        polytope = pinned(minkowski_sum_all((hull(s.vertex_set()) for s in summands), dim))
+        dec = MinkowskiDecomposition(polytope, (0,) * dim, tuple(summands))
+        assert sorted(m for _, m in assert_runs(dec)) == sorted(
+            Counter(map(canonical_summand, summands)).values()
+        )
+
+
 class TestSearchByConstruction:
     """The search builds its results without the public constructor's
     checks; each must equal its rebuild by that constructor, the per-summand

@@ -40,6 +40,7 @@ from syzkit import (
     wall_factor,
 )
 from syzkit import gw as gw_module
+from syzkit import minkowski as minkowski_module
 from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from syzkit.cli import main
@@ -66,6 +67,11 @@ def oracle_product(dim, summands):
     for s in summands:
         g = g * wall_factor(s)
     return g
+
+
+def kernel(dim, summands, lead=()):
+    """``mirror._wall_product`` on the runs ``(summand, count)`` of a summand list."""
+    return mirror_module._wall_product(dim, Counter(summands).items(), lead)
 
 
 def mixed_radix_wall_product(dim, summands):
@@ -452,7 +458,7 @@ class TestWallProductKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from(BOX_SIMPLICES), max_size=6))
     def test_random_sums_match_fold(self, parts):
-        got = mirror_module._wall_product(2, parts)
+        got = kernel(2, parts)
         want = oracle_product(2, parts)
         assert LaurentPolynomial(2, got) == want
         assert list(got) == sorted(got)
@@ -469,7 +475,7 @@ class TestWallProductKernel:
             assert u * v == g.prepend_variable(0)
 
     def test_no_summands_is_one(self):
-        assert mirror_module._wall_product(2, ()) == {(0, 0): 1}
+        assert kernel(2, ()) == {(0, 0): 1}
 
     @pytest.mark.parametrize("vertices", [[(3, 4)], [(-2,)]], ids=["rank 2", "rank 1"])
     def test_point_has_g_one(self, vertices):
@@ -490,7 +496,7 @@ class TestWallProductKernel:
                 distinct = len(set(dec.summands))
                 if distinct % 2 and len(dec.summands) > distinct:
                     seen.add(distinct)
-                    got = mirror_module._wall_product(2, dec.summands)
+                    got = kernel(2, dec.summands)
                     assert LaurentPolynomial(2, got) == oracle_product(2, dec.summands)
         assert seen == {1, 3, 5, 7}
 
@@ -527,7 +533,7 @@ class TestRowDecoder:
 
     @staticmethod
     def assert_same(dim, summands):
-        got = mirror_module._wall_product(dim, summands)
+        got = kernel(dim, summands)
         want = mixed_radix_wall_product(dim, summands)
         assert list(got.items()) == list(want.items())
         assert list(got) == sorted(got)
@@ -551,7 +557,7 @@ class TestRowDecoder:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_product(self, dim):
         self.assert_same(dim, ())
-        assert mirror_module._wall_product(dim, ()) == {(0,) * dim: 1}
+        assert kernel(dim, ()) == {(0,) * dim: 1}
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.sampled_from(DECOMPOSITIONS), st.data())
@@ -633,7 +639,7 @@ class TestSlotDecoders:
     def test_matches_the_oracle(self, name):
         dec = DECODER_CASES[name]
         d = dec.polytope.dim
-        got = mirror_module._wall_product(d, dec.summands)
+        got = kernel(d, dec.summands)
         assert list(got.items()) == list(mixed_radix_wall_product(d, dec.summands).items())
         assert all(type(c) is int for c in got.values())
         for chamber in range(-1, dec.p + 1):
@@ -655,7 +661,7 @@ class TestSlotDecoders:
         Fraction(1)
         assert built == [(1,)]
         built.clear()
-        mirror_module._wall_product(dec.polytope.dim, dec.summands)
+        kernel(dec.polytope.dim, dec.summands)
         syz_mirror(dec)
         for chamber in range(-1, dec.p + 1):
             chamber_uv(dec, chamber)
@@ -722,6 +728,42 @@ class TestSharedWallFactors:
             assert f == wall_factor(s)
         for (f, s), (g, t) in combinations(zip(factored, dec.summands), 2):
             assert (f is g) == (s == t)
+
+
+class TestKeptBoxes:
+    """Each simplex keeps the kernel's box and each decomposition its runs,
+    so the per-type set-up is derived once, not once per kernel call."""
+
+    def test_boxes_and_runs_are_derived_once(self, monkeypatch):
+        dec = enumerate_decompositions(zonotope(4, 3))[0]
+        real = UnimodularSimplex.vertex_set
+        computed = []
+
+        def counting(simplex):
+            # the box is computed from the vertices, in _kernel_box only
+            if sys._getframe(1).f_code.co_name == "_kernel_box":
+                computed.append(simplex)
+            return real(simplex)
+
+        monkeypatch.setattr(UnimodularSimplex, "vertex_set", counting)
+        real_groupby = minkowski_module.groupby
+        grouped = []
+
+        def counting_groupby(summands):
+            grouped.append(summands)
+            return real_groupby(summands)
+
+        monkeypatch.setattr(minkowski_module, "groupby", counting_groupby)
+        for _ in range(2):
+            mirror = syz_mirror(dec)
+            assert disc_potential(dec) == mirror.expanded.prepend_variable(1)
+            for chamber in range(-1, dec.p + 1):
+                u, v = chamber_uv(dec, chamber)
+                assert u * v == mirror.expanded.prepend_variable(0)
+        distinct = set(dec.summands)
+        assert len(distinct) > 1 and len(dec.summands) > len(distinct)
+        assert len(computed) == len(distinct) and set(computed) == distinct
+        assert grouped == [dec.summands]
 
 
 class TestCanonicalTerms:
@@ -889,8 +931,8 @@ class TestIdentityChecks:
     def test_newton_polytope_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
         real = mirror_module._wall_product
 
-        def drop_top_vertex(dim, summands):
-            terms = real(dim, summands)
+        def drop_top_vertex(dim, runs):
+            terms = real(dim, runs)
             del terms[max(terms)]
             return terms
 
@@ -906,8 +948,8 @@ class TestIdentityChecks:
             (ap_decomposition(5), (7,)),
             (diagonal, (4, 4)),
         ):
-            def add_outside_term(dim, summands, outside=outside):
-                terms = real(dim, summands)
+            def add_outside_term(dim, runs, outside=outside):
+                terms = real(dim, runs)
                 terms[outside] = 1
                 return terms
 
@@ -1069,12 +1111,12 @@ class TestSignPointCheck:
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
     def test_swapped_slots_are_caught(self, monkeypatch, dec):
         d = dec.polytope.dim
-        real = mirror_module._wall_product(d, dec.summands)
+        real = kernel(d, dec.summands)
         width = mirror_module._slot_bytes(math.prod(1 + k for k in dec.ks))
         swap_packed_slots(monkeypatch, width, *swappable_slots(dec))
         # The kernel's sum check passes the swap, and so does the Newton
         # check: the support is unchanged.
-        swapped = mirror_module._wall_product(d, dec.summands)
+        swapped = kernel(d, dec.summands)
         assert swapped != real
         assert list(swapped) == list(real)
         assert sum(swapped.values()) == sum(real.values())
@@ -1084,7 +1126,7 @@ class TestSignPointCheck:
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
     def test_every_changed_coefficient_is_caught(self, dec):
         """Changing one coefficient by one changes g at every sign point."""
-        runs = Counter(dec.summands)
+        runs = list(Counter(dec.summands).items())
         table = dict(syz_mirror(dec).table.entries)
         mirror_module._check_sign_points(dec.polytope.dim, table, runs)
         for e in list(table):
@@ -1186,9 +1228,9 @@ class TestPackedSizeCap:
         assert size == 2002 * 251
         monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size - 1)
         with pytest.raises(OutputTooLargeError, match=f"{size} bytes"):
-            mirror_module._wall_product(1, dec.summands)
+            kernel(1, dec.summands)
         monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size)
-        terms = mirror_module._wall_product(1, dec.summands)
+        terms = kernel(1, dec.summands)
         assert terms[1000,] == math.comb(2001, 1000)
 
 
