@@ -22,15 +22,13 @@ _SUBMODULES = frozenset((
 
 # The module that defines each public name.
 _HOMES = {name: module for module, names in {
-    "algebra": "Character LaurentPolynomial apply_character fraction_str newton_polytope "
-               "solve_character_match",
+    "algebra": "Character LaurentPolynomial apply_character fraction_str solve_character_match",
     "errors": "DimensionMismatchError EmptyInputError InvalidBasisError OutputTooLargeError "
               "SearchBudgetExceededError ShapeMismatchError SupportMismatchError SyzkitError "
-              "UnsupportedDimensionError VerificationFailedError ZeroPolynomialError",
+              "UnsupportedDimensionError VerificationFailedError",
     "gw": "SECTOR_D0 SECTOR_DINF SECTOR_NONE DiscClass enumerate_gw_classes gw_invariant",
     "lattice": "IntVec LatticePolytope RaySet UnimodularSimplex edge_profile hull "
-               "is_unimodular_simplex lattice_points minkowski_sum normal_fan_rays "
-               "polytope_from_json_dict",
+               "is_unimodular_simplex lattice_points normal_fan_rays polytope_from_json_dict",
     "minkowski": "DEFAULT_SEARCH_BUDGET CayleyCone MinkowskiDecomposition canonical_summand "
                  "cayley_cone decomposition_from_json_dict enumerate_decompositions "
                  "summand_from_vertices verify_decomposition",

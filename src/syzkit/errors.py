@@ -106,10 +106,6 @@ class OutputTooLargeError(SyzkitError):
     code = "OutputTooLarge"
 
 
-class ZeroPolynomialError(SyzkitError):
-    code = "ZeroPolynomial"
-
-
 class SupportMismatchError(SyzkitError):
     code = "SupportMismatch"
 

@@ -54,8 +54,9 @@ class DiscClass(Value):
 
 def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
     """The number of walls below a fiber in the chamber: walls i <= chamber
-    are in its D0 sector, the rest in Dinf."""
-    if not -1 <= chamber <= decomposition.p:
+    are in its D0 sector, the rest in Dinf.  A chamber that is not an int,
+    a bool among them, raises TypeError."""
+    if not -1 <= json_int(chamber) <= decomposition.p:
         raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
     return chamber + 1
 

@@ -163,13 +163,6 @@ def lattice_points(polytope: LatticePolytope) -> list[IntVec]:
     return out
 
 
-def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Hull of the pairwise vertex sums."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"rank {p.dim} vs rank {q.dim}")
-    return hull([vec_add(a, b) for a in p.vertices for b in q.vertices])
-
-
 def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
     """Primitive edge directions of the counterclockwise boundary with lattice lengths.
 

@@ -9,9 +9,9 @@ from syzkit import (
     UnimodularSimplex,
     hull,
     is_unimodular_simplex,
-    minkowski_sum,
     summand_from_vertices,
 )
+from syzkit.lattice import vec_add
 from syzkit.mirror import _slot_bytes
 
 HEXAGON_CORNERS = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
@@ -62,6 +62,11 @@ def ap_decomposition(p):
 @pytest.fixture
 def a1():
     return ap_decomposition(1)
+
+
+def minkowski_sum(p, q):
+    """Hull of the pairwise vertex sums."""
+    return hull([vec_add(a, b) for a in p.vertices for b in q.vertices])
 
 
 def minkowski_sum_all(polys, dim):

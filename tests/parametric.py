@@ -6,7 +6,10 @@ parameter monomials; ``apply_character``, ``toric_family`` and
 ``parameter_name`` are the functions that built and rescaled the toric
 family with them.  They are unchanged except that ``specialize`` returns a
 ``syzkit.LaurentPolynomial``, so its result goes straight into
-``syzkit.solve_character_match`` and ``syzkit.apply_character``.
+``syzkit.solve_character_match`` and ``syzkit.apply_character``.  The sums,
+scales, constants and evaluation of this class are the tests' whole ring:
+``syzkit.LaurentPolynomial`` keeps only the product, and ``lift`` converts
+into this class.  ``weight`` is the former ``Character.weight``.
 """
 
 from fractions import Fraction
@@ -300,6 +303,14 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
+def weight(character: Character, exp) -> Fraction:
+    """The character's weight gamma * prod(alpha_j ** v_j) at one exponent."""
+    total = character.gamma
+    for a, e in zip(character.alpha, exp):
+        total *= a ** e
+    return total
+
+
 def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolynomial:
     """Rescale every term of f by the character's weight at its exponent."""
     if len(character.alpha) != f.dim:
@@ -308,7 +319,7 @@ def apply_character(f: LaurentPolynomial, character: Character) -> LaurentPolyno
         )
     return LaurentPolynomial(
         f.dim,
-        {e: c.scaled(character.weight(e)) for e, c in f.terms.items()},
+        {e: c.scaled(weight(character, e)) for e, c in f.terms.items()},
         f.params,
     )
 

