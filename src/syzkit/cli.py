@@ -71,8 +71,9 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-# Cap on the bytes ``gw`` prints when it lists classes.
+# Caps on the bytes ``gw`` prints when it lists classes and on those ``cayley`` prints.
 MAX_GW_OUTPUT_BYTES = 2**28
+MAX_CAYLEY_OUTPUT_BYTES = 2**28
 
 
 def _gw_output_bytes(head: dict, ks) -> int:
@@ -82,6 +83,20 @@ def _gw_output_bytes(head: dict, ks) -> int:
     zero = {"sector": head["sector"], "multiplicities": [[0] * k for k in ks]}
     one, two = (len(json.dumps({**head, "classes": [zero] * n}, indent=2)) for n in (1, 2))
     return one + (head["count"] - 1) * (two - one) + len("\n")
+
+
+def _cayley_output_bytes(decomposition) -> int:
+    """Exact size of the printed ``cayley`` report.  At indent 2, an entry
+    prints its digits and 8 bytes more, a row 12 bytes more than its entries
+    and the report 25 more than its rows; tag entries are 0 or 1."""
+    count = len(decomposition.summands)
+    if not count:
+        return 23  # '{"generators": []}' at indent 2, and a newline
+    return 25 + sum(
+        m * (12 + 9 * count + sum(len(str(x)) + 8 for x in w))
+        for s, m in decomposition._kernel_runs()
+        for w in s.vertex_set()
+    )
 
 
 _POINT_GROUP = re.compile(r"\(([^()]*)\)")
@@ -208,6 +223,12 @@ def _cmd_tropical(args):
 
 def _cmd_cayley(args):
     decomposition = _load_decomposition(args.decomposition)
+    size = _cayley_output_bytes(decomposition)
+    if size > MAX_CAYLEY_OUTPUT_BYTES:
+        raise OutputTooLargeError(
+            f"the Cayley cone of {len(decomposition.summands)} summands would print "
+            f"{size} bytes, past the cap of {MAX_CAYLEY_OUTPUT_BYTES}"
+        )
     return cayley_cone(decomposition).to_json_dict()
 
 

@@ -10,6 +10,7 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 
 from collections import Counter
 from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -22,7 +23,6 @@ from .lattice import (
     IntVec,
     LatticePolytope,
     UnimodularSimplex,
-    cross,
     edge_profile,
     polytope_from_json_dict,
     vec_add,
@@ -48,14 +48,10 @@ def _search_budget(budget) -> int:
     return budget
 
 
-def _point_key(v: IntVec) -> tuple:
-    # reversed-coordinate comparison; fixes the wall labelling so that the
-    # e1-type summand precedes the e2-type one
-    return tuple(reversed(v))
-
-
 def summand_sort_key(summand: UnimodularSimplex) -> tuple:
-    return (summand.k, tuple(_point_key(g) for g in summand.generators))
+    # generators compare by reversed coordinates; this fixes the wall
+    # labelling so that the e1-type summand precedes the e2-type one
+    return (summand.k, tuple(g[::-1] for g in summand.generators))
 
 
 def summand_from_vertices(dim: int, vertices) -> UnimodularSimplex:
@@ -79,7 +75,7 @@ class MinkowskiDecomposition(Value):
     """
 
     _fields = ("polytope", "translation", "summands")
-    __slots__ = _fields + ("_runs", "_ks", "_sort_key")
+    __slots__ = _fields + ("_runs", "_ks")
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
@@ -89,9 +85,10 @@ class MinkowskiDecomposition(Value):
         # rooted at its lexicographic minimum, hence canonical.
         runs: Counter = Counter()
         for s, m in Counter(self.summands).items():
+            if type(s) is not UnimodularSimplex:
+                raise TypeError(f"expected a UnimodularSimplex summand, got {s!r}")
             runs[s if s.generators[0] > (0,) * s.dim else canonical_summand(s)] += m
-        keys = {s: summand_sort_key(s) for s in runs}
-        types = sorted(runs, key=keys.__getitem__)
+        types = sorted(runs, key=summand_sort_key)
         d = self.polytope.dim
         if self.polytope.lexmin != (0,) * d:
             raise ValueError(
@@ -107,13 +104,13 @@ class MinkowskiDecomposition(Value):
                 total[e] = total.get(e, 0) + runs[s] * n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
-        self._set_runs([(s, keys[s], runs[s]) for s in types])
+        self._set_runs([(s, runs[s]) for s in types])
 
     @classmethod
     def _of(cls, polytope: LatticePolytope, translation: IntVec, runs) -> "MinkowskiDecomposition":
-        """Wrap runs ``(summand, sort key, count)`` of canonical summands, in
-        sort-key order, whose edge profiles add up to the pinned polytope's,
-        without checking them again: the search builds its results so."""
+        """Wrap runs ``(summand, count)`` of canonical summands, in sort-key
+        order, whose edge profiles add up to the pinned polytope's, without
+        checking them again: the search builds its results so."""
         self = object.__new__(cls)
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "translation", translation)
@@ -121,11 +118,8 @@ class MinkowskiDecomposition(Value):
         return self
 
     def _set_runs(self, runs) -> None:
-        """Store the runs ``(summand, sort key, count)`` expanded by their counts."""
-        expand = chain.from_iterable
-        object.__setattr__(self, "summands", tuple(expand((s,) * m for s, _, m in runs)))
-        object.__setattr__(self, "_ks", tuple(expand((s.k,) * m for s, _, m in runs)))
-        object.__setattr__(self, "_sort_key", tuple(expand((key,) * m for _, key, m in runs)))
+        """Store the runs ``(summand, count)`` expanded by their counts."""
+        object.__setattr__(self, "summands", tuple(chain.from_iterable((s,) * m for s, m in runs)))
 
     def _kernel_runs(self) -> list:
         """The runs ``(summand, count)`` of the summands, kept from the first call."""
@@ -141,10 +135,16 @@ class MinkowskiDecomposition(Value):
 
     @property
     def ks(self) -> tuple[int, ...]:
-        return self._ks
+        """The summand sizes, kept from the first read."""
+        try:
+            return self._ks
+        except AttributeError:
+            object.__setattr__(self, "_ks", tuple(s.k for s in self.summands))
+            return self._ks
 
     def sort_key(self) -> tuple:
-        return self._sort_key
+        runs = self._kernel_runs()
+        return tuple(chain.from_iterable((summand_sort_key(s),) * m for s, m in runs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,12 +157,7 @@ class MinkowskiDecomposition(Value):
 def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
     poly = polytope_from_json_dict(data["polytope"])
     translation = tuple(map(json_int, data.get("translation", (0,) * poly.dim)))
-    summands = tuple(
-        UnimodularSimplex(
-            poly.dim, tuple(tuple(map(json_int, g)) for g in s["generators"])
-        )
-        for s in data["summands"]
-    )
+    summands = tuple(UnimodularSimplex(poly.dim, s["generators"]) for s in data["summands"])
     if len(translation) != poly.dim:
         raise DimensionMismatchError("translation point has the wrong rank")
     shift = poly.lexmin
@@ -173,12 +168,12 @@ def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
 
 def verify_decomposition(polytope: LatticePolytope, summands) -> bool:
     """Exact check, the one ``MinkowskiDecomposition`` makes, that the summands
-    are unimodular simplices whose Minkowski sum is the translate of the
-    polytope rooted at its lexicographic minimum."""
+    are unimodular simplices of the polytope's rank whose Minkowski sum is the
+    translate of the polytope rooted at its lexicographic minimum."""
     shift = polytope.lexmin
     try:
         MinkowskiDecomposition(polytope.translate(vec_neg(shift)), shift, tuple(summands))
-    except ValueError:
+    except (ValueError, DimensionMismatchError):
         return False
     return True
 
@@ -187,8 +182,11 @@ def _unimodular_triangles(profile: dict[IntVec, int]) -> list[tuple[IntVec, IntV
     """Counterclockwise edge triples ``(a, b, -(a+b))`` with ``cross(a, b) == 1``
     and all three edges among the profile's directions.  Each triangle is
     listed once, as the rotation that starts at its least edge."""
-    triples = ((a, b, vec_neg(vec_add(a, b))) for a in profile for b in profile if cross(a, b) == 1)
-    return sorted(t for t in triples if t[2] in profile and t[0] == min(t))
+    return sorted(
+        (a, b, c) for a in profile for b in profile
+        if a[0] * b[1] - a[1] * b[0] == 1 and a < b
+        and a < (c := (-a[0] - b[0], -a[1] - b[1])) and c in profile
+    )
 
 
 def enumerate_decompositions(
@@ -220,20 +218,24 @@ def enumerate_decompositions(
         )
     triangles = _unimodular_triangles(left) if d == 2 else []
     units = [u for u in left if u > vec_neg(u)]
-    # Every candidate type is canonical by construction: summand_from_vertices
-    # roots each triangle, and each unit segment (u,) has u > -u.
-    types = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
-    types += [UnimodularSimplex(d, (u,)) for u in units]
+    # Each candidate type is built canonical and unchecked: the triangle on
+    # 0, a, a + b, rooted at its least vertex, is unimodular as cross(a, b) == 1,
+    # and each unit segment (u,) has a primitive u > -u.
+    types = []
+    for a, b, _ in triangles:
+        (x0, y0), (x1, y1), (x2, y2) = sorted(((0, 0), a, (a[0] + b[0], a[1] + b[1])))
+        types.append(UnimodularSimplex._of(d, ((x1 - x0, y1 - y0), (x2 - x0, y2 - y0))))
+    types += [UnimodularSimplex._of(d, (u,)) for u in units]
     keys = [summand_sort_key(s) for s in types]
     order = sorted(range(len(types)), key=keys.__getitem__)
     counts = [0] * len(types)  # the multiplicity of each type
     # settle[i]: the pairs (u, -u) that no triangle from the i-th on touches
+    last = {e: i for i, t in enumerate(triangles, 1) for e in t}
     settle: list[list[tuple[IntVec, IntVec]]] = [[] for _ in range(len(triangles) + 1)]
     for u in left:
         nu = vec_neg(u)
-        last = max((i + 1 for i, t in enumerate(triangles) if {u, nu} & set(t)), default=0)
-        settle[last].append((u, nu))
-    found: list[MinkowskiDecomposition] = []
+        settle[max(last.get(u, 0), last.get(nu, 0))].append((u, nu))
+    found: list[tuple[tuple, MinkowskiDecomposition]] = []  # (run key, result)
     nodes = 0
 
     def place(i: int) -> None:
@@ -244,8 +246,9 @@ def enumerate_decompositions(
             # the settled pairs and the unit counts spend the edge budget exactly
             for j, u in enumerate(units, len(triangles)):
                 counts[j] = left[u]
-            runs = [(types[t], keys[t], counts[t]) for t in order if counts[t]]
-            found.append(MinkowskiDecomposition._of(base, shift, runs))
+            runs = [(t, counts[t]) for t in order if counts[t]]
+            dec = MinkowskiDecomposition._of(base, shift, [(types[t], m) for t, m in runs])
+            found.append((tuple((keys[t], -m) for t, m in runs), dec))
             return
         edges = triangles[i]
         top = min(left[e] for e in edges)
@@ -266,8 +269,14 @@ def enumerate_decompositions(
         counts[i] = 0
 
     place(0)
-    found.sort(key=MinkowskiDecomposition.sort_key)
-    return found
+    # The run keys (type key, -count) order the results as their expanded sort
+    # keys do.  At the first run where two results differ, either the type keys
+    # differ, or the type is the same and the longer run comes first: its next
+    # summand key is that type's, the other's is a later type's.  The other
+    # cannot end there instead, since no result's summands are a proper prefix
+    # of another's: every summand spends part of the same total edge budget.
+    found.sort(key=itemgetter(0))
+    return [dec for _, dec in found]
 
 
 class CayleyCone(Value):

@@ -25,6 +25,7 @@ from syzkit import (
     MinkowskiDecomposition,
     RaySet,
     UnimodularSimplex,
+    cayley_cone,
     decomposition_from_json_dict,
     enumerate_decompositions,
     enumerate_gw_classes,
@@ -713,6 +714,62 @@ class TestCayley:
         assert json.loads(out)["generators"] == [
             [0, 0, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 1],
         ]
+
+
+class TestCayleyOutputCap:
+    """``cayley`` predicts the bytes of its report from the summands and
+    refuses a report past MAX_CAYLEY_OUTPUT_BYTES before it builds a row."""
+
+    @staticmethod
+    def decomposition_file(tmp_path, doc):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def unit_steps(n):
+        return {"polytope": {"dim": 1, "vertices": [[0], [n]]},
+                "summands": [{"generators": [[1]]}] * n}
+
+    def test_past_the_cap_is_rejected_before_any_row(self, capsys, tmp_path, monkeypatch):
+        # 20000 unit steps would print 40000 rows of 20001 integers, about 7 GB
+        path = self.decomposition_file(tmp_path, self.unit_steps(20000))
+
+        def built(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli_module, "cayley_cone", built)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cayley", "--decomposition", path)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert json.loads(out)["error"] == "OutputTooLarge"
+        assert "20000 summands" in err and str(cli_module.MAX_CAYLEY_OUTPUT_BYTES) in err
+
+    def test_predicted_size_is_exact_and_output_unchanged(self, capsys, tmp_path, monkeypatch):
+        decs = [ap_decomposition(p) for p in (0, 1, 4, 11)]
+        decs += enumerate_decompositions(hull(HEXAGON_CORNERS))
+        decs += enumerate_decompositions(zonotope(4, 2))[:4]
+        for corners in ([(3, 4)], [(2, -1)], [(0, 0), (3, -3)], [(0, 0), (-2, 5), (1, 12)]):
+            decs += enumerate_decompositions(hull(corners))
+        for dec in decs:
+            path = self.decomposition_file(tmp_path, dec.to_json_dict())
+            argv = ("cayley", "--decomposition", path)
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, json.dumps(cayley_cone(dec).to_json_dict(), indent=2) + "\n")
+            size = len(out.encode())
+            assert cli_module._cayley_output_bytes(dec) == size
+            # the cap admits a report of exactly its size
+            monkeypatch.setattr(cli_module, "MAX_CAYLEY_OUTPUT_BYTES", size)
+            assert run_cli(capsys, *argv)[:2] == (0, out)
+            monkeypatch.setattr(cli_module, "MAX_CAYLEY_OUTPUT_BYTES", size - 1)
+            monkeypatch.setattr(cli_module, "cayley_cone", None)  # a row would raise
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, json.loads(out)["error"]) == (1, "OutputTooLarge")
+            monkeypatch.undo()
+
+    def test_default_cap(self):
+        assert cli_module.MAX_CAYLEY_OUTPUT_BYTES == 2**28
 
 
 class TestErrorPaths:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -219,6 +220,11 @@ class TestVerify:
         shifted = hexagon.translate((5, -7))
         assert verify_decomposition(shifted, (seg((1, 0)), seg((0, 1)), seg((1, 1))))
 
+    def test_summands_of_the_wrong_rank_are_false(self, unit_square):
+        assert verify_decomposition(unit_square, [UnimodularSimplex(1, ((1,),))]) is False
+        assert verify_decomposition(unit_square, [seg((1, 0)), seg((0, 1)), seg((1,))]) is False
+        assert verify_decomposition(hull([(0,), (1,)]), [seg((1, 0))]) is False
+
 
 class TestEnumerate:
     def test_hexagon_has_exactly_two(self, hexagon):
@@ -398,6 +404,15 @@ class TestDecompositionType:
     def test_bad_sum_rejected(self, unit_square):
         with pytest.raises(ValueError):
             MinkowskiDecomposition(unit_square, (0, 0), (seg((1, 0)),))
+
+    @pytest.mark.parametrize("summand", [(1, 0), ((1, 0),), hull([(0, 0), (1, 0)]), None])
+    def test_summand_that_is_not_a_simplex_is_a_type_error(self, unit_square, summand):
+        with pytest.raises(TypeError, match="expected a UnimodularSimplex summand"):
+            MinkowskiDecomposition(unit_square, (0, 0), (summand,))
+        with pytest.raises(TypeError, match="expected a UnimodularSimplex summand"):
+            MinkowskiDecomposition(unit_square, (0, 0), (seg((1, 0)), summand, seg((0, 1))))
+        with pytest.raises(TypeError):
+            verify_decomposition(unit_square, (seg((1, 0)), summand))
 
     def test_off_origin_polytope_rejected(self, hexagon):
         with pytest.raises(ValueError):
@@ -659,6 +674,136 @@ class TestSearchByConstruction:
         types = len(minkowski._unimodular_triangles(profile)) if polytope.dim == 2 else 0
         types += sum(1 for u in profile if u > vec_neg(u))
         assert decs and calls == Counter(edge_profile=1, summand_sort_key=types)
+
+
+def pair_scan_triangles(profile):
+    """The pair scan that the one-pass triangle scan replaced, kept as an
+    oracle: every ordered pair with ``cross(a, b) == 1``, its third edge, and
+    the rotation that starts at the least edge."""
+    triples = ((a, b, vec_neg(vec_add(a, b))) for a in profile for b in profile if cross(a, b) == 1)
+    return sorted(t for t in triples if t[2] in profile and t[0] == min(t))
+
+
+# Edge directions of the hexagon, in order around it.
+HEXAGON_EDGES = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+def mixed_hexagons(sides=range(3, 6)):
+    """Every hexagon with edges HEXAGON_EDGES, all six side lengths in
+    ``sides`` and not all equal: the 42 mixed hexagons of the benchmark's
+    decompose corpus, by name."""
+    out = {}
+    for l1, l2, l3, l4 in product(sides, repeat=4):
+        l5 = l1 + l2 - l4
+        lengths = (l1, l2, l3, l4, l5, l2 + l3 - l5)
+        if l5 in sides and lengths[5] in sides and len(set(lengths)) > 1:
+            corners, (x, y) = [], (0, 0)
+            for (dx, dy), n in zip(HEXAGON_EDGES, lengths):
+                corners.append((x, y))
+                x, y = x + n * dx, y + n * dy
+            out["hexagon" + "".join(map(str, lengths))] = hull(corners)
+    return out
+
+
+# The 2-dimensional shapes of the benchmark's decompose corpus whose search
+# has set-up work: its 4 zonotopes, 6 dilated hexagons and 42 mixed hexagons.
+DECOMPOSE_CORPUS = {
+    **{f"Z({m},{n})": zonotope(m, n) for m, n in ((4, 5), (5, 3), (6, 2), (6, 3))},
+    **{f"hexagon*{k}": hull([(k * x, k * y) for x, y in HEXAGON_CORNERS]) for k in range(1, 7)},
+    **mixed_hexagons(),
+}
+
+PRIMITIVE = [v for v in product(range(-3, 4), repeat=2) if lattice.lattice_length(v) == 1]
+
+
+@st.composite
+def zonotopes(draw):
+    """The Minkowski sum of 1 to 5 segments along primitive directions."""
+    corners = [(0, 0)]
+    for _ in range(draw(st.integers(1, 5))):
+        (dx, dy), n = draw(st.sampled_from(PRIMITIVE)), draw(st.integers(1, 3))
+        corners = [(x + t * n * dx, y + t * n * dy) for x, y in corners for t in (0, 1)]
+    return hull(corners)
+
+
+@st.composite
+def polygons(draw):
+    """The convex hull of 1 to 8 lattice points in [-6, 6]^2."""
+    return hull(draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 2), min_size=1, max_size=8)))
+
+
+class TestTriangleScan:
+    """The one-pass triangle scan against the pair scan it replaced."""
+
+    @pytest.mark.parametrize("name", DECOMPOSE_CORPUS)
+    def test_corpus(self, name):
+        profile = edge_profile(DECOMPOSE_CORPUS[name])
+        assert minkowski._unimodular_triangles(profile) == pair_scan_triangles(profile)
+
+    def test_corpus_size(self):
+        assert len(mixed_hexagons()) == 42 and len(DECOMPOSE_CORPUS) == 52
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(zonotopes(), polygons()))
+    def test_random_polygons(self, polytope):
+        profile = edge_profile(polytope)
+        assert minkowski._unimodular_triangles(profile) == pair_scan_triangles(profile)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sets(st.sampled_from(PRIMITIVE), max_size=12))
+    def test_random_direction_sets(self, directions):
+        profile = dict.fromkeys(directions, 1)
+        assert minkowski._unimodular_triangles(profile) == pair_scan_triangles(profile)
+
+
+def check_results(decs):
+    """The search's results come in sort-key order, are made of canonical
+    types, and read as their rebuilds by the public constructor do, before
+    and after ``ks`` is first read."""
+    keys = [dec.sort_key() for dec in decs]
+    assert decs == sorted(decs, key=MinkowskiDecomposition.sort_key)
+    assert keys == sorted(set(keys))
+    for dec in decs:
+        for s in set(dec.summands):
+            assert s == UnimodularSimplex(s.dim, s.generators) == canonical_summand(s)
+        again = MinkowskiDecomposition(dec.polytope, dec.translation, dec.summands)
+        assert not hasattr(dec, "_ks")
+        view = dec == again, hash(dec) == hash(again), pickle.dumps(dec), dec.to_json_dict()
+        assert view[:2] == (True, True) and pickle.loads(view[2]) == dec
+        assert (dec.ks, dec.sort_key()) == (again.ks, again.sort_key())
+        assert dec.ks is dec.ks
+        assert (dec == again, hash(dec) == hash(again), pickle.dumps(dec), dec.to_json_dict()) == view
+
+
+class TestSearchResults:
+    """Order, canonical types and the data kept by the search's results."""
+
+    @pytest.mark.parametrize("name", DECOMPOSE_CORPUS)
+    def test_corpus(self, name):
+        check_results(enumerate_decompositions(DECOMPOSE_CORPUS[name]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(zonotopes(), polygons()))
+    def test_random_polygons(self, polytope):
+        check_results(enumerate_decompositions(polytope))
+
+    def test_no_sort_key_is_stored(self):
+        assert "_sort_key" not in MinkowskiDecomposition.__slots__
+
+    @pytest.mark.parametrize("polytope", [hull(HEXAGON_CORNERS), zonotope(4, 3)],
+                             ids=["hexagon", "Z(4,3)"])
+    def test_types_are_neither_rooted_nor_validated(self, monkeypatch, polytope):
+        calls = Counter()
+        for owner, attr in (
+            (minkowski, "summand_from_vertices"),
+            (UnimodularSimplex, "__post_init__"),
+            (lattice, "is_unimodular_simplex"),
+        ):
+            def counted(*args, real=getattr(owner, attr), attr=attr):
+                calls[attr] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        assert enumerate_decompositions(polytope) and calls == Counter()
 
 
 class TestSummandCap:
