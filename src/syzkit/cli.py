@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 
 from .errors import OutputTooLargeError, SyzkitError
 from .lattice import normal_fan_rays, polytope_from_json_dict
@@ -190,19 +191,17 @@ def _cmd_tropical(args):
     decomposition = _load_decomposition(args.decomposition)
     if args.scale < 1:
         raise _InputError("--scale: the scale must be at least 1")
-    rays = {s: tropical_rays(s) for s, _ in decomposition._kernel_runs()}
-    union = frozenset().union(*(r.rays for r in rays.values()))
-    # One entry per distinct type, listed once per wall.
-    walls = {
-        s: {
+    walls, union = [], frozenset()
+    for s, m in decomposition._kernel_runs():  # one entry per run, listed once per wall
+        rays = tropical_rays(s)
+        union |= rays.rays
+        walls += [{
             "generators": [list(g) for g in s.generators],
-            "rays": r.to_json_dict()["rays"],
+            "rays": rays.to_json_dict()["rays"],
             "chambers": wall_chambers(s),
-        }
-        for s, r in rays.items()
-    }
+        }] * m
     report = {
-        "walls": [walls[s] for s in decomposition.summands],
+        "walls": walls,
         "union_rays": [list(r) for r in sorted(union)],
         "polytope_rays": normal_fan_rays(decomposition.polytope).to_json_dict()["rays"],
         "dual_fan_check": dual_fan_check(decomposition),
@@ -313,7 +312,11 @@ def _run(argv) -> int:
         print(json.dumps({"error": code, "detail": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2))
+    # json.dumps(report, indent=2) in joined batches: no string holds the whole text
+    out, chunks = sys.stdout, json.JSONEncoder(indent=2).iterencode(report)
+    while batch := list(islice(chunks, 4096)):
+        out.write("".join(batch))
+    out.write("\n")
     return 0
 
 

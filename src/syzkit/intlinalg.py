@@ -95,7 +95,7 @@ def solve_multiplicative(rows, rhs, n: int) -> list[Fraction] | None:
                     reduced = reduced and cols[j][r] == 0
             if reduced:
                 break
-        if c < n and cols[c][r] != 0:
+        if cols[c][r] != 0:
             if cols[c][r] < 0:
                 cols[c] = [-x for x in cols[c]]
             pivot_col[r] = c

@@ -58,6 +58,17 @@ def _check_dim(d: int) -> None:
         )
 
 
+def _chain(points) -> list[IntVec]:
+    """The monotone chain through sorted ``points`` that turns left at every
+    vertex kept: the lower hull in increasing order, the upper in decreasing."""
+    chain: list[IntVec] = []
+    for p in points:
+        while len(chain) >= 2 and cross(vec_sub(chain[-1], chain[-2]), vec_sub(p, chain[-1])) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _canonical_vertices(points: list[IntVec], d: int) -> list[IntVec]:
     """Extreme points in canonical order: increasing for d=1, counterclockwise
     from the lexicographic minimum for d=2."""
@@ -66,17 +77,7 @@ def _canonical_vertices(points: list[IntVec], d: int) -> list[IntVec]:
         return uniq
     if d == 1:
         return [uniq[0], uniq[-1]]
-    lower: list[IntVec] = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(vec_sub(lower[-1], lower[-2]), vec_sub(p, lower[-1])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[IntVec] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and cross(vec_sub(upper[-1], upper[-2]), vec_sub(p, upper[-1])) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _chain(uniq)[:-1] + _chain(reversed(uniq))[:-1]
 
 
 class LatticePolytope(Value):
@@ -229,13 +230,7 @@ class UnimodularSimplex(Value):
     saturated sublattice, so the simplex is unimodular in its span."""
 
     _fields = ("dim", "generators")
-    __slots__ = _fields + ("_hash", "_box")
-
-    def __init__(self, dim: int, generators: tuple[IntVec, ...]):
-        # Written out, not Value's: the search builds one per candidate type.
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", generators)
-        self.__post_init__()
+    __slots__ = _fields + ("_box",)
 
     def __post_init__(self):
         gens = tuple(sorted(tuple(map(json_int, g)) for g in self.generators))
@@ -250,16 +245,9 @@ class UnimodularSimplex(Value):
         if not is_unimodular_simplex(gens):
             raise ValueError(f"generators {gens} do not span a unimodular simplex")
 
-    def __hash__(self):
-        # Kept from the first call: every kernel counts and looks up summands.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.dim, self.generators)))
-            return self._hash
-
     def _kernel_box(self) -> tuple:
-        """The wall kernel's box, kept: least corner, extent, moved vertices, 1 + k."""
+        """The wall kernel's box, kept from the first call, as the kernel reads
+        it once per run on every call: least corner, extent, moved vertices, 1 + k."""
         try:
             return self._box
         except AttributeError:

@@ -79,6 +79,9 @@ class MinkowskiDecomposition(Value):
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
+        if not isinstance(self.summands, (tuple, list)):
+            kind = type(self.summands).__name__
+            raise TypeError(f"summands must be a tuple or a list, not a {kind}")
         # Summands are mostly a few types repeated, so each distinct one is
         # canonicalised, rank-checked and profiled once, weighted by its count.
         # One whose least generator is lexicographically positive is already

@@ -173,7 +173,6 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """
     polytope = decomposition.polytope
     runs = decomposition._kernel_runs()
-    factors = {s: wall_factor(s) for s, _ in runs}
     terms = _wall_product(polytope.dim, runs)
     if not (
         terms.keys() <= set(lattice_points(polytope))
@@ -185,7 +184,7 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
         )
     _check_sign_points(polytope.dim, terms, runs)
     return SYZMirror(
-        tuple(map(factors.__getitem__, decomposition.summands)),
+        tuple(chain.from_iterable((wall_factor(s),) * m for s, m in runs)),
         LaurentPolynomial._of(polytope.dim, terms),
         GWTable._of(terms),
     )

@@ -79,10 +79,9 @@ def _validate(basis: BasisSimplex, polytope: LatticePolytope, points) -> None:
 
 
 def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimplex:
-    """``default_for`` over the candidate lattice points ``pool``, in lexicographic order."""
+    """``default_for`` over the candidate lattice points ``pool``, in lexicographic
+    order; ``pool`` holds every vertex of the polytope."""
     v1 = polytope.vertices[0]
-    if v1 not in pool:
-        raise InvalidBasisError("the lexicographic-minimum vertex is not admissible")
     if polytope.dim == 1:
         for p in pool:
             if p != v1 and abs(p[0] - v1[0]) == 1:

@@ -93,6 +93,10 @@ class TestArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             one_plus(1, (1,)) * one_plus(2, (1, 0))
+        with pytest.raises(DimensionMismatchError):
+            LP(2, {(1,): 1})
+        with pytest.raises(DimensionMismatchError):
+            apply_character(one_plus(2, (1, 0)), Character(2, (3,)))
 
     def test_evaluate(self):
         g = lift(one_plus(2, (1, 0)) * one_plus(2, (0, 1)) * one_plus(2, (1, 1)))
@@ -103,6 +107,9 @@ class TestArithmetic:
         f = one_plus(1, (1,))
         lifted = f.prepend_variable(-1)
         assert lifted.support() == ((-1, 0), (-1, 1))
+        assert f.prepend_variable(Fraction(2)) == f.prepend_variable(2)
+        with pytest.raises(TypeError):
+            f.prepend_variable(Fraction(1, 2))
 
 
 class TestNewtonPolytope:

@@ -947,6 +947,33 @@ class TestEntryPoint:
 
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the child's peak RSS in KiB with os.wait4")
+class TestOutputMemory:
+    """A report is encoded and written in batches, so no string holds the
+    whole output: each of these runs peaked above 200 MB while ``_run``
+    printed one ``json.dumps``, and still prints the same bytes."""
+
+    @pytest.mark.parametrize("argv, doc, md5, limit_mb", [
+        (("cayley", "--decomposition"),
+         {"polytope": {"dim": 1, "vertices": [[0], [1000]]},
+          "summands": [{"generators": [[1]]}] * 1000},
+         "d4e0a6782c05df7a1b97d3b103382028", 120),
+        (("decompose",), {"dim": 1, "vertices": [[0], [200000]]},
+         "d4fad1264fb0cfca1c9b5bb9fbd5601f", 150),
+    ], ids=["cayley", "decompose"])
+    def test_peak_rss_of_a_large_report(self, tmp_path, argv, doc, md5, limit_mb):
+        source, output = tmp_path / "input.json", tmp_path / "output.json"
+        source.write_text(json.dumps(doc))
+        with open(output, "wb") as out:
+            proc = subprocess.Popen([sys.executable, "-m", "syzkit", *argv, str(source)],
+                                    stdout=out, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert hashlib.md5(output.read_bytes()).hexdigest() == md5
+        assert usage.ru_maxrss < limit_mb * 1024
+
+
 PINNED_POLYTOPES = {
     "hexagon": HEXAGON_JSON["vertices"],
     "square": [[0, 0], [1, 0], [1, 1], [0, 1]],

@@ -93,9 +93,10 @@ class TestHull:
         (lambda: LatticePolytope(2, ((0,),)), DimensionMismatchError),
         (lambda: RaySet(frozenset({(1, 0, 0)})), UnsupportedDimensionError),
         (lambda: RaySet(frozenset({(2, 4)})), ValueError),
+        (lambda: RaySet({(0, 0)}), ValueError),
         (lambda: UnimodularSimplex(2, ()), ValueError),
     ], ids=["no vertex", "vertex of the wrong rank", "rank-3 ray", "non-primitive ray",
-            "simplex without generators"])
+            "zero ray", "simplex without generators"])
     def test_public_constructor_errors(self, build, error):
         with pytest.raises(error):
             build()

@@ -414,6 +414,24 @@ class TestDecompositionType:
         with pytest.raises(TypeError):
             verify_decomposition(unit_square, (seg((1, 0)), summand))
 
+    @pytest.mark.parametrize("build", [
+        lambda a, b: None,
+        lambda a, b: {a: 1, b: 1},
+        lambda a, b: {a, b},
+        lambda a, b: (s for s in (a, b)),
+        lambda a, b: "ab",
+    ], ids=["None", "dict", "set", "generator", "string"])
+    def test_summands_that_are_not_a_tuple_or_a_list_are_a_type_error(self, unit_square, build):
+        for polytope in (unit_square, hull([(0, 0)])):
+            with pytest.raises(TypeError, match="summands must be a tuple or a list"):
+                MinkowskiDecomposition(polytope, (0, 0), build(seg((0, 1)), seg((1, 0))))
+
+    def test_tuple_and_list_build_equal_decompositions(self, unit_square):
+        summands = [seg((0, 1)), seg((1, 0))]
+        dec = MinkowskiDecomposition(unit_square, (0, 0), tuple(summands))
+        assert MinkowskiDecomposition(unit_square, (0, 0), summands) == dec
+        assert dec.summands == (seg((1, 0)), seg((0, 1)))
+
     def test_off_origin_polytope_rejected(self, hexagon):
         with pytest.raises(ValueError):
             MinkowskiDecomposition(

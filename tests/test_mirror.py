@@ -744,6 +744,35 @@ class TestSharedWallFactors:
             assert (f is g) == (s == t)
 
 
+class TestNoSummandHashing:
+    """The mirror kernels and ``match_transition`` read a decomposition's
+    runs, so they hash no summand; ``UnimodularSimplex`` keeps no hash."""
+
+    def test_no_summand_is_hashed(self, monkeypatch):
+        decs = [ap_decomposition(127), enumerate_decompositions(zonotope(4, 3))[0]]
+        assert not {"__init__", "__hash__"} & vars(UnimodularSimplex).keys()
+        assert UnimodularSimplex.__slots__ == ("dim", "generators", "_box")
+        assert hash(seg((1, 0))) == hash((2, ((1, 0),)))
+        real = UnimodularSimplex.__hash__
+        hashed = []
+
+        def counting(simplex):
+            hashed.append(simplex)
+            return real(simplex)
+
+        monkeypatch.setattr(UnimodularSimplex, "__hash__", counting)
+        for dec in decs:
+            mirror = syz_mirror(dec)
+            assert disc_potential(dec) == mirror.expanded.prepend_variable(1)
+            for chamber in range(-1, dec.p + 1):
+                chamber_uv(dec, chamber)
+            assert match_transition(dec).verified
+        assert hashed == []
+        factored = syz_mirror(decs[0]).factored
+        assert len(factored) == 128 and all(f is factored[0] for f in factored)
+        assert hash(seg((1, 0))) and hashed  # the counter sees a hash
+
+
 class TestKeptBoxes:
     """Each simplex keeps the kernel's box and each decomposition its runs,
     so the per-type set-up is derived once, not once per kernel call."""
