@@ -5,6 +5,8 @@ Every error carries a stable machine-readable ``code`` that the CLI echoes
 in its JSON error reports.
 """
 
+from operator import attrgetter
+
 
 def json_int(value) -> int:
     """``value`` itself if it is a JSON integer; floats, strings and bools raise TypeError."""
@@ -35,6 +37,12 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls):
+        # ``_values(instance)``: the declared fields as one tuple; a one-field
+        # attrgetter returns the bare value.
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs:  # the fields after the positional ones, by name
@@ -56,16 +64,13 @@ class Value:
     def __post_init__(self):
         pass
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -73,11 +78,11 @@ class Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
+        values = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in values)})"
 
 
 class SyzkitError(Exception):

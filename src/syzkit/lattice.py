@@ -146,22 +146,33 @@ def lattice_points(polytope: LatticePolytope) -> list[IntVec]:
     if polytope.dim == 1:
         lo, hi = polytope.vertices[0][0], polytope.vertices[-1][0]
         return [(x,) for x in range(lo, hi + 1)]
-    # Column by column: the interior lies left of each counterclockwise edge
-    # a -> a + e, i.e. e_x * (y - a_y) >= e_y * (x - a_x).  Edges going right
-    # bound y from below, edges going left from above, and vertical edges
-    # only bound x, which the vertices already do.  A point or a vertical
-    # segment has no edge going right or left; horizontal edges through its
-    # first and last vertex stand in, so its one column runs between them.
+    return [(x, y) for x, lo, hi in _column_bounds(polytope) for y in range(lo, hi + 1)]
+
+
+def _column_bounds(polytope: LatticePolytope):
+    """``(x, lo(x), hi(x))`` for each column x of a rank-2 polytope, left to
+    right: its lattice points in column x are (x, lo(x)), ..., (x, hi(x)).
+
+    The interior lies left of each counterclockwise edge a -> a + e, i.e.
+    e_x * (y - a_y) >= e_y * (x - a_x).  The edges going right, in order,
+    bound y from below (a ceiling), those going left, in order, from above
+    (a floor), each over its own columns; a chain's end vertex gives its
+    last column.  A point or a vertical segment has no such edge: its one
+    column runs from its first vertex to its last.
+    """
     verts = polytope.vertices
-    edges = [(a, vec_sub(b, a)) for a, b in zip(verts, verts[1:] + verts[:1])]
-    lower = [(a, e) for a, e in edges if e[0] > 0] or [(verts[0], (1, 0))]
-    upper = [(a, e) for a, e in edges if e[0] < 0] or [(verts[-1], (-1, 0))]
-    out = []
-    for x in range(verts[0][0], max(v[0] for v in verts) + 1):
-        lo = max(ay - ey * (ax - x) // ex for (ax, ay), (ex, ey) in lower)
-        hi = min(ay + ey * (x - ax) // ex for (ax, ay), (ex, ey) in upper)
-        out.extend((x, y) for y in range(lo, hi + 1))
-    return out
+    lows, highs, low_end, high_end = [], [], verts[0][1], verts[-1][1]
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        if ex > 0:
+            lows += [ay - (-ey * k) // ex for k in range(ex)]
+            low_end = by
+        elif ex < 0:
+            highs += [ay + (-ey * k) // ex for k in range(-ex)]
+            high_end = by
+    lows.append(low_end)
+    highs.append(high_end)
+    return zip(range(verts[0][0], verts[0][0] + len(lows)), lows, reversed(highs))
 
 
 def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:

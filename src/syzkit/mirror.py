@@ -16,7 +16,7 @@ from struct import Struct
 from .algebra import LaurentPolynomial
 from .errors import OutputTooLargeError, Value, VerificationFailedError, json_int
 from .gw import _cut
-from .lattice import IntVec, UnimodularSimplex, lattice_points
+from .lattice import IntVec, UnimodularSimplex, _column_bounds
 from .minkowski import MinkowskiDecomposition
 
 
@@ -80,9 +80,10 @@ def _packed_product(types, bits: int) -> int:
     return prod(sum(1 << bits * index for index in indices) ** m for indices, m in types)
 
 
-def _wall_product(dim: int, runs, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
-    """The terms ``lead + e: n_e`` of the product of the wall factors of the
-    runs ``(summand, count)``, with ``e`` in lexicographic order.
+def _wall_slots(dim: int, runs) -> tuple:
+    """The box ``axes`` (one ``range`` per coordinate) and the coefficients
+    ``slots`` of the product of the wall factors of the runs
+    ``(summand, count)``, one slot per box point in lexicographic order.
 
     Kronecker substitution: each factor is shifted to nonnegative exponents,
     an exponent e in the bounding box of the product (the count-weighted sum
@@ -92,11 +93,9 @@ def _wall_product(dim: int, runs, lead: tuple[int, ...] = ()) -> dict[tuple, int
     so w-bit slots never carry into each other and bigint arithmetic
     multiplies the factors in ``_packed_product``: one power per run of
     nonzero count.  The product is read in whole slots (``struct`` at 2, 4
-    and 8 bytes), so a carry anywhere fails the sum check.  Box order is
-    lexicographic order.  Each nonzero slot is emitted as the ``int`` it was
-    read as.  ``lead`` is ``()`` for g and ``(1,)`` or ``(-1,)`` for the
-    halves of ``chamber_uv``.  A product whose packed integer would pass
-    MAX_PACKED_BYTES raises before any packing.
+    and 8 bytes), so a carry anywhere fails the sum check.  Zero slots past
+    the last nonzero one are not read.  A product whose packed integer would
+    pass MAX_PACKED_BYTES raises before any packing.
     """
     boxes = [(s._kernel_box(), m) for s, m in runs if m]
     bound = prod([box[3] ** m for box, m in boxes])
@@ -131,22 +130,60 @@ def _wall_product(dim: int, runs, lead: tuple[int, ...] = ()) -> dict[tuple, int
             f"the coefficients of g sum to {total}, not g(1, ..., 1) = {bound}; "
             "this indicates an implementation bug"
         )
+    return axes, slots
+
+
+def _slot_terms(axes, slots, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
+    """The terms ``lead + e: n_e`` of the nonzero slots, in lexicographic
+    order, each ``n_e`` the ``int`` it was read as.  ``lead`` is ``()`` for g
+    and ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``."""
     keys = product(*[(c,) for c in lead], *axes)
     return dict(compress(zip(keys, slots), slots))
 
 
-def _check_sign_points(dim: int, table: dict[IntVec, int], runs) -> None:
+def _rows(axes, slots) -> list:
+    """``(x, row)`` for each slot row: the slots of column x in rank 2, and
+    all slots, with x = 0, in rank 1."""
+    if len(axes) == 1:
+        return [(0, slots)]
+    ry = len(axes[1])
+    return list(zip(axes[0], [slots[i : i + ry] for i in range(0, len(slots), ry)]))
+
+
+def _check_newton(polytope, axes, rows, terms: dict[IntVec, int]) -> None:
+    """The Newton polytope of g is P: the box is P's bounding box, every
+    vertex of P carries a term, and in rank 2 every nonzero slot of column x
+    lies between P's bounds lo(x) and hi(x).  In rank 1 the box is P."""
+    verts, low = polytope.vertices, axes[-1].start
+    if (
+        axes != tuple(range(min(c), max(c) + 1) for c in zip(*verts))
+        or not all(v in terms for v in verts)
+        or polytope.dim == 2 and any(
+            any(row[: lo - low]) or any(row[hi - low + 1 :])
+            for (_, row), (_, lo, hi) in zip(rows, _column_bounds(polytope))
+        )
+    ):
+        raise VerificationFailedError(
+            "the Newton polytope of g is not the decomposition's polytope; "
+            "this indicates an implementation bug"
+        )
+
+
+def _check_sign_points(dim: int, axes, rows, runs) -> None:
     """g(eps) == prod f_i(eps) at the 2^dim points eps in {1, -1}^dim.
 
     z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
-    so one pass sums g by the parity bits of its exponents, and the factor of
-    each run ``(summand, count)`` is evaluated once.  Unlike the sum check,
-    this sees coefficients swapped between exponents of different parity.
+    so g is summed by the parity bits of its exponents: the even and odd
+    offsets of each slot row of ``_rows``.  The factor of each run
+    ``(summand, count)`` is evaluated once.  Unlike the sum check, this sees
+    coefficients swapped between exponents of different parity.
     """
     top = dim - 1  # in rank 1, v[0] is v[-1]
+    low = axes[-1].start & 1
     parity = [0] * (1 << dim)
-    for v, n in table.items():
-        parity[v[0] & 1 | (v[-1] & 1) << top] += n
+    for x, row in rows:
+        parity[x & 1 | low << top] += sum(row[0::2])
+        parity[x & 1 | (low ^ 1) << top] += sum(row[1::2])
     factors = [([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs]
     for point in range(1 << dim):
         # sign[b] is the value at this point of every z^v whose parity bits are b
@@ -164,25 +201,17 @@ def _check_sign_points(dim: int, table: dict[IntVec, int], runs) -> None:
 def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     """Wall factors in summand order, their exact product g, and the invariant table.
 
-    The Newton polytope of the product is the decomposition's polytope, and
-    the table holds the (positive integer) coefficients of g: it wraps the
-    same dict as the expanded mirror.  The Newton
-    check needs no hull: the hull of the support is P exactly when the
-    support lies in P and every vertex of P carries a term.  g must also
-    equal the product of the wall factors at every sign point.
+    The table holds the (positive integer) coefficients of g: it wraps the
+    same dict as the expanded mirror.  The Newton polytope of g must be the
+    decomposition's polytope, and g must equal the product of the wall
+    factors at every sign point; both checks read the kernel's slot rows.
     """
     polytope = decomposition.polytope
     runs = decomposition._kernel_runs()
-    terms = _wall_product(polytope.dim, runs)
-    if not (
-        terms.keys() <= set(lattice_points(polytope))
-        and all(v in terms for v in polytope.vertices)
-    ):
-        raise VerificationFailedError(
-            "the Newton polytope of g is not the decomposition's polytope; "
-            "this indicates an implementation bug"
-        )
-    _check_sign_points(polytope.dim, terms, runs)
+    axes, slots = _wall_slots(polytope.dim, runs)
+    terms, rows = _slot_terms(axes, slots), _rows(axes, slots)
+    _check_newton(polytope, axes, rows, terms)
+    _check_sign_points(polytope.dim, axes, rows, runs)
     return SYZMirror(
         tuple(chain.from_iterable((wall_factor(s),) * m for s, m in runs)),
         LaurentPolynomial._of(polytope.dim, terms),
@@ -212,6 +241,6 @@ def chamber_uv(
         above.append((s, m - j))
     d = decomposition.polytope.dim
     return (
-        LaurentPolynomial._of(d + 1, _wall_product(d, below, (1,))),
-        LaurentPolynomial._of(d + 1, _wall_product(d, above, (-1,))),
+        LaurentPolynomial._of(d + 1, _slot_terms(*_wall_slots(d, below), (1,))),
+        LaurentPolynomial._of(d + 1, _slot_terms(*_wall_slots(d, above), (-1,))),
     )

@@ -2,18 +2,17 @@
 at a basis simplex by a monomial character and read off the parameter
 specialization that lands the family exactly on the smoothing mirror.
 
-The character is solved directly at the basis points: the exponent matrix
-with rows (1, v_i) is unimodular because the consecutive differences of a
-basis simplex form a lattice basis, so every pivot of its column reduction
-is 1 and gamma and the alphas come out as exact rational monomials in the
-basis coefficients.
+The character is solved in closed form at the basis points: the
+consecutive differences of a basis simplex form a unimodular matrix D, so
+D^-1 = det(D) * adj(D) is an integer matrix and gamma and the alphas are
+exact rational monomials in the basis coefficients.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .algebra import Character, _weight_pairs, fraction_str
 from .errors import InvalidBasisError, Value, VerificationFailedError, json_int
-from .intlinalg import solve_multiplicative
 from .lattice import (
     SUPPORTED_DIMS,
     IntVec,
@@ -119,6 +118,25 @@ class TransitionReport(Value):
         }
 
 
+def _basis_character(points, targets) -> Character:
+    """The character with weight ``n_i`` at each basis point ``v_i``.
+
+    The differences v_{i+1} - v_i are the rows of a matrix D with det ±1,
+    so D^-1 = det * adj(D): with r_i = n_{i+1} / n_i, alpha = r ** w in
+    rank 1 (D = (w)) and alpha_j = prod_i r_i ** (det * adj(D))[j][i] in
+    rank 2; then gamma = n_1 / alpha ** v_1.
+    """
+    r = [Fraction(b, a) for a, b in zip(targets, targets[1:])]
+    diffs = [vec_sub(q, p) for p, q in zip(points, points[1:])]
+    if len(diffs) == 1:
+        alpha = (r[0] ** diffs[0][0],)
+    else:
+        (a, b), (c, d) = diffs
+        det = a * d - b * c  # adj(D) = [[d, -b], [-c, a]]
+        alpha = (r[0] ** (det * d) * r[1] ** (-det * b), r[0] ** (-det * c) * r[1] ** (det * a))
+    return Character._of(targets[0] / prod(map(pow, alpha, points[0])), alpha)
+
+
 def match_transition(
     decomposition: MinkowskiDecomposition, basis=None
 ) -> TransitionReport:
@@ -134,51 +152,47 @@ def match_transition(
     mirror = syz_mirror(decomposition)
     points = lattice_points(polytope)
     if basis is None:
-        basis = _default_basis(polytope, [v for v in points if mirror.table.count(v) > 0])
+        # the kernel emits the support of g in lexicographic order
+        basis = _default_basis(polytope, list(mirror.table.entries))
     elif not isinstance(basis, BasisSimplex):
         basis = BasisSimplex(basis)
     _validate(basis, polytope, points)
 
-    targets = []
-    for v in basis.points:
-        n_v = mirror.table.count(v)
+    targets = {v: mirror.table.count(v) for v in basis.points}
+    for v, n_v in targets.items():
         if n_v <= 0:
-            raise InvalidBasisError(
-                f"the mirror coefficient vanishes at basis point {v}"
-            )
-        targets.append(n_v)
-    solved = solve_multiplicative([(1, *v) for v in basis.points], targets, basis.dim + 1)
-    if solved is None:
-        raise VerificationFailedError("no character solves the basis system; this indicates a bug")
-    character = Character(solved[0], tuple(solved[1:]))
-    weights = _weight_pairs(character, points)
-    for v, n_v in zip(basis.points, targets):
-        num, den = weights[v]
-        if num != n_v * den:
-            raise VerificationFailedError(
-                f"the solved character gives weight {Fraction(num, den)} at basis "
-                f"point {v}, not n_v = {n_v}; this indicates an implementation bug"
-            )
+            raise InvalidBasisError(f"the mirror coefficient vanishes at basis point {v}")
+    character = _basis_character(basis.points, list(targets.values()))
 
-    chosen = set(basis.points)
-    specialization = {
-        v: Fraction(mirror.table.count(v) * den, num)
-        for v, (num, den) in weights.items()
-        if v not in chosen
-    }
-    # Coefficient 1 on the basis and q_v elsewhere; under the character this
-    # must be g term by term, support included, since g may miss interior
+    # One pass over the weights num / den: each basis weight must be n_v,
+    # every other point gets q_v = n_v * den / num, and the family, with
+    # coefficient 1 on the basis and q_v elsewhere, must be g under the
+    # character term by term, support included, since g may miss interior
     # points (q_v = 0 there).  Each term is compared by cross-multiplication:
     # num * q.numerator == n_v * den * q.denominator.
-    entries = mirror.table.entries
-    family = dict.fromkeys(basis.points, (1, 1)) | {
-        v: (q.numerator, q.denominator) for v, q in specialization.items() if q
-    }
-    if family.keys() != entries.keys() or any(
-        weights[v][0] * a != entries[v] * weights[v][1] * b for v, (a, b) in family.items()
-    ):
-        raise VerificationFailedError(
-            "character and specialization failed to reproduce the mirror; "
-            "this indicates an implementation bug"
-        )
-    return TransitionReport(basis, character, specialization, True)
+    entries, count = mirror.table.entries, mirror.table.count
+    specialization = {}
+    support = 0
+    for v, (num, den) in _weight_pairs(character, points).items():
+        if v in targets:
+            if num != targets[v] * den:
+                raise VerificationFailedError(
+                    f"the solved character gives weight {Fraction(num, den)} at basis "
+                    f"point {v}, not n_v = {targets[v]}; this indicates an implementation bug"
+                )
+            a = b = 1
+        else:
+            q = specialization[v] = Fraction(count(v) * den, num)
+            a, b = q.numerator, q.denominator
+            if not a and v not in entries:
+                continue
+        if num * a != entries.get(v, 0) * den * b:
+            break
+        support += 1
+    else:
+        if support == len(entries):
+            return TransitionReport(basis, character, specialization, True)
+    raise VerificationFailedError(
+        "character and specialization failed to reproduce the mirror; "
+        "this indicates an implementation bug"
+    )

@@ -1021,6 +1021,17 @@ def pinned_digest(tmp_path):
     return digest.hexdigest()
 
 
+def test_replay_script_pins_the_same_transcript(tmp_path):
+    """``tests/replay_pinned.py`` replays this transcript under other
+    interpreters with the standard library only: the same polytopes, the
+    same digest."""
+    import replay_pinned
+
+    assert replay_pinned.pinned_polytopes() == PINNED_POLYTOPES
+    assert replay_pinned.PINNED_OUTPUT_SHA256 == PINNED_OUTPUT_SHA256
+    assert replay_pinned.pinned_digest(tmp_path) == PINNED_OUTPUT_SHA256
+
+
 # Polytopes for the SVG digest: each drawing branch (polygon, line, point),
 # with vertices on both sides of both axes.
 SVG_POLYTOPES = [

@@ -70,14 +70,15 @@ def oracle_product(dim, summands):
 
 
 def kernel(dim, summands, lead=()):
-    """``mirror._wall_product`` on the runs ``(summand, count)`` of a summand list."""
-    return mirror_module._wall_product(dim, Counter(summands).items(), lead)
+    """The terms of ``mirror._wall_slots`` on the runs ``(summand, count)`` of a summand list."""
+    axes, slots = mirror_module._wall_slots(dim, Counter(summands).items())
+    return mirror_module._slot_terms(axes, slots, lead)
 
 
 def mixed_radix_wall_product(dim, summands):
     """The wall-factor kernel with its generic mixed-radix decoder, which
     builds each exponent coordinate by coordinate from the slot index; the
-    row-by-row decoder of ``mirror._wall_product`` replaced it."""
+    row-by-row decoder of ``mirror._wall_slots`` replaced it."""
     runs = Counter(summands)
     offset = [0] * dim
     radix = [1] * dim
@@ -533,7 +534,7 @@ class TestWallProductKernel:
 
 
 class TestRowDecoder:
-    """``_wall_product`` against the generic mixed-radix decoder it replaced:
+    """The wall kernel against the generic mixed-radix decoder it replaced:
     equal dicts with their keys in the same lexicographic order."""
 
     RANK1_STEPS = (UnimodularSimplex(1, ((1,),)), UnimodularSimplex(1, ((-1,),)))
@@ -662,7 +663,7 @@ class TestSlotDecoders:
     @pytest.mark.parametrize("name", list(DECODER_CASES))
     def test_builds_no_fraction(self, monkeypatch, name):
         """The kernel emits the ints it reads: no ``Fraction`` is made by
-        ``_wall_product``, ``syz_mirror`` or ``chamber_uv``, at any slot width."""
+        ``_wall_slots``, ``syz_mirror`` or ``chamber_uv``, at any slot width."""
         dec = DECODER_CASES[name]
         built = []
         new = Fraction.__new__
@@ -965,42 +966,50 @@ class TestIdentityChecks:
             chamber_uv(dec, dec.p)
 
     def test_newton_polytope_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
-        real = mirror_module._wall_product
+        real = mirror_module._wall_slots
 
-        def drop_top_vertex(dim, runs):
-            terms = real(dim, runs)
-            del terms[max(terms)]
-            return terms
+        def set_slot(point, value):
+            """The kernel's slots with the one at ``point`` set to ``value``."""
+            def corrupted(dim, runs):
+                axes, slots = real(dim, runs)
+                return axes, corrupt_slot(axes, slots, point, value)
 
-        monkeypatch.setattr(mirror_module, "_wall_product", drop_top_vertex)
-        with pytest.raises(VerificationFailedError):
-            syz_mirror(hexagon_triangles)
+            monkeypatch.setattr(mirror_module, "_wall_slots", corrupted)
 
-        # a term outside P, every vertex still present; on the diagonal
-        # segment the extra term is collinear, just past its end
+        # the top vertex's slot dropped, in both ranks
+        for dec in (hexagon_triangles, ap_decomposition(5)):
+            set_slot(max(dec.polytope.vertices), 0)
+            with pytest.raises(VerificationFailedError, match="Newton polytope"):
+                syz_mirror(dec)
+
+        # a slot in the box but outside P set, every vertex still present; on
+        # the diagonal segment (4, 4) lies outside the box, (3, 0) inside.
+        # In rank 1 the box is P, so no slot lies outside P.
         diagonal = MinkowskiDecomposition(hull([(0, 0), (3, 3)]), (0, 0), (seg((1, 1)),) * 3)
-        for dec, outside in (
-            (hexagon_triangles, (2, 0)),
-            (ap_decomposition(5), (7,)),
-            (diagonal, (4, 4)),
-        ):
-            def add_outside_term(dim, runs, outside=outside):
-                terms = real(dim, runs)
-                terms[outside] = 1
-                return terms
+        for dec, outside in ((hexagon_triangles, (2, 0)), (diagonal, (3, 0))):
+            set_slot(outside, 1)
+            with pytest.raises(VerificationFailedError, match="Newton polytope"):
+                syz_mirror(dec)
 
-            monkeypatch.setattr(mirror_module, "_wall_product", add_outside_term)
-            with pytest.raises(VerificationFailedError):
+        # a box that is not P's bounding box
+        def shifted(dim, runs):
+            axes, slots = real(dim, runs)
+            return tuple(range(a.start + 1, a.stop + 1) for a in axes), slots
+
+        monkeypatch.setattr(mirror_module, "_wall_slots", shifted)
+        for dec in (hexagon_triangles, ap_decomposition(5), diagonal):
+            with pytest.raises(VerificationFailedError, match="Newton polytope"):
                 syz_mirror(dec)
 
     def test_basis_weight_mismatch_is_caught(self, monkeypatch, hexagon_triangles):
-        real = transition_module.solve_multiplicative
+        real = transition_module._basis_character
 
-        def doubled(rows, rhs, n):
-            return [2 * x for x in real(rows, rhs, n)]
+        def doubled(points, targets):
+            character = real(points, targets)
+            return Character(2 * character.gamma, tuple(2 * a for a in character.alpha))
 
-        monkeypatch.setattr(transition_module, "solve_multiplicative", doubled)
-        with pytest.raises(VerificationFailedError):
+        monkeypatch.setattr(transition_module, "_basis_character", doubled)
+        with pytest.raises(VerificationFailedError, match="basis point"):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
     @pytest.mark.parametrize("point", [(0, 1), (1, 1), (1, 2)])
@@ -1015,11 +1024,6 @@ class TestIdentityChecks:
 
         monkeypatch.setattr(transition_module, "_weight_pairs", corrupted)
         with pytest.raises(VerificationFailedError, match=re.escape(f"basis point {point}")):
-            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
-
-    def test_unsolved_basis_system_is_caught(self, monkeypatch, hexagon_triangles):
-        monkeypatch.setattr(transition_module, "solve_multiplicative", lambda rows, rhs, n: None)
-        with pytest.raises(VerificationFailedError):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
     @pytest.mark.parametrize("corrupt", [lambda n: n + 1, lambda n: 0], ids=["value", "support"])
@@ -1097,6 +1101,17 @@ class TestIdentityChecks:
         assert proc.stdout.splitlines() == want
 
 
+def corrupt_slot(axes, slots, point, value):
+    """A list copy of ``slots``, padded with the zero slots past the last
+    nonzero one that the kernel does not read, with ``point``'s set to ``value``."""
+    out = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
+    index = 0
+    for axis, x in zip(axes, point):  # row-major
+        index = index * len(axis) + x - axis.start
+    out[index] = value
+    return out
+
+
 def swappable_slots(dec):
     """Two slots of g's packed integer, in the kernel's box, whose
     coefficients differ and whose exponents differ mod 2."""
@@ -1162,14 +1177,17 @@ class TestSignPointCheck:
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
     def test_every_changed_coefficient_is_caught(self, dec):
         """Changing one coefficient by one changes g at every sign point."""
+        d = dec.polytope.dim
         runs = list(Counter(dec.summands).items())
-        table = dict(syz_mirror(dec).table.entries)
-        mirror_module._check_sign_points(dec.polytope.dim, table, runs)
-        for e in list(table):
-            table[e] += 1
+        axes, slots = mirror_module._wall_slots(d, runs)
+        slots = list(slots)
+        check = mirror_module._check_sign_points
+        check(d, axes, mirror_module._rows(axes, slots), runs)
+        for i in [i for i, n in enumerate(slots) if n]:
+            slots[i] += 1
             with pytest.raises(VerificationFailedError, match="sign point"):
-                mirror_module._check_sign_points(dec.polytope.dim, table, runs)
-            table[e] -= 1
+                check(d, axes, mirror_module._rows(axes, slots), runs)
+            slots[i] -= 1
 
     def test_check_survives_python_O(self):
         # A_5: g = 1 + 6z + 15z^2 + ..., in one-byte slots; swap 6 and 15
@@ -1193,6 +1211,78 @@ class TestSignPointCheck:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["caught", "1", "True"]
+
+
+def set_newton_check(polytope, terms):
+    """The Newton check that listed P's lattice points, kept as the oracle of
+    the row-based one: True when the support lies in P and every vertex of P
+    carries a term."""
+    return terms.keys() <= set(lattice_points(polytope)) and all(
+        v in terms for v in polytope.vertices
+    )
+
+
+def dict_sign_point_check(dim, table, runs):
+    """The sign-point check that summed g's parities in one pass over its
+    terms, kept as the oracle of the row-based one: True when g equals the
+    product of the wall factors at every sign point."""
+    top = dim - 1
+    parity = [0] * (1 << dim)
+    for v, n in table.items():
+        parity[v[0] & 1 | (v[-1] & 1) << top] += n
+    factors = [([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs]
+    for point in range(1 << dim):
+        sign = [1 - 2 * ((b & point).bit_count() & 1) for b in range(1 << dim)]
+        left = sum(a * b for a, b in zip(sign, parity))
+        right = math.prod((1 + sum(sign[b] for b in us)) ** m for us, m in factors)
+        if left != right:
+            return False
+    return True
+
+
+class TestRowChecksMatchTheirOracles:
+    """The Newton and sign-point checks read g's slot rows; on random
+    decompositions, some with one slot corrupted, they reject exactly what
+    the checks on the term dict reject."""
+
+    @staticmethod
+    def random_decomposition(rng):
+        if rng.random() < 0.25:
+            return ap_decomposition(rng.randint(0, 12))
+        parts = [random_unimodular_simplex(rng) for _ in range(rng.randint(1, 5))]
+        p = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+        return MinkowskiDecomposition(p, (0, 0), tuple(parts))
+
+    def test_against_the_term_dict_checks(self):
+        rng = random.Random(26)
+        outcomes = Counter()
+        for _ in range(400):
+            dec = self.random_decomposition(rng)
+            polytope, runs = dec.polytope, dec._kernel_runs()
+            axes, slots = mirror_module._wall_slots(polytope.dim, runs)
+            if rng.random() < 0.6:  # one slot of the box set anew, maybe to its value
+                slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
+                index = rng.randrange(len(slots))
+                slots[index] = rng.choice([0, 1, slots[index] + 1])
+            terms, rows = mirror_module._slot_terms(axes, slots), mirror_module._rows(axes, slots)
+            want = (set_newton_check(polytope, terms),
+                    dict_sign_point_check(polytope.dim, terms, runs))
+            got = []
+            for check in (
+                lambda: mirror_module._check_newton(polytope, axes, rows, terms),
+                lambda: mirror_module._check_sign_points(polytope.dim, axes, rows, runs),
+            ):
+                try:
+                    check()
+                except VerificationFailedError:
+                    got.append(False)
+                else:
+                    got.append(True)
+            assert tuple(got) == want, (dec, slots)
+            outcomes[want] += 1
+        # A draw that fails the Newton check changed a coefficient, which
+        # changes g at every sign point, so (False, True) cannot occur.
+        assert outcomes.keys() == {(True, True), (True, False), (False, False)}, outcomes
 
 
 def diagonal_steps(n):

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from syzkit import (
     BasisSimplex,
@@ -17,7 +19,6 @@ from syzkit import (
     solve_character_match,
     syz_mirror,
 )
-from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from conftest import (
     ap_decomposition,
@@ -28,6 +29,8 @@ from conftest import (
     zonotope,
 )
 from parametric import parameter_name, toric_family, weight
+from root_solver import solve_multiplicative as solve_by_roots
+from syzkit.intlinalg import solve_multiplicative
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
 
@@ -135,18 +138,20 @@ class TestToricFamily:
 
 class TestMatchTransition:
     @pytest.mark.parametrize("basis", [None, DP6_BASIS], ids=["default", "paper"])
-    def test_lattice_points_listed_twice(self, monkeypatch, hexagon_triangles, basis):
-        """Once in the Newton check of syz_mirror and once for the basis
-        choice, its validation and the specialization."""
+    def test_lattice_points_listed_once(self, monkeypatch, hexagon_triangles, basis):
+        """For the basis validation and the specialization only: the Newton
+        check of syz_mirror reads column bounds, and the default basis is
+        chosen from the support of g."""
         calls = []
-        for module in (mirror_module, transition_module):
-            def counted(polytope, real=module.lattice_points):
-                calls.append(polytope)
-                return real(polytope)
+        for module in [m for name, m in sys.modules.items() if name.startswith("syzkit")]:
+            if hasattr(module, "lattice_points"):
+                def counted(polytope, real=module.lattice_points):
+                    calls.append(polytope)
+                    return real(polytope)
 
-            monkeypatch.setattr(module, "lattice_points", counted)
+                monkeypatch.setattr(module, "lattice_points", counted)
         assert match_transition(hexagon_triangles, basis).verified
-        assert calls == [hexagon_triangles.polytope] * 2
+        assert calls == [hexagon_triangles.polytope]
 
     def test_conifold_is_the_identity_match(self, conifold):
         report = match_transition(conifold, ((0, 0), (1, 0), (0, 1)))
@@ -271,6 +276,51 @@ class TestMatchTransition:
                     assert report.specialization[v] == 1
             checked += 1
         assert checked >= 25
+
+
+@st.composite
+def basis_problems(draw):
+    """A basis simplex of rank 1 or 2, as a translation followed by the rows
+    of a product of elementary matrices, with coordinates up to 10^3, and
+    positive integer targets at its points."""
+    dim = draw(st.integers(1, 2))
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(("swap", "negate", "add")))
+        if kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+        elif dim == 2 and kind == "swap":
+            rows.reverse()
+        elif dim == 2:
+            q = draw(st.integers(-3, 3))
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[1 - i])]
+    points = [tuple(draw(st.integers(-10**3, 10**3)) for _ in range(dim))]
+    for row in rows:
+        points.append(tuple(a + b for a, b in zip(points[-1], row)))
+    assume(all(abs(x) <= 10**3 for p in points for x in p))
+    targets = draw(st.lists(st.integers(1, 60), min_size=dim + 1, max_size=dim + 1))
+    return tuple(points), targets
+
+
+class TestBasisCharacter:
+    """The closed-form character at a basis simplex against the two
+    multiplicative solvers: the column-reduction one in ``intlinalg`` and the
+    exact-root one it replaced, in ``tests/root_solver.py``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(basis_problems())
+    def test_matches_both_solvers(self, problem):
+        points, targets = problem
+        BasisSimplex(points)  # the differences are unimodular
+        character = transition_module._basis_character(points, targets)
+        got = [character.gamma, *character.alpha]
+        assert all(type(x) is Fraction for x in got)
+        rows = [(1, *v) for v in points]
+        assert got == solve_multiplicative(rows, targets, len(rows))
+        assert got == solve_by_roots(rows, targets, len(rows))
+        for v, n in zip(points, targets):
+            assert weight(character, v) == n
 
 
 class TestReportJson:
