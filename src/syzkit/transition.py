@@ -165,14 +165,12 @@ def match_transition(
     character = _basis_character(basis.points, list(targets.values()))
 
     # One pass over the weights num / den: each basis weight must be n_v,
-    # every other point gets q_v = n_v * den / num, and the family, with
-    # coefficient 1 on the basis and q_v elsewhere, must be g under the
-    # character term by term, support included, since g may miss interior
-    # points (q_v = 0 there).  Each term is compared by cross-multiplication:
-    # num * q.numerator == n_v * den * q.denominator.
+    # every other point gets q_v = n_v * den / num, and the family (1 on the
+    # basis, q_v elsewhere) must be g under the character term by term,
+    # compared as num * q.numerator == n_v * den * q.denominator, and have
+    # g's support: g may miss interior points, where q_v = 0.
     entries, count = mirror.table.entries, mirror.table.count
-    specialization = {}
-    support = 0
+    specialization, support, wrong = {}, 0, 0
     for v, (num, den) in _weight_pairs(character, points).items():
         if v in targets:
             if num != targets[v] * den:
@@ -184,15 +182,11 @@ def match_transition(
         else:
             q = specialization[v] = Fraction(count(v) * den, num)
             a, b = q.numerator, q.denominator
-            if not a and v not in entries:
-                continue
-        if num * a != entries.get(v, 0) * den * b:
-            break
-        support += 1
-    else:
-        if support == len(entries):
-            return TransitionReport(basis, character, specialization, True)
-    raise VerificationFailedError(
-        "character and specialization failed to reproduce the mirror; "
-        "this indicates an implementation bug"
-    )
+        wrong += num * a != entries.get(v, 0) * den * b
+        support += a != 0
+    if wrong or support != len(entries):
+        raise VerificationFailedError(
+            "character and specialization failed to reproduce the mirror; "
+            "this indicates an implementation bug"
+        )
+    return TransitionReport(basis, character, specialization, True)

@@ -8,8 +8,8 @@ Each interpreter named (the running one if none is) runs this file with
 ``--digest``, once plainly and once under ``-O``, and prints the SHA-256 of
 the transcript; an interpreter older than the package's ``requires-python``
 is reported and skipped.  The exit status is 0 when every replay that ran
-gave ``PINNED_OUTPUT_SHA256``.  ``tests/test_cli.py`` keeps the
-polytopes, the transcript and the digest here in step with its own.
+gave ``PINNED_OUTPUT_SHA256``.  ``TestPinnedOutput`` in
+``tests/test_cli.py`` reads its polytopes, transcript and digest from here.
 """
 
 import contextlib
@@ -23,6 +23,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_VERSION = (3, 10)
+# SHA-256 of every command line, exit code and stdout of ``pinned_digest``;
+# it changes only when some command's output does.
 PINNED_OUTPUT_SHA256 = "8696b12a1130b1cc79969fed1e13bb3324cad62761138364844c6920a8694df4"
 HEXAGON = [[0, 0], [1, 0], [2, 1], [2, 2], [1, 2], [0, 1]]
 ZONOTOPE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (-1, 2), (2, -1)]
@@ -71,7 +73,7 @@ def pinned_digest(tmp_path):
         poly_file.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         code, out = run("decompose", str(poly_file))
         if code != 0:
-            raise SystemExit(f"decompose {name} exited with {code}")
+            raise RuntimeError(f"decompose {name} exited with {code}")
         for i, entry in enumerate(json.loads(out)[:3]):
             dec_file = tmp_path / f"{name}_{i}.json"
             dec_file.write_text(json.dumps(entry))
