@@ -7,11 +7,12 @@ position is the single integer l between -1 (below all walls) and p (above
 all walls).
 """
 
+import sys
+from array import array
 from collections import namedtuple
 from itertools import chain, compress, product
 from math import prod
 from operator import mul
-from struct import Struct
 
 from .algebra import LaurentPolynomial
 from .errors import OutputTooLargeError, Value, VerificationFailedError, json_int
@@ -64,8 +65,10 @@ def wall_factor(summand: UnimodularSimplex) -> LaurentPolynomial:
 # Cap on the bytes of the packed integer that one wall product forms.
 MAX_PACKED_BYTES = 2**28
 
-# Little-endian slot readers.
-_UNPACK = {2: Struct("<H").iter_unpack, 4: Struct("<I").iter_unpack, 8: Struct("<Q").iter_unpack}
+# Slot readers: the array type code of each width at 2, 4 and 8 bytes, and
+# whether the host's byte order must be swapped to read little-endian slots.
+_ARRAY = {array(code).itemsize: code for code in "QLIH"}
+_SWAP = sys.byteorder == "big"
 
 
 def _slot_bytes(bound: int) -> int:
@@ -77,7 +80,23 @@ def _packed_product(types, bits: int) -> int:
     """The packed product: each type ``(slot indices, multiplicity)`` is
     packed once in ``bits``-bit slots and raised to its multiplicity, and the
     powers are multiplied left to right; the empty product is 1."""
-    return prod(sum(1 << bits * index for index in indices) ** m for indices, m in types)
+    return prod([sum([1 << bits * index for index in indices]) ** m for indices, m in types])
+
+
+def _read_slots(packed: int, width: int):
+    """The ``width``-byte little-endian slots of ``packed`` up to its last
+    nonzero one: the ``bytes`` themselves at one byte, else ``int``s read by
+    one ``array`` call at 2, 4 and 8 bytes and one at a time otherwise."""
+    bits = 8 * width
+    raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
+    if width == 1:
+        return raw
+    if width not in _ARRAY:
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    slots = array(_ARRAY[width], raw)
+    if _SWAP:
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _wall_slots(dim: int, runs) -> tuple:
@@ -91,22 +110,23 @@ def _wall_slots(dim: int, runs) -> tuple:
     polynomial becomes the integer sum(c_e * 2^(w * index)).  Every
     coefficient is a nonnegative integer at most g(1, ..., 1) = prod(1 + k_i),
     so w-bit slots never carry into each other and bigint arithmetic
-    multiplies the factors in ``_packed_product``: one power per run of
-    nonzero count.  The product is read in whole slots (``struct`` at 2, 4
-    and 8 bytes), so a carry anywhere fails the sum check.  Zero slots past
-    the last nonzero one are not read.  A product whose packed integer would
-    pass MAX_PACKED_BYTES raises before any packing.
+    multiplies the factors in ``_packed_product``: one power per run.  The
+    product is read in whole slots by ``_read_slots``, so a carry anywhere
+    fails the sum check.  A product whose packed integer would pass
+    MAX_PACKED_BYTES raises before any packing.
     """
-    boxes = [(s._kernel_box(), m) for s, m in runs if m]
-    bound = prod([box[3] ** m for box, m in boxes])
     if dim == 1:  # 1 + z^u fills both slots of its box
-        low = sum([m * box[0][0] for box, m in boxes])
-        axes = (range(low, low + 1 + sum([m for _, m in boxes])),)
-        types = [((0, 1), m) for _, m in boxes]
+        low = steps = 0
+        for s, m in runs:
+            low, steps = low + m * s._kernel_box()[0][0], steps + m
+        bound, axes = 1 << steps, (range(low, low + 1 + steps),)
+        types = [((0, 1), m) for _, m in runs]
     else:
-        ox, oy, rx, ry = 0, 0, 1, 1
-        for ((lx, ly), (ex, ey), _, _), m in boxes:
+        boxes = [(s._kernel_box(), m) for s, m in runs]
+        ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
+        for ((lx, ly), (ex, ey), _, size), m in boxes:
             ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
+            bound *= size**m
         axes = (range(ox, ox + rx), range(oy, oy + ry))
         types = [([x * ry + y for x, y in box[2]], m) for box, m in boxes]
     width = _slot_bytes(bound)
@@ -115,15 +135,7 @@ def _wall_slots(dim: int, runs) -> tuple:
         raise OutputTooLargeError(
             f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
         )
-    bits = 8 * width
-    packed = _packed_product(types, bits)
-    raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
-    if width == 1:
-        slots = raw
-    elif width in _UNPACK:
-        slots = list(chain.from_iterable(_UNPACK[width](raw)))
-    else:
-        slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    slots = _read_slots(_packed_product(types, 8 * width), width)
     total = sum(slots)
     if total != bound:
         raise VerificationFailedError(
@@ -150,14 +162,19 @@ def _rows(axes, slots) -> list:
     return list(zip(axes[0], [slots[i : i + ry] for i in range(0, len(slots), ry)]))
 
 
-def _check_newton(polytope, axes, rows, terms: dict[IntVec, int]) -> None:
+def _check_newton(polytope, axes, slots, rows) -> None:
     """The Newton polytope of g is P: the box is P's bounding box, every
-    vertex of P carries a term, and in rank 2 every nonzero slot of column x
-    lies between P's bounds lo(x) and hi(x).  In rank 1 the box is P."""
+    vertex of P carries a term, read from its slot by flat index, and in
+    rank 2 every nonzero slot of column x lies between P's bounds lo(x) and
+    hi(x).  In rank 1 the box is P."""
     verts, low = polytope.vertices, axes[-1].start
+    step = len(axes[-1]) if polytope.dim == 2 else 0  # in rank 1, v[0] is v[-1]
     if (
         axes != tuple(range(min(c), max(c) + 1) for c in zip(*verts))
-        or not all(v in terms for v in verts)
+        or not all(
+            i < len(slots) and slots[i]
+            for i in [(v[0] - axes[0].start) * step + v[-1] - low for v in verts]
+        )
         or polytope.dim == 2 and any(
             any(row[: lo - low]) or any(row[hi - low + 1 :])
             for (_, row), (_, lo, hi) in zip(rows, _column_bounds(polytope))
@@ -169,14 +186,34 @@ def _check_newton(polytope, axes, rows, terms: dict[IntVec, int]) -> None:
         )
 
 
+# _SIGNS[dim][point][b]: the value at the sign point eps (eps_j = -1 where
+# bit j of ``point`` is set) of every z^v whose parity bits are b, and
+# _FACTORS[dim][bits]: the values there of the wall factor 1 + sum z^u of
+# generators u with parity bits ``bits``.
+_SIGNS = {
+    d: [[1 - 2 * ((b & point).bit_count() & 1) for b in range(1 << d)] for point in range(1 << d)]
+    for d in (1, 2)
+}
+_FACTORS = {
+    d: {
+        bits: [1 + sum([sign[b] for b in bits]) for sign in signs]
+        for k in (1, 2)
+        for bits in product(range(1 << d), repeat=k)
+    }
+    for d, signs in _SIGNS.items()
+}
+
+
 def _check_sign_points(dim: int, axes, rows, runs) -> None:
     """g(eps) == prod f_i(eps) at the 2^dim points eps in {1, -1}^dim.
 
     z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
     so g is summed by the parity bits of its exponents: the even and odd
     offsets of each slot row of ``_rows``.  The factor of each run
-    ``(summand, count)`` is evaluated once.  Unlike the sum check, this sees
-    coefficients swapped between exponents of different parity.
+    ``(summand, count)`` is read once from ``_FACTORS``.  At eps = (1, ..., 1)
+    this is the sum check of ``_wall_slots``, which has run, so that point
+    is skipped.  Unlike the sum check, this sees coefficients swapped between
+    exponents of different parity.
     """
     top = dim - 1  # in rank 1, v[0] is v[-1]
     low = axes[-1].start & 1
@@ -184,18 +221,31 @@ def _check_sign_points(dim: int, axes, rows, runs) -> None:
     for x, row in rows:
         parity[x & 1 | low << top] += sum(row[0::2])
         parity[x & 1 | (low ^ 1) << top] += sum(row[1::2])
-    factors = [([u[0] & 1 | (u[-1] & 1) << top for u in s.generators], m) for s, m in runs]
-    for point in range(1 << dim):
-        # sign[b] is the value at this point of every z^v whose parity bits are b
-        sign = [1 - 2 * ((b & point).bit_count() & 1) for b in range(1 << dim)]
+    values = _FACTORS[dim]
+    factors = [
+        (values[tuple([u[0] & 1 | (u[-1] & 1) << top for u in s.generators])], m) for s, m in runs
+    ]
+    for point, sign in enumerate(_SIGNS[dim][1:], 1):
         left = sum(map(mul, sign, parity))
-        right = prod((1 + sum(sign[b] for b in us)) ** m for us, m in factors)
+        right = prod([f[point] ** m for f, m in factors])
         if left != right:
             eps = tuple(-1 if point >> j & 1 else 1 for j in range(dim))
             raise VerificationFailedError(
                 f"g is {left} at the sign point {eps}, but the wall factors multiply "
                 f"to {right} there; this indicates an implementation bug"
             )
+
+
+def _checked_slots(decomposition: MinkowskiDecomposition) -> tuple:
+    """``(runs, axes, slots)`` of g: the kernel's runs and slots, after the
+    sum, Newton and sign-point checks."""
+    polytope = decomposition.polytope
+    runs = decomposition._kernel_runs()
+    axes, slots = _wall_slots(polytope.dim, runs)
+    rows = _rows(axes, slots)
+    _check_newton(polytope, axes, slots, rows)
+    _check_sign_points(polytope.dim, axes, rows, runs)
+    return runs, axes, slots
 
 
 def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
@@ -206,22 +256,20 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     decomposition's polytope, and g must equal the product of the wall
     factors at every sign point; both checks read the kernel's slot rows.
     """
-    polytope = decomposition.polytope
-    runs = decomposition._kernel_runs()
-    axes, slots = _wall_slots(polytope.dim, runs)
-    terms, rows = _slot_terms(axes, slots), _rows(axes, slots)
-    _check_newton(polytope, axes, rows, terms)
-    _check_sign_points(polytope.dim, axes, rows, runs)
+    runs, axes, slots = _checked_slots(decomposition)
+    terms = _slot_terms(axes, slots)
     return SYZMirror(
         tuple(chain.from_iterable((wall_factor(s),) * m for s, m in runs)),
-        LaurentPolynomial._of(polytope.dim, terms),
+        LaurentPolynomial._of(decomposition.polytope.dim, terms),
         GWTable._of(terms),
     )
 
 
 def disc_potential(decomposition: MinkowskiDecomposition) -> LaurentPolynomial:
-    """z0 times the expanded mirror; term exponents are (1, v)."""
-    return syz_mirror(decomposition).expanded.prepend_variable(1)
+    """z0 times the expanded mirror; term exponents are (1, v).  The kernel's
+    checks run as in ``syz_mirror``."""
+    _, axes, slots = _checked_slots(decomposition)
+    return LaurentPolynomial._of(decomposition.polytope.dim + 1, _slot_terms(axes, slots, (1,)))
 
 
 def chamber_uv(
@@ -233,12 +281,16 @@ def chamber_uv(
     times those above; their product is the expanded mirror with the z0
     exponent cancelled.
     """
-    cut = _cut(decomposition, chamber)
-    below, above = [], []
-    for s, m in decomposition._kernel_runs():  # a cut inside a run splits it
-        j, cut = min(cut, m), max(cut - m, 0)
-        below.append((s, j))
-        above.append((s, m - j))
+    cut, runs = _cut(decomposition, chamber), decomposition._kernel_runs()
+    i = 0
+    while i < len(runs) and cut >= runs[i][1]:
+        cut -= runs[i][1]
+        i += 1
+    below, above = runs[:i], runs[i:]
+    if cut:  # a cut inside a run splits it
+        s, m = above[0]
+        below.append((s, cut))
+        above[0] = (s, m - cut)
     d = decomposition.polytope.dim
     return (
         LaurentPolynomial._of(d + 1, _slot_terms(*_wall_slots(d, below), (1,))),

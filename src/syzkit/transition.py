@@ -9,7 +9,8 @@ exact rational monomials in the basis coefficients.
 """
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
+from operator import mul
 
 from .algebra import Character, _weight_pairs, fraction_str
 from .errors import InvalidBasisError, Value, VerificationFailedError, json_int
@@ -17,6 +18,7 @@ from .lattice import (
     SUPPORTED_DIMS,
     IntVec,
     LatticePolytope,
+    _column_bounds,
     cross,
     is_unimodular_simplex,
     lattice_points,
@@ -53,7 +55,22 @@ class BasisSimplex(Value):
         return len(self.points[0])
 
     def validate_for(self, polytope: LatticePolytope) -> None:
-        _validate(self, polytope, lattice_points(polytope))
+        """Each point lies in the polytope, tested against the bounds of its
+        column (in rank 1, of the segment), and the first is a vertex."""
+        if self.dim != polytope.dim:
+            raise InvalidBasisError("basis rank differs from the polytope rank")
+        if polytope.dim == 1:  # the segment is one column, keyed 0
+            columns = {0: (polytope.vertices[0][0], polytope.vertices[-1][0])}
+        else:
+            columns = {x: (lo, hi) for x, lo, hi in _column_bounds(polytope)}
+        for p in self.points:
+            lo, hi = columns.get(p[0] if polytope.dim == 2 else 0, (1, 0))
+            if not lo <= p[-1] <= hi:
+                raise InvalidBasisError(f"{p} is not a lattice point of the polytope")
+        if self.points[0] not in polytope.vertices:
+            raise InvalidBasisError(
+                f"first basis point {self.points[0]} is not a vertex of the polytope"
+            )
 
     @classmethod
     def default_for(cls, polytope: LatticePolytope) -> "BasisSimplex":
@@ -61,20 +78,6 @@ class BasisSimplex(Value):
         the lexicographically earliest lattice points whose consecutive
         differences stay unimodular."""
         return _default_basis(polytope, lattice_points(polytope))
-
-
-def _validate(basis: BasisSimplex, polytope: LatticePolytope, points) -> None:
-    """``validate_for`` against the polytope's already listed lattice points."""
-    if basis.dim != polytope.dim:
-        raise InvalidBasisError("basis rank differs from the polytope rank")
-    pts = set(points)
-    for p in basis.points:
-        if p not in pts:
-            raise InvalidBasisError(f"{p} is not a lattice point of the polytope")
-    if basis.points[0] not in polytope.vertices:
-        raise InvalidBasisError(
-            f"first basis point {basis.points[0]} is not a vertex of the polytope"
-        )
 
 
 def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimplex:
@@ -124,17 +127,40 @@ def _basis_character(points, targets) -> Character:
     The differences v_{i+1} - v_i are the rows of a matrix D with det ±1,
     so D^-1 = det * adj(D): with r_i = n_{i+1} / n_i, alpha = r ** w in
     rank 1 (D = (w)) and alpha_j = prod_i r_i ** (det * adj(D))[j][i] in
-    rank 2; then gamma = n_1 / alpha ** v_1.
+    rank 2; then gamma = n_1 / alpha ** v_1.  Each output's exponents of
+    the n_i are worked out in integers, and ``_monomial`` builds it from them.
     """
-    r = [Fraction(b, a) for a, b in zip(targets, targets[1:])]
     diffs = [vec_sub(q, p) for p, q in zip(points, points[1:])]
     if len(diffs) == 1:
-        alpha = (r[0] ** diffs[0][0],)
+        inverse = [[diffs[0][0]]]
     else:
         (a, b), (c, d) = diffs
         det = a * d - b * c  # adj(D) = [[d, -b], [-c, a]]
-        alpha = (r[0] ** (det * d) * r[1] ** (-det * b), r[0] ** (-det * c) * r[1] ** (det * a))
-    return Character._of(targets[0] / prod(map(pow, alpha, points[0])), alpha)
+        inverse = [[det * d, -det * b], [-det * c, det * a]]
+    # r_i ** e puts n_{i+1} ** e and n_i ** -e into alpha_j
+    alpha = [[left - right for left, right in zip((0, *row), (*row, 0))] for row in inverse]
+    gamma = [int(i == 0) - sum(map(mul, points[0], column)) for i, column in enumerate(zip(*alpha))]
+    return Character._of(_monomial(targets, gamma), tuple(_monomial(targets, e) for e in alpha))
+
+
+def _monomial(bases, exponents) -> Fraction:
+    """prod b ** e over the positive ``bases`` and integer ``exponents``.
+
+    Once some |e| reaches 16, each e is q * h + r with q = isqrt(max |e|) + 1
+    and 0 <= r < q, and the value is B ** q * R with B = prod b ** h and
+    R = prod b ** r, each built the same way: a Fraction's power needs no
+    gcd, and the last product's gcds each have one small side, so no gcd
+    runs at the size of the output.
+    """
+    q = isqrt(max(map(abs, exponents))) + 1
+    if q > 4:
+        high = [e // q for e in exponents]
+        low = [e - q * h for e, h in zip(exponents, high)]
+        return _monomial(bases, high) ** q * _monomial(bases, low)
+    return Fraction(
+        prod([b**e for b, e in zip(bases, exponents) if e > 0]),
+        prod([b**-e for b, e in zip(bases, exponents) if e < 0]),
+    )
 
 
 def match_transition(
@@ -156,7 +182,7 @@ def match_transition(
         basis = _default_basis(polytope, list(mirror.table.entries))
     elif not isinstance(basis, BasisSimplex):
         basis = BasisSimplex(basis)
-    _validate(basis, polytope, points)
+    basis.validate_for(polytope)
 
     targets = {v: mirror.table.count(v) for v in basis.points}
     for v, n_v in targets.items():

@@ -948,11 +948,24 @@ class TestEntryPoint:
 
 
 
+# Runs argv[2:] with stdout to the file argv[1] and prints its exit code and
+# peak RSS in KiB, read with os.wait4, as the CI console-script step does.
+# A child forked from pytest itself can report pytest's pages as its peak.
+PEAK_RSS_LAUNCHER = (
+    "import os, subprocess, sys; "
+    "out = open(sys.argv[1], 'wb'); "
+    "p = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(p.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the child's peak RSS in KiB with os.wait4")
 class TestOutputMemory:
     """A report is encoded and written in batches, so no string holds the
     whole output: each of these runs peaked above 200 MB while ``_run``
-    printed one ``json.dumps``, and still prints the same bytes."""
+    printed one ``json.dumps``, and still prints the same bytes.  The
+    command is started from a small launcher process, not from pytest."""
 
     @pytest.mark.parametrize("argv, doc, md5, limit_mb", [
         (("cayley", "--decomposition"),
@@ -965,14 +978,16 @@ class TestOutputMemory:
     def test_peak_rss_of_a_large_report(self, tmp_path, argv, doc, md5, limit_mb):
         source, output = tmp_path / "input.json", tmp_path / "output.json"
         source.write_text(json.dumps(doc))
-        with open(output, "wb") as out:
-            proc = subprocess.Popen([sys.executable, "-m", "syzkit", *argv, str(source)],
-                                    stdout=out, stderr=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
+        launcher = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_LAUNCHER, str(output),
+             sys.executable, "-m", "syzkit", *argv, str(source)],
+            capture_output=True, text=True,
+        )
+        assert launcher.returncode == 0, launcher.stderr
+        code, peak_kib = map(int, launcher.stdout.split())
+        assert code == 0
         assert hashlib.md5(output.read_bytes()).hexdigest() == md5
-        assert usage.ru_maxrss < limit_mb * 1024
+        assert peak_kib < limit_mb * 1024
 
 
 # Polytopes for the SVG digest: each drawing branch (polygon, line, point),

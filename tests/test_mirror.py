@@ -5,9 +5,11 @@ import re
 import subprocess
 import sys
 import time
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from struct import Struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,7 @@ from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from syzkit.cli import main
 from parametric import lift
+import kernel_faults
 from conftest import (
     HEXAGON_CORNERS,
     ZONOTOPE_DIRECTIONS,
@@ -642,7 +645,7 @@ DECODER_CASES = {
 
 class TestSlotDecoders:
     """Every way the kernel reads its slots against the mixed-radix oracle:
-    one-byte slots as ``bytes``, ``struct`` at 2, 4 and 8 bytes, and
+    one-byte slots as ``bytes``, ``array`` at 2, 4 and 8 bytes, and
     ``int.from_bytes`` at 3, 5 to 7 and 9 bytes; on g and on both halves of
     every chamber."""
 
@@ -709,6 +712,131 @@ def polynomial_pairs(draw):
     return tuple(
         LaurentPolynomial(dim, draw(st.dictionaries(exps, coeffs, max_size=6))) for _ in "fg"
     )
+
+
+def struct_read_slots(packed, width):
+    """The slot reader that ``mirror._read_slots`` replaced, kept as its
+    oracle: ``struct`` at 2, 4 and 8 bytes, chained into one list."""
+    bits = 8 * width
+    raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, "little")
+    unpack = Struct({2: "<H", 4: "<I", 8: "<Q"}[width]).iter_unpack
+    return list(chain.from_iterable(unpack(raw)))
+
+
+@st.composite
+def packed_slots(draw):
+    """A slot width of 2, 4 or 8 bytes and an integer packed in such slots:
+    random slot values, some at the slot's maximum, an all-zero tail of up
+    to five slots, and sometimes a value past the slot, which carries."""
+    width = draw(st.sampled_from([2, 4, 8]))
+    top = (1 << 8 * width) - 1
+    values = draw(st.lists(st.one_of(st.integers(0, top), st.just(top)), max_size=40))
+    values += [0] * draw(st.integers(0, 5))
+    if values and draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] += draw(st.integers(1, 8)) << 8 * width
+    return width, sum(v << 8 * width * i for i, v in enumerate(values)), values
+
+
+class TestReadSlots:
+    """``_read_slots`` reads 2-, 4- and 8-byte slots with one ``array``
+    call; it must read what the ``struct`` reader it replaced read."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(packed_slots())
+    def test_matches_the_struct_reader(self, case):
+        width, packed, values = case
+        got = mirror_module._read_slots(packed, width)
+        assert got == struct_read_slots(packed, width)
+        assert all(type(n) is int for n in got)
+        if all(v >> 8 * width == 0 for v in values):  # no carry: the values, tail cut
+            while values and not values[-1]:
+                values.pop()
+            assert got == values
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_edge_cases(self, width):
+        bits, top = 8 * width, (1 << 8 * width) - 1
+        for packed in (0, 1, top, top + 1, 1 << 5 * bits, (1 << 5 * bits) - 1):
+            assert mirror_module._read_slots(packed, width) == struct_read_slots(packed, width)
+        assert mirror_module._read_slots(0, width) == []
+        # a carry out of slot 0 is read in slot 1; a unit past the box is a slot of its own
+        assert mirror_module._read_slots(top + 1, width) == [0, 1]
+        assert mirror_module._read_slots(1 << 3 * bits, width) == [0, 0, 0, 1]
+
+    def test_type_codes_match_their_widths(self):
+        assert sorted(mirror_module._ARRAY) == [2, 4, 8]
+        for width, code in mirror_module._ARRAY.items():
+            assert array(code).itemsize == width
+        assert mirror_module._SWAP == (sys.byteorder == "big")
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_swap_reads_the_other_byte_order(self, monkeypatch, width):
+        """The reader reads little-endian slots on either host: with the swap
+        flipped, as on a host of the other byte order, it reads big-endian."""
+        packed = int.from_bytes(bytes(range(1, 1 + 5 * width)), "little")
+        raw = packed.to_bytes(5 * width, "little")
+        big = [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
+        assert big != struct_read_slots(packed, width)
+        monkeypatch.setattr(mirror_module, "_SWAP", not mirror_module._SWAP)
+        assert mirror_module._read_slots(packed, width) == big
+
+
+def assert_potential_is_mirror(dec):
+    """``disc_potential`` is ``z0 * g`` with the key order of ``g``."""
+    want = syz_mirror(dec).expanded.prepend_variable(1)
+    got = disc_potential(dec)
+    assert got.dim == want.dim
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert_integral(got)
+
+
+class TestDiscPotentialChecksItsKernel:
+    """``disc_potential`` runs the kernel and its three checks itself, and
+    builds neither the wall factors, nor the table, nor a copy of g."""
+
+    @pytest.mark.parametrize("dec", mirror_corpus())
+    def test_matches_the_mirror_on_the_corpus(self, dec):
+        assert_potential_is_mirror(dec)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(BOX_SIMPLICES), max_size=6))
+    def test_matches_the_mirror_on_random_sums(self, parts):
+        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+        shift = polytope.lexmin
+        dec = MinkowskiDecomposition(
+            polytope.translate(tuple(-x for x in shift)), shift, tuple(parts)
+        )
+        assert_potential_is_mirror(dec)
+
+    def test_builds_no_factor_table_or_copy(self, monkeypatch, hexagon_triangles):
+        def refuse(*args):
+            raise AssertionError("disc_potential built what it does not return")
+
+        monkeypatch.setattr(mirror_module, "wall_factor", refuse)
+        monkeypatch.setattr(GWTable, "_of", classmethod(refuse))
+        monkeypatch.setattr(LaurentPolynomial, "prepend_variable", refuse)
+        for dec in (hexagon_triangles, ap_decomposition(9)):
+            assert disc_potential(dec).terms[(1,) + dec.polytope.vertices[-1]] == 1
+
+    @pytest.mark.parametrize("entry", list(kernel_faults.ENTRY_POINTS))
+    @pytest.mark.parametrize("name", list(kernel_faults.INJECTIONS))
+    def test_every_injection_is_caught(self, monkeypatch, name, entry):
+        dec, match = kernel_faults.inject(name, monkeypatch.setattr)
+        with pytest.raises(VerificationFailedError, match=match):
+            kernel_faults.ENTRY_POINTS[entry](dec)
+
+    def test_every_injection_is_caught_under_python_O(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", kernel_faults.__file__], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        want = [
+            f"caught: 1: {entry}: {name}"
+            for name in kernel_faults.INJECTIONS
+            for entry in kernel_faults.ENTRY_POINTS
+        ]
+        assert proc.stdout.splitlines() == want
 
 
 class TestTrustedTable:
@@ -1269,7 +1397,7 @@ class TestRowChecksMatchTheirOracles:
                     dict_sign_point_check(polytope.dim, terms, runs))
             got = []
             for check in (
-                lambda: mirror_module._check_newton(polytope, axes, rows, terms),
+                lambda: mirror_module._check_newton(polytope, axes, slots, rows),
                 lambda: mirror_module._check_sign_points(polytope.dim, axes, rows, runs),
             ):
                 try:

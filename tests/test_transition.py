@@ -1,7 +1,9 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,6 +107,93 @@ class TestBasisSimplex:
             fails()
 
 
+def set_validate(basis, polytope):
+    """The basis validation that tested each point against a set of all of
+    P's lattice points, kept as the oracle of the column-bound one."""
+    if basis.dim != polytope.dim:
+        raise InvalidBasisError("basis rank differs from the polytope rank")
+    pts = set(lattice_points(polytope))
+    for p in basis.points:
+        if p not in pts:
+            raise InvalidBasisError(f"{p} is not a lattice point of the polytope")
+    if basis.points[0] not in polytope.vertices:
+        raise InvalidBasisError(
+            f"first basis point {basis.points[0]} is not a vertex of the polytope"
+        )
+
+
+def verdict(check, *args):
+    """The message ``check`` raises InvalidBasisError with, or None."""
+    try:
+        check(*args)
+    except InvalidBasisError as exc:
+        return str(exc)
+    return None
+
+
+# Every pair of rows with entries in [-2, 2] and determinant +-1.
+UNIMODULAR_PAIRS = [
+    (u, w)
+    for u in product(range(-2, 3), repeat=2)
+    for w in product(range(-2, 3), repeat=2)
+    if abs(u[0] * w[1] - u[1] * w[0]) == 1
+]
+
+
+@st.composite
+def bases_and_polytopes(draw):
+    """A polytope of rank 1 or 2 from up to six points in [-5, 5]^d and a
+    basis starting at one of its vertices or anywhere near it."""
+    dim = draw(st.integers(1, 2))
+    coord = st.integers(-5, 5)
+    polytope = hull(draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6)))
+    start = draw(st.one_of(st.sampled_from(polytope.vertices), st.tuples(*[coord] * dim)))
+    if dim == 1:
+        diffs = [(draw(st.sampled_from([1, -1])),)]
+    else:
+        diffs = draw(st.sampled_from(UNIMODULAR_PAIRS))
+    points = [start]
+    for diff in diffs:
+        points.append(tuple(a + b for a, b in zip(points[-1], diff)))
+    return BasisSimplex(points), polytope
+
+
+class TestValidation:
+    """``validate_for`` tests each basis point against its column's bounds,
+    listing no lattice points, with the messages of the set-based test."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(bases_and_polytopes())
+    def test_matches_the_set_oracle(self, case):
+        basis, polytope = case
+        assert verdict(basis.validate_for, polytope) == verdict(set_validate, basis, polytope)
+
+    def test_every_message_is_reached(self, hexagon):
+        for points, message in [
+            (DP6_BASIS, None),
+            (((0, 0), (1, 0), (2, 1)), None),
+            (((0, 0), (1, 0), (2, -1)), "(2, -1) is not a lattice point of the polytope"),
+            (((0, 0), (-1, 0), (-1, 1)), "(-1, 0) is not a lattice point of the polytope"),
+            (((1, 1), (1, 2), (2, 2)), "first basis point (1, 1) is not a vertex of the polytope"),
+            (((0,), (1,)), "basis rank differs from the polytope rank"),
+        ]:
+            basis = BasisSimplex(points)
+            assert verdict(basis.validate_for, hexagon) == message
+            assert verdict(set_validate, basis, hexagon) == message
+        segment = hull([(2,), (5,)])
+        assert verdict(BasisSimplex(((2,), (3,))).validate_for, segment) is None
+        assert verdict(BasisSimplex(((5,), (6,))).validate_for, segment) == (
+            "(6,) is not a lattice point of the polytope"
+        )
+
+    def test_lists_no_lattice_points(self, monkeypatch, hexagon):
+        def refuse(polytope):
+            raise AssertionError("lattice points listed")
+
+        monkeypatch.setattr(transition_module, "lattice_points", refuse)
+        BasisSimplex(DP6_BASIS).validate_for(hexagon)
+
+
 class TestToricFamily:
     def test_dp6_family_shape(self, hexagon):
         family = toric_family(hexagon, DP6_BASIS)
@@ -139,8 +228,8 @@ class TestToricFamily:
 class TestMatchTransition:
     @pytest.mark.parametrize("basis", [None, DP6_BASIS], ids=["default", "paper"])
     def test_lattice_points_listed_once(self, monkeypatch, hexagon_triangles, basis):
-        """For the basis validation and the specialization only: the Newton
-        check of syz_mirror reads column bounds, and the default basis is
+        """For the specialization only: the basis validation and the Newton
+        check of syz_mirror read column bounds, and the default basis is
         chosen from the support of g."""
         calls = []
         for module in [m for name, m in sys.modules.items() if name.startswith("syzkit")]:
@@ -321,6 +410,36 @@ class TestBasisCharacter:
         assert got == solve_by_roots(rows, targets, len(rows))
         for v, n in zip(points, targets):
             assert weight(character, v) == n
+
+
+    def test_far_basis_equals_the_root_solver(self):
+        """A basis 1000 steps out: gamma has 2,468,085 bits, and the closed
+        form that multiplied and divided Fractions took 1.05 s to reduce it."""
+        points = ((1000, -1000), (1031, -968), (1061, -937))
+        targets = [997, 991, 983]
+        BasisSimplex(points)
+        start = time.perf_counter()
+        character = transition_module._basis_character(points, targets)
+        elapsed = time.perf_counter() - start
+        got = [character.gamma, *character.alpha]
+        assert got == solve_by_roots([(1, *v) for v in points], targets, 3)
+        gamma = character.gamma
+        assert gamma.numerator.bit_length() + gamma.denominator.bit_length() == 2468085
+        assert elapsed < 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 10**4), st.integers(-600, 600)), min_size=1, max_size=3
+        )
+    )
+    def test_monomial_matches_fraction_powers(self, terms):
+        """``_monomial`` against a product of ``Fraction`` powers, on bases
+        that need not be coprime, exponents on both sides of 16 among them."""
+        bases, exponents = zip(*terms)
+        got = transition_module._monomial(bases, exponents)
+        assert type(got) is Fraction
+        assert got == prod(Fraction(b) ** e for b, e in terms)
 
 
 class TestReportJson:
