@@ -186,8 +186,9 @@ def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
         return {}
     profile: dict[IntVec, int] = {}
     for a, b in zip(verts, verts[1:] + verts[:1]):
-        e = vec_sub(b, a)
-        profile[primitive(e)] = lattice_length(e)
+        e = [y - x for x, y in zip(a, b)]
+        g = gcd(*e)
+        profile[tuple(x // g for x in e)] = g
     return profile
 
 

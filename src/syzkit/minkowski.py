@@ -10,7 +10,6 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 
 from collections import Counter
 from itertools import chain, groupby
-from operator import itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -201,10 +200,13 @@ def enumerate_decompositions(
     The search walks each unimodular triangle's multiplicity, bounded by the
     edge budget left, one triangle type per level.  Once the last triangle
     touching a direction pair ``{u, -u}`` is placed, the budget left on the
-    pair must be symmetric, and it is spent on that many unit segments.
-    ``budget`` caps the search nodes (default 10^7), one node per choice of
-    one triangle's multiplicity; past it, SearchBudgetExceededError is raised,
-    and a negative one raises ValueError.
+    pair must be symmetric, and it is spent on that many unit segments.  A
+    triangle after which a pair settles has exactly one of ``u``, ``-u`` among
+    its edges, so that pair forces its multiplicity: the one choice that
+    leaves the pair symmetric, if it fits the budget left.
+    ``budget`` caps the search nodes (default 10^7), one node per
+    multiplicity tried, forced ones included; past it,
+    SearchBudgetExceededError is raised, and a negative one raises ValueError.
     A polytope whose half lattice perimeter exceeds MAX_SUMMANDS could yield
     that many summands, and raises OutputTooLargeError before any is built.
     """
@@ -220,7 +222,20 @@ def enumerate_decompositions(
             f"past the cap of {MAX_SUMMANDS}"
         )
     triangles = _unimodular_triangles(left) if d == 2 else []
-    units = [u for u in left if u > vec_neg(u)]
+    # settle[i]: the pairs (u, -u) that no triangle from the i-th on touches;
+    # forced[i]: a pair (u, -u) that settles after the i-th triangle, u its edge
+    last = {e: i for i, t in enumerate(triangles, 1) for e in t}
+    settle: list[list[tuple[IntVec, IntVec]]] = [[] for _ in range(len(triangles) + 1)]
+    forced: list[tuple[IntVec, IntVec] | None] = [None] * len(triangles)
+    units = []
+    for u in left:
+        nu = vec_neg(u)
+        if u > nu:
+            units.append(u)
+        i = max(last.get(u, 0), last.get(nu, 0))
+        settle[i].append((u, nu))
+        if last.get(u) == i:
+            forced[i - 1] = u, nu
     # Each candidate type is built canonical and unchecked: the triangle on
     # 0, a, a + b, rooted at its least vertex, is unimodular as cross(a, b) == 1,
     # and each unit segment (u,) has a primitive u > -u.
@@ -232,13 +247,7 @@ def enumerate_decompositions(
     keys = [summand_sort_key(s) for s in types]
     order = sorted(range(len(types)), key=keys.__getitem__)
     counts = [0] * len(types)  # the multiplicity of each type
-    # settle[i]: the pairs (u, -u) that no triangle from the i-th on touches
-    last = {e: i for i, t in enumerate(triangles, 1) for e in t}
-    settle: list[list[tuple[IntVec, IntVec]]] = [[] for _ in range(len(triangles) + 1)]
-    for u in left:
-        nu = vec_neg(u)
-        settle[max(last.get(u, 0), last.get(nu, 0))].append((u, nu))
-    found: list[tuple[tuple, MinkowskiDecomposition]] = []  # (run key, result)
+    found: list[tuple[int, ...]] = []  # the counts of each result, in type-key order
     nodes = 0
 
     def place(i: int) -> None:
@@ -249,20 +258,27 @@ def enumerate_decompositions(
             # the settled pairs and the unit counts spend the edge budget exactly
             for j, u in enumerate(units, len(triangles)):
                 counts[j] = left[u]
-            runs = [(t, counts[t]) for t in order if counts[t]]
-            dec = MinkowskiDecomposition._of(base, shift, [(types[t], m) for t, m in runs])
-            found.append((tuple((keys[t], -m) for t, m in runs), dec))
+            found.append(tuple(counts[t] for t in order))
             return
         edges = triangles[i]
-        top = min(left[e] for e in edges)
-        for m in range(top + 1):
+        low, top = 0, min(left[e] for e in edges)
+        if (pair := forced[i]) is not None:
+            # the one multiplicity that leaves the pair symmetric
+            low = left[pair[0]] - left.get(pair[1], 0)
+            if not 0 <= low <= top:
+                return
+            top = low
+            for e in edges:
+                left[e] -= low
+            counts[i] = low
+        for m in range(low, top + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise SearchBudgetExceededError(
                     f"decomposition search exceeded {max_nodes} nodes: "
                     f"{len(found)} decompositions found in {nodes - 1} nodes visited"
                 )
-            if m:
+            if m > low:
                 for e in edges:
                     left[e] -= 1
                 counts[i] = m
@@ -272,14 +288,18 @@ def enumerate_decompositions(
         counts[i] = 0
 
     place(0)
-    # The run keys (type key, -count) order the results as their expanded sort
-    # keys do.  At the first run where two results differ, either the type keys
-    # differ, or the type is the same and the longer run comes first: its next
-    # summand key is that type's, the other's is a later type's.  The other
-    # cannot end there instead, since no result's summands are a proper prefix
-    # of another's: every summand spends part of the same total edge budget.
-    found.sort(key=itemgetter(0))
-    return [dec for _, dec in found]
+    # Descending count vectors order the results as their expanded sort keys
+    # do.  At the first type where two vectors differ, either both counts are
+    # nonzero and the longer run comes first, because its next summand key is
+    # still that type's; or one count is 0, and the other result's next run
+    # has the earlier type key.  The result with the 0 cannot end there
+    # instead: every summand spends part of the same total edge budget, so no
+    # result's summands are a proper prefix of another's.
+    found.sort(reverse=True)
+    return [
+        MinkowskiDecomposition._of(base, shift, [(types[t], m) for t, m in zip(order, vec) if m])
+        for vec in found
+    ]
 
 
 class CayleyCone(Value):

@@ -141,6 +141,58 @@ def backtrack_decompositions(polytope, budget=None):
     return found
 
 
+def full_walk_decompositions(polytope):
+    """The triangle-multiplicity walk that forced multiplicities replaced,
+    kept as an oracle: it tries every multiplicity ``0..top`` of every
+    triangle, even where a settling pair leaves one choice, and sorts its
+    results by run key.  Returns the results and the nodes it visited."""
+    d = polytope.dim
+    shift = polytope.lexmin
+    base = polytope.translate(vec_neg(shift))
+    left = edge_profile(base)
+    triangles = minkowski._unimodular_triangles(left) if d == 2 else []
+    units = [u for u in left if u > vec_neg(u)]
+    types = [summand_from_vertices(d, ((0, 0), a, vec_add(a, b))) for a, b, _ in triangles]
+    types += [UnimodularSimplex(d, (u,)) for u in units]
+    keys = [summand_sort_key(s) for s in types]
+    order = sorted(range(len(types)), key=keys.__getitem__)
+    counts = [0] * len(types)
+    last = {e: i for i, t in enumerate(triangles, 1) for e in t}
+    settle = [[] for _ in range(len(triangles) + 1)]
+    for u in left:
+        settle[max(last.get(u, 0), last.get(vec_neg(u), 0))].append((u, vec_neg(u)))
+    found = []
+    nodes = 0
+
+    def place(i):
+        nonlocal nodes
+        if any(left[u] != left.get(nu, 0) for u, nu in settle[i]):
+            return
+        if i == len(triangles):
+            for j, u in enumerate(units, len(triangles)):
+                counts[j] = left[u]
+            runs = [(t, counts[t]) for t in order if counts[t]]
+            dec = MinkowskiDecomposition(base, shift, [types[t] for t, m in runs for _ in range(m)])
+            found.append((tuple((keys[t], -m) for t, m in runs), dec))
+            return
+        edges = triangles[i]
+        top = min(left[e] for e in edges)
+        for m in range(top + 1):
+            nodes += 1
+            if m:
+                for e in edges:
+                    left[e] -= 1
+                counts[i] = m
+            place(i + 1)
+        for e in edges:
+            left[e] += top
+        counts[i] = 0
+
+    place(0)
+    found.sort(key=lambda pair: pair[0])
+    return [dec for _, dec in found], nodes
+
+
 class PerSummandDecomposition(MinkowskiDecomposition):
     """``MinkowskiDecomposition`` with the validation that the once-per-type
     check replaced, kept as an oracle: it canonicalises, rank-checks and
@@ -277,7 +329,13 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_decompositions(hexagon, budget=-1)
 
-    @pytest.mark.parametrize("budget, found", [(0, 0), (10, 1), (50, 6), (100, 13)])
+    # Z(4,5) has four triangle types over eight directions of length 5.  Its
+    # walk takes 54 nodes: m0 in 0..5 is free, m1 = m0 is forced by the pair
+    # (1, 1), m2 in 0..5-m0 is free and m3 = m2 is forced by the pair (-1, 1).
+    # Each choice of m0 costs 2 nodes and each of m2 another 2, the last of
+    # which finds a result, so the 21 results end at nodes 4, 6, ..., 14, 18,
+    # ..., 54.  Every result is built after the walk ends.
+    @pytest.mark.parametrize("budget, found", [(0, 0), (10, 4), (30, 12), (53, 20)])
     def test_budget_error_says_how_far_the_search_got(self, monkeypatch, budget, found):
         built = []
         real = MinkowskiDecomposition._of.__func__
@@ -289,22 +347,36 @@ class TestEnumerate:
         monkeypatch.setattr(MinkowskiDecomposition, "_of", classmethod(counted))
         with pytest.raises(SearchBudgetExceededError) as info:
             enumerate_decompositions(zonotope(4, 5), budget=budget)
-        assert len(built) == found
+        assert built == []
         assert str(info.value) == (
             f"decomposition search exceeded {budget} nodes: "
             f"{found} decompositions found in {budget} nodes visited"
         )
+        assert len(enumerate_decompositions(zonotope(4, 5), budget=54)) == len(built) == 21
 
     @pytest.mark.parametrize(
         "polytope, nodes",
         [
-            # two triangle types, each placed 0 or 1 times: 2 + 2 * 2 choices
-            (hull(HEXAGON_CORNERS), 6),
-            (zonotope(6, 3), 311),
+            # two triangle types, each placed 0 or 1 times: 2 choices of the
+            # first, and the pair (1, 0) forces the second, 1 node each
+            (hull(HEXAGON_CORNERS), 4),
+            # the same two types: k + 1 choices of the first, each forcing the
+            # second, against (k + 1)(k + 2) nodes for a walk of both
+            *[(hull([(k * x, k * y) for x, y in HEXAGON_CORNERS]), 2 * (k + 1))
+              for k in (1, 5, 100, 1000)],
+            # see test_budget_error_says_how_far_the_search_got
+            (zonotope(4, 5), 54),
+            # eight triangle types over twelve directions of length 3: the free
+            # levels 0, 1, 3 and 6 take 4, 10, 23 and 39 nodes; levels 2, 4, 5
+            # and 7 are forced (m2 = m1, m4 = m0, m5 = m3, then one result per
+            # node), one node per prefix that fits: 10, 20 (the triples with
+            # m0 + m1 + m3 <= 3), 20 and 39
+            (zonotope(6, 3), 4 + 10 + 10 + 23 + 20 + 20 + 39 + 39),
             # no triangle fits a segment, and forced segments cost no nodes
             (hull([(0,), (1200,)]), 0),
         ],
-        ids=["hexagon", "Z(6,3)", "segment"],
+        ids=["hexagon", *(f"hexagon*{k}" for k in (1, 5, 100, 1000)), "Z(4,5)", "Z(6,3)",
+             "segment"],
     )
     def test_budget_counts_triangle_choices(self, polytope, nodes):
         enumerate_decompositions(polytope, budget=nodes)
@@ -822,6 +894,41 @@ class TestSearchResults:
                 return real(*args)
             monkeypatch.setattr(owner, attr, counted)
         assert enumerate_decompositions(polytope) and calls == Counter()
+
+
+class TestAgainstTheFullWalk:
+    """The search with forced multiplicities against the full walk: the same
+    results in the same order, read the same, in no more nodes."""
+
+    @staticmethod
+    def check(polytope):
+        want, nodes = full_walk_decompositions(polytope)
+        decs = enumerate_decompositions(polytope, budget=nodes)
+        assert decs == want
+        assert [dec.to_json_dict() for dec in decs] == [dec.to_json_dict() for dec in want]
+
+    @pytest.mark.parametrize("name", DECOMPOSE_CORPUS)
+    def test_corpus(self, name):
+        self.check(DECOMPOSE_CORPUS[name])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(zonotopes(), polygons()))
+    def test_random_polygons(self, polytope):
+        self.check(polytope)
+
+    def test_random_sums(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            parts = [random_unimodular_simplex(rng) for _ in range(rng.randint(1, 3))]
+            self.check(minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_summand_sums(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        parts = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), min_size=1, max_size=4))
+        shift = data.draw(st.tuples(*[st.integers(-9, 9)] * dim))
+        self.check(minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim).translate(shift))
 
 
 class TestSummandCap:
