@@ -10,7 +10,7 @@ from itertools import product
 from math import prod
 
 from .errors import SearchBudgetExceededError, ShapeMismatchError, Value, json_int
-from .minkowski import MinkowskiDecomposition, _search_budget
+from .minkowski import MinkowskiDecomposition, _cut, _search_budget
 
 SECTOR_D0 = "D0"
 SECTOR_DINF = "Dinf"
@@ -50,15 +50,6 @@ class DiscClass(Value):
     @staticmethod
     def from_json_dict(data: dict) -> "DiscClass":
         return DiscClass(data["sector"], data["multiplicities"])
-
-
-def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
-    """The number of walls below a fiber in the chamber: walls i <= chamber
-    are in its D0 sector, the rest in Dinf.  A chamber that is not an int,
-    a bool among them, raises TypeError."""
-    if not -1 <= json_int(chamber) <= decomposition.p:
-        raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
-    return chamber + 1
 
 
 def _check_shape(decomposition: MinkowskiDecomposition, beta: DiscClass) -> None:

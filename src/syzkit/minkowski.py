@@ -168,6 +168,15 @@ def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
     )
 
 
+def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
+    """The number of walls below a fiber in the chamber: walls i <= chamber
+    are in its D0 sector, the rest in Dinf.  A chamber that is not an int,
+    a bool among them, raises TypeError."""
+    if not -1 <= json_int(chamber) <= decomposition.p:
+        raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
+    return chamber + 1
+
+
 def verify_decomposition(polytope: LatticePolytope, summands) -> bool:
     """Exact check, the one ``MinkowskiDecomposition`` makes, that the summands
     are unimodular simplices of the polytope's rank whose Minkowski sum is the

@@ -16,9 +16,8 @@ from operator import mul
 
 from .algebra import LaurentPolynomial
 from .errors import OutputTooLargeError, Value, VerificationFailedError, json_int
-from .gw import _cut
 from .lattice import IntVec, UnimodularSimplex, _column_bounds
-from .minkowski import MinkowskiDecomposition
+from .minkowski import MinkowskiDecomposition, _cut
 
 
 class GWTable(Value):
@@ -76,11 +75,23 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _packed_product(types, bits: int) -> int:
-    """The packed product: each type ``(slot indices, multiplicity)`` is
-    packed once in ``bits``-bit slots and raised to its multiplicity, and the
-    powers are multiplied left to right; the empty product is 1."""
-    return prod([sum([1 << bits * index for index in indices]) ** m for indices, m in types])
+def _packed_product(parts, bits: int, xs: int) -> int:
+    """The packed product of the parts ``(box, count)``: each box's moved
+    vertices ``(x, y)`` make the factor sum(2^(x * xs + y * bits)), which is
+    raised to its count, and the powers are multiplied left to right; the
+    empty product is 1."""
+    packed = 1
+    for box, m in parts:
+        factor = 0
+        for x, y in box[2]:
+            factor += 1 << x * xs + y * bits
+        packed *= factor**m
+    return packed
+
+
+# The rank-1 kernel packs its factors as one power: 1 + z^u fills both
+# slots of its box, as the moved vertices (0, 0) and (0, 1) do.
+_STEP = (None, None, ((0, 0), (0, 1)), 2)
 
 
 def _read_slots(packed: int, width: int):
@@ -99,43 +110,42 @@ def _read_slots(packed: int, width: int):
     return slots.tolist()
 
 
-def _wall_slots(dim: int, runs) -> tuple:
+def _wall_slots(dim: int, parts) -> tuple:
     """The box ``axes`` (one ``range`` per coordinate) and the coefficients
-    ``slots`` of the product of the wall factors of the runs
-    ``(summand, count)``, one slot per box point in lexicographic order.
+    ``slots`` of the product of the wall factors of the parts ``(box,
+    count)``, each box a summand's ``_kernel_box()``, one slot per box point
+    in lexicographic order.
 
     Kronecker substitution: each factor is shifted to nonnegative exponents,
     an exponent e in the bounding box of the product (the count-weighted sum
-    of the boxes the summands keep) becomes its row-major slot index, and a
-    polynomial becomes the integer sum(c_e * 2^(w * index)).  Every
-    coefficient is a nonnegative integer at most g(1, ..., 1) = prod(1 + k_i),
-    so w-bit slots never carry into each other and bigint arithmetic
-    multiplies the factors in ``_packed_product``: one power per run.  The
-    product is read in whole slots by ``_read_slots``, so a carry anywhere
-    fails the sum check.  A product whose packed integer would pass
-    MAX_PACKED_BYTES raises before any packing.
+    of the parts' boxes) becomes its row-major slot index, and a polynomial
+    becomes the integer sum(c_e * 2^(w * index)).  Every coefficient is a
+    nonnegative integer at most g(1, ..., 1) = prod(1 + k_i), so w-bit slots
+    never carry into each other and bigint arithmetic multiplies the factors
+    in ``_packed_product``: one power per part.  The product is read in
+    whole slots by ``_read_slots``, so a carry anywhere fails the sum check.
+    A product whose packed integer would pass MAX_PACKED_BYTES raises before
+    any packing.
     """
-    if dim == 1:  # 1 + z^u fills both slots of its box
+    if dim == 1:
         low = steps = 0
-        for s, m in runs:
-            low, steps = low + m * s._kernel_box()[0][0], steps + m
-        bound, axes = 1 << steps, (range(low, low + 1 + steps),)
-        types = [((0, 1), m) for _, m in runs]
+        for box, m in parts:
+            low, steps = low + m * box[0][0], steps + m
+        bound, axes, ry, parts = 1 << steps, (range(low, low + 1 + steps),), 1, [(_STEP, steps)]
     else:
-        boxes = [(s._kernel_box(), m) for s, m in runs]
         ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
-        for ((lx, ly), (ex, ey), _, size), m in boxes:
+        for ((lx, ly), (ex, ey), _, size), m in parts:
             ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
             bound *= size**m
         axes = (range(ox, ox + rx), range(oy, oy + ry))
-        types = [([x * ry + y for x, y in box[2]], m) for box, m in boxes]
     width = _slot_bytes(bound)
     size = prod(map(len, axes)) * width
     if size > MAX_PACKED_BYTES:
         raise OutputTooLargeError(
             f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
         )
-    slots = _read_slots(_packed_product(types, 8 * width), width)
+    bits = 8 * width
+    slots = _read_slots(_packed_product(parts, bits, bits * ry), width)
     total = sum(slots)
     if total != bound:
         raise VerificationFailedError(
@@ -148,7 +158,7 @@ def _wall_slots(dim: int, runs) -> tuple:
 def _slot_terms(axes, slots, lead: tuple[int, ...] = ()) -> dict[tuple, int]:
     """The terms ``lead + e: n_e`` of the nonzero slots, in lexicographic
     order, each ``n_e`` the ``int`` it was read as.  ``lead`` is ``()`` for g
-    and ``(1,)`` or ``(-1,)`` for the halves of ``chamber_uv``."""
+    and ``(1,)`` for z0 times g."""
     keys = product(*[(c,) for c in lead], *axes)
     return dict(compress(zip(keys, slots), slots))
 
@@ -241,7 +251,7 @@ def _checked_slots(decomposition: MinkowskiDecomposition) -> tuple:
     sum, Newton and sign-point checks."""
     polytope = decomposition.polytope
     runs = decomposition._kernel_runs()
-    axes, slots = _wall_slots(polytope.dim, runs)
+    axes, slots = _wall_slots(polytope.dim, [(s._kernel_box(), m) for s, m in runs])
     rows = _rows(axes, slots)
     _check_newton(polytope, axes, slots, rows)
     _check_sign_points(polytope.dim, axes, rows, runs)
@@ -281,18 +291,17 @@ def chamber_uv(
     times those above; their product is the expanded mirror with the z0
     exponent cancelled.
     """
-    cut, runs = _cut(decomposition, chamber), decomposition._kernel_runs()
-    i = 0
-    while i < len(runs) and cut >= runs[i][1]:
-        cut -= runs[i][1]
-        i += 1
-    below, above = runs[:i], runs[i:]
-    if cut:  # a cut inside a run splits it
-        s, m = above[0]
-        below.append((s, cut))
-        above[0] = (s, m - cut)
-    d = decomposition.polytope.dim
+    cut, d = _cut(decomposition, chamber), decomposition.polytope.dim
+    below, above = [], []
+    for s, m in decomposition._kernel_runs():  # a cut inside a run splits it
+        box = s._kernel_box()
+        if cut > 0:
+            below.append((box, cut if cut < m else m))
+        if cut < m:
+            above.append((box, m - cut if cut > 0 else m))
+        cut -= m
+    (axes_u, u), (axes_v, v) = _wall_slots(d, below), _wall_slots(d, above)
     return (
-        LaurentPolynomial._of(d + 1, _slot_terms(*_wall_slots(d, below), (1,))),
-        LaurentPolynomial._of(d + 1, _slot_terms(*_wall_slots(d, above), (-1,))),
+        LaurentPolynomial._of(d + 1, dict(compress(zip(product((1,), *axes_u), u), u))),
+        LaurentPolynomial._of(d + 1, dict(compress(zip(product((-1,), *axes_v), v), v))),
     )

@@ -2,8 +2,10 @@
 under ``python -O``.  Each patches one seam of ``syzkit.mirror`` so that
 the wall kernel hands back a wrong product, and names the check that must
 catch it: ``syz_mirror`` and ``disc_potential`` must both raise
-``VerificationFailedError`` with that text.  Standard library and syzkit
-only, so that a bare ``python -O`` can import it.
+``VerificationFailedError`` with that text.  ``chamber_uv`` runs the sum
+check alone, on each half, so it must raise on the injections that check
+catches, at chambers -1 and p.  Standard library and syzkit only, so that
+a bare ``python -O`` can import it.
 
     python -O tests/kernel_faults.py
 
@@ -13,7 +15,7 @@ prints one line per injection and entry point, ``caught`` or ``missed``.
 import sys
 
 from syzkit import MinkowskiDecomposition, UnimodularSimplex, VerificationFailedError, hull
-from syzkit import disc_potential, syz_mirror
+from syzkit import chamber_uv, disc_potential, syz_mirror
 from syzkit import mirror
 
 
@@ -34,8 +36,8 @@ def _slots_edited(edit):
     the zero slots the kernel does not read, through ``edit(axes, slots)``."""
     real = mirror._wall_slots
 
-    def edited(dim, runs):
-        axes, slots = real(dim, runs)
+    def edited(dim, parts):
+        axes, slots = real(dim, parts)
         size = 1
         for axis in axes:
             size *= len(axis)
@@ -54,7 +56,7 @@ def _set_slot(index, value):
 
 def _packed_plus(delta):
     real = mirror._packed_product
-    return lambda types, bits: real(types, bits) + delta
+    return lambda *args: real(*args) + delta
 
 
 # name: (decomposition, {seam: replacement} built on first use, the check's text)
@@ -89,6 +91,21 @@ INJECTIONS = {
 
 ENTRY_POINTS = {"syz_mirror": syz_mirror, "disc_potential": disc_potential}
 
+# At chamber -1 the whole product lies above the fiber, at p below it; the
+# other half is the empty product.
+HALF_ENTRY_POINTS = {
+    "chamber_uv at -1": lambda decomposition: chamber_uv(decomposition, -1),
+    "chamber_uv at p": lambda decomposition: chamber_uv(decomposition, decomposition.p),
+}
+
+# The injections that the sum check catches, which chamber_uv runs too.
+SUM_CHECKED = [name for name, (_, _, match) in INJECTIONS.items() if match == "sum to"]
+
+
+def entry_points(name):
+    """The entry points that must catch the injection ``name``."""
+    return {**ENTRY_POINTS, **HALF_ENTRY_POINTS} if name in SUM_CHECKED else ENTRY_POINTS
+
 
 def inject(name, setattr):
     """Apply the injection ``name`` through ``setattr(module, seam, value)``;
@@ -110,7 +127,7 @@ def caught(call, decomposition, match) -> bool:
 def main() -> int:
     missed = 0
     for name in INJECTIONS:
-        for entry, call in ENTRY_POINTS.items():
+        for entry, call in entry_points(name).items():
             saved = dict(vars(mirror))
             decomposition, match = inject(name, setattr)
             ok = caught(call, decomposition, match)

@@ -8,7 +8,7 @@ import time
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from struct import Struct
 
 import pytest
@@ -73,9 +73,14 @@ def oracle_product(dim, summands):
 
 
 def kernel(dim, summands, lead=()):
-    """The terms of ``mirror._wall_slots`` on the runs ``(summand, count)`` of a summand list."""
-    axes, slots = mirror_module._wall_slots(dim, Counter(summands).items())
+    """The terms of ``mirror._wall_slots`` on the parts ``(box, count)`` of a summand list."""
+    axes, slots = mirror_module._wall_slots(dim, kernel_parts(Counter(summands).items()))
     return mirror_module._slot_terms(axes, slots, lead)
+
+
+def kernel_parts(runs):
+    """The kernel's parts ``(box, count)`` of runs ``(summand, count)``."""
+    return [(s._kernel_box(), m) for s, m in runs]
 
 
 def mixed_radix_wall_product(dim, summands):
@@ -111,6 +116,64 @@ def mixed_radix_wall_product(dim, summands):
         for index, n in enumerate(slots)
         if n
     }
+
+
+def type_list_wall_slots(dim, runs):
+    """The wall kernel as it was before it packed from boxes: for each run
+    ``(summand, count)`` a list of slot indices, each packed by its own
+    comprehension and raised to its count.  Kept as the oracle of packing
+    each box's moved vertices with the row stride ``xs``."""
+    if dim == 1:  # 1 + z^u fills both slots of its box
+        low = steps = 0
+        for s, m in runs:
+            low, steps = low + m * s._kernel_box()[0][0], steps + m
+        bound, axes = 1 << steps, (range(low, low + 1 + steps),)
+        types = [((0, 1), m) for _, m in runs]
+    else:
+        boxes = [(s._kernel_box(), m) for s, m in runs]
+        ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
+        for ((lx, ly), (ex, ey), _, size), m in boxes:
+            ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
+            bound *= size**m
+        axes = (range(ox, ox + rx), range(oy, oy + ry))
+        types = [([x * ry + y for x, y in box[2]], m) for box, m in boxes]
+    width = mirror_module._slot_bytes(bound)
+    bits = 8 * width
+    packed = math.prod(sum(1 << bits * i for i in indices) ** m for indices, m in types)
+    raw = packed.to_bytes(math.prod(map(len, axes)) * width, "little")
+    slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    assert sum(slots) == bound
+    return axes, slots
+
+
+def run_split_chamber_uv(dec, chamber):
+    """The terms of both halves of ``chamber_uv`` as it was before one walk
+    of the runs: the run list sliced at the cut, a cut inside a run patched
+    onto both sides, and each half through ``type_list_wall_slots`` and
+    ``_slot_terms``.  Kept as the oracle of the walk."""
+    cut, runs = chamber + 1, dec._kernel_runs()
+    i = 0
+    while i < len(runs) and cut >= runs[i][1]:
+        cut -= runs[i][1]
+        i += 1
+    below, above = runs[:i], runs[i:]
+    if cut:  # a cut inside a run splits it
+        s, m = above[0]
+        below.append((s, cut))
+        above[0] = (s, m - cut)
+    d = dec.polytope.dim
+    return tuple(
+        mirror_module._slot_terms(*type_list_wall_slots(d, half), lead)
+        for half, lead in ((below, (1,)), (above, (-1,)))
+    )
+
+
+def sum_decomposition(parts):
+    """The decomposition of the Minkowski sum of rank-2 simplices, pinned at
+    its lexicographic minimum."""
+    polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+    shift = polytope.lexmin
+    return MinkowskiDecomposition(polytope.translate(tuple(-x for x in shift)), shift, tuple(parts))
 
 
 def _box_simplices():
@@ -342,7 +405,7 @@ class TestGwInvariant:
         "chamber", [True, 0.0, Fraction(1), "1"], ids=["bool", "float", "Fraction", "string"]
     )
     def test_chamber_must_be_an_int(self, conifold, chamber):
-        """One check in ``gw._cut`` serves every function that takes a chamber."""
+        """One check in ``minkowski._cut`` serves every function that takes a chamber."""
         beta = DiscClass(SECTOR_D0, ((0,), (0,)))
         for call in (
             lambda: chamber_uv(conifold, chamber),
@@ -443,6 +506,43 @@ class TestChamberUV:
             assert sum(v.terms.values()) == gw_module._class_count(dec, chamber, SECTOR_DINF)
 
 
+class TestChamberWalk:
+    """``chamber_uv`` splits the runs at the cut in one walk and packs each
+    half from its boxes: at every chamber, both halves have the terms of the
+    run-split oracle, in the same key order."""
+
+    @staticmethod
+    def assert_walk(dec):
+        """Compare every chamber; return how many cuts fell inside a run."""
+        for chamber in range(-1, dec.p + 1):
+            got = chamber_uv(dec, chamber)
+            for poly, terms in zip(got, run_split_chamber_uv(dec, chamber)):
+                assert list(poly.terms.items()) == list(terms.items())
+                assert_integral(poly)
+        ends = set(accumulate(m for _, m in dec._kernel_runs()))
+        return len(set(range(1, dec.p + 1)) - ends)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 40))
+    def test_rank_one(self, p):
+        """A_p is one run of p + 1 steps: every cut but the two ends is inside it."""
+        assert self.assert_walk(ap_decomposition(p)) == p
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(BOX_SIMPLICES), st.integers(1, 4)), max_size=4))
+    def test_rank_two(self, runs):
+        self.assert_walk(sum_decomposition([s for s, m in runs for _ in range(m)]))
+
+    def test_corpus(self):
+        """The mirror corpus and the decoder cases, at every slot width: they
+        hold cuts inside runs and runs of count 1."""
+        inside = single = 0
+        for dec in [*mirror_corpus(), *DECODER_CASES.values()]:
+            inside += self.assert_walk(dec)
+            single += sum(m == 1 for _, m in dec._kernel_runs())
+        assert inside and single
+
+
 class TestWallProductKernel:
     """The packed-integer kernel against the schoolbook fold it replaced."""
 
@@ -481,11 +581,7 @@ class TestWallProductKernel:
         assert LaurentPolynomial(2, got) == want
         assert list(got) == sorted(got)
         assert sum(got.values()) == math.prod(1 + s.k for s in parts)
-        polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
-        shift = polytope.lexmin
-        dec = MinkowskiDecomposition(
-            polytope.translate(tuple(-x for x in shift)), shift, tuple(parts)
-        )
+        dec = sum_decomposition(parts)
         g = syz_mirror(dec).expanded
         assert g == oracle_product(2, dec.summands)
         for chamber in range(-1, dec.p + 1):
@@ -826,6 +922,16 @@ class TestDiscPotentialChecksItsKernel:
         with pytest.raises(VerificationFailedError, match=match):
             kernel_faults.ENTRY_POINTS[entry](dec)
 
+    @pytest.mark.parametrize("entry", list(kernel_faults.HALF_ENTRY_POINTS))
+    @pytest.mark.parametrize("name", kernel_faults.SUM_CHECKED)
+    def test_sum_check_injections_are_caught_by_chamber_uv(self, monkeypatch, name, entry):
+        dec, match = kernel_faults.inject(name, monkeypatch.setattr)
+        with pytest.raises(VerificationFailedError, match=match):
+            kernel_faults.HALF_ENTRY_POINTS[entry](dec)
+
+    def test_sum_checked_injections(self):
+        assert kernel_faults.SUM_CHECKED == ["carry between slots", "carry past the box"]
+
     def test_every_injection_is_caught_under_python_O(self):
         proc = subprocess.run(
             [sys.executable, "-O", kernel_faults.__file__], capture_output=True, text=True
@@ -834,8 +940,9 @@ class TestDiscPotentialChecksItsKernel:
         want = [
             f"caught: 1: {entry}: {name}"
             for name in kernel_faults.INJECTIONS
-            for entry in kernel_faults.ENTRY_POINTS
+            for entry in kernel_faults.entry_points(name)
         ]
+        assert len(want) == 2 * len(kernel_faults.INJECTIONS) + 4
         assert proc.stdout.splitlines() == want
 
 
@@ -1063,7 +1170,7 @@ class TestIdentityChecks:
         with pytest.raises(VerificationFailedError):
             chamber_uv(ap_decomposition(20), 20)
 
-    # A forced slot width for each decode path (one byte, struct at 2, 4 and
+    # A forced slot width for each decode path (one byte, array at 2, 4 and
     # 8 bytes, int.from_bytes at 3), with an A_p whose middle coefficient
     # C(p + 1, (p + 1) // 2) does not fit in it.
     NARROW_SLOTS = [(1, 20), (2, 20), (3, 30), (4, 40), (8, 80)]
@@ -1086,7 +1193,7 @@ class TestIdentityChecks:
         past_box = 1 << 8 * packed_bytes(dec)
         real = mirror_module._packed_product
         monkeypatch.setattr(
-            mirror_module, "_packed_product", lambda types, bits: real(types, bits) + past_box
+            mirror_module, "_packed_product", lambda *args: real(*args) + past_box
         )
         with pytest.raises(VerificationFailedError, match="sum to"):
             syz_mirror(dec)
@@ -1098,8 +1205,8 @@ class TestIdentityChecks:
 
         def set_slot(point, value):
             """The kernel's slots with the one at ``point`` set to ``value``."""
-            def corrupted(dim, runs):
-                axes, slots = real(dim, runs)
+            def corrupted(dim, parts):
+                axes, slots = real(dim, parts)
                 return axes, corrupt_slot(axes, slots, point, value)
 
             monkeypatch.setattr(mirror_module, "_wall_slots", corrupted)
@@ -1120,8 +1227,8 @@ class TestIdentityChecks:
                 syz_mirror(dec)
 
         # a box that is not P's bounding box
-        def shifted(dim, runs):
-            axes, slots = real(dim, runs)
+        def shifted(dim, parts):
+            axes, slots = real(dim, parts)
             return tuple(range(a.start + 1, a.stop + 1) for a in axes), slots
 
         monkeypatch.setattr(mirror_module, "_wall_slots", shifted)
@@ -1268,8 +1375,8 @@ def swap_packed_slots(monkeypatch, width, i, j):
     bits = 8 * width
     mask = (1 << bits) - 1
 
-    def swapped(types, slot_bits):
-        packed = real(types, slot_bits)
+    def swapped(*args):
+        packed = real(*args)
         a, b = packed >> bits * i & mask, packed >> bits * j & mask
         return packed + ((b - a) << bits * i) + ((a - b) << bits * j)
 
@@ -1307,7 +1414,7 @@ class TestSignPointCheck:
         """Changing one coefficient by one changes g at every sign point."""
         d = dec.polytope.dim
         runs = list(Counter(dec.summands).items())
-        axes, slots = mirror_module._wall_slots(d, runs)
+        axes, slots = mirror_module._wall_slots(d, kernel_parts(runs))
         slots = list(slots)
         check = mirror_module._check_sign_points
         check(d, axes, mirror_module._rows(axes, slots), runs)
@@ -1328,7 +1435,7 @@ class TestSignPointCheck:
             "step = UnimodularSimplex(1, ((1,),))",
             "dec = MinkowskiDecomposition(hull([(0,), (6,)]), (0,), (step,) * 6)",
             "real = m._packed_product",
-            "m._packed_product = lambda types, bits: real(types, bits) + (9 << 8) - (9 << 16)",
+            "m._packed_product = lambda *args: real(*args) + (9 << 8) - (9 << 16)",
             "try:",
             "    syz_mirror(dec)",
             "except VerificationFailedError as exc:",
@@ -1387,7 +1494,7 @@ class TestRowChecksMatchTheirOracles:
         for _ in range(400):
             dec = self.random_decomposition(rng)
             polytope, runs = dec.polytope, dec._kernel_runs()
-            axes, slots = mirror_module._wall_slots(polytope.dim, runs)
+            axes, slots = mirror_module._wall_slots(polytope.dim, kernel_parts(runs))
             if rng.random() < 0.6:  # one slot of the box set anew, maybe to its value
                 slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
                 index = rng.randrange(len(slots))
@@ -1418,6 +1525,14 @@ def diagonal_steps(n):
     return MinkowskiDecomposition(hull([(0, 0), (n, n)]), (0, 0), (seg((1, 1)),) * n)
 
 
+def summands_packed_bytes(dim, summands):
+    """Bytes of the packed product of the wall factors of ``summands``: the
+    slots of the sum of their vertex boxes times the slot width."""
+    extents = [[max(c) - min(c) for c in zip(*s.vertex_set())] for s in summands]
+    box = math.prod(1 + sum(e[j] for e in extents) for j in range(dim))
+    return box * mirror_module._slot_bytes(math.prod(1 + s.k for s in summands))
+
+
 class TestPackedSizeCap:
     """The kernel predicts the bytes of its packed integer and refuses a
     product past MAX_PACKED_BYTES before it packs anything."""
@@ -1446,10 +1561,24 @@ class TestPackedSizeCap:
         assert str(predicted) in report["detail"]
         assert str(mirror_module.MAX_PACKED_BYTES) in report["detail"]
 
+    def test_halves_are_capped_by_their_predictions(self, monkeypatch):
+        """Each half's prediction is its box of slots times its slot width,
+        as g's is: a cap one byte below the larger half refuses the chamber,
+        naming that half's bytes, and the cap at it admits the chamber."""
+        dec = enumerate_decompositions(zonotope(4, 3))[0]
+        for chamber in range(-1, dec.p + 1):
+            halves = (dec.summands[: chamber + 1], dec.summands[chamber + 1 :])
+            size = max(summands_packed_bytes(2, half) for half in halves)
+            monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size - 1)
+            with pytest.raises(OutputTooLargeError, match=f"take {size} bytes"):
+                chamber_uv(dec, chamber)
+            monkeypatch.setattr(mirror_module, "MAX_PACKED_BYTES", size)
+            chamber_uv(dec, chamber)
+
     def test_nothing_is_packed_past_the_cap(self, monkeypatch):
         dec = diagonal_steps(20000)
 
-        def packed(types, bits):
+        def packed(*args):
             raise AssertionError("a product was packed")
 
         monkeypatch.setattr(mirror_module, "_packed_product", packed)
@@ -1467,14 +1596,22 @@ class TestPackedSizeCap:
         real = mirror_module._packed_product
         sizes = []
 
-        def measured(types, bits):
-            packed = real(types, bits)
+        def measured(*args):
+            packed = real(*args)
             sizes.append((packed.bit_length() + 7) // 8)
             return packed
 
         monkeypatch.setattr(mirror_module, "_packed_product", measured)
         syz_mirror(dec)
         assert 0 < sizes[0] <= packed_bytes(dec)
+        d = dec.polytope.dim
+        for chamber in range(-1, dec.p + 1):
+            sizes.clear()
+            chamber_uv(dec, chamber)
+            halves = (dec.summands[: chamber + 1], dec.summands[chamber + 1 :])
+            assert len(sizes) == 2
+            for size, half in zip(sizes, halves):
+                assert 0 < size <= summands_packed_bytes(d, half) <= packed_bytes(dec)
 
     def test_a2000_packs_half_a_megabyte(self, monkeypatch):
         dec = ap_decomposition(2000)

@@ -199,7 +199,8 @@ class TestLazyNames:
 # handler imports on top of it.
 GEOMETRY = {"syzkit", "syzkit.cli", "syzkit.errors", "syzkit.lattice", "syzkit.minkowski"}
 GW = GEOMETRY | {"syzkit.gw"}
-MIRROR = GW | {"syzkit.algebra", "syzkit.mirror"}
+# mirror takes the chamber check from minkowski, so it loads no gw.
+MIRROR = GEOMETRY | {"syzkit.algebra", "syzkit.mirror"}
 COMMAND_MODULES = {
     "decompose": GEOMETRY,
     "mirror": MIRROR,
