@@ -36,7 +36,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -95,7 +95,7 @@ def _cayley_output_bytes(decomposition) -> int:
         return 23  # '{"generators": []}' at indent 2, and a newline
     return 25 + sum(
         m * (12 + 9 * count + sum(len(str(x)) + 8 for x in w))
-        for s, m in decomposition._kernel_runs()
+        for s, m in decomposition._runs
         for w in s.vertex_set()
     )
 
@@ -192,7 +192,7 @@ def _cmd_tropical(args):
     if args.scale < 1:
         raise _InputError("--scale: the scale must be at least 1")
     walls, union = [], frozenset()
-    for s, m in decomposition._kernel_runs():  # one entry per run, listed once per wall
+    for s, m in decomposition._runs:  # one entry per run, listed once per wall
         rays = tropical_rays(s)
         union |= rays.rays
         walls += [{

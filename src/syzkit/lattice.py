@@ -37,10 +37,7 @@ def cross(a: IntVec, b: IntVec) -> int:
 
 def lattice_length(v: IntVec) -> int:
     """Number of lattice steps along v: the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: IntVec) -> IntVec:
@@ -259,11 +256,14 @@ class UnimodularSimplex(Value):
 
     def _kernel_box(self) -> tuple:
         """The wall kernel's box, kept from the first call, as the kernel reads
-        it once per run on every call: least corner, extent, moved vertices, 1 + k."""
+        it once per run on every call: least corner, extent, moved vertices,
+        1 + k, all in rank 2; a rank-1 simplex lies on the column x = 0."""
         try:
             return self._box
         except AttributeError:
             verts = self.vertex_set()
+            if self.dim == 1:
+                verts = [(0, y) for (y,) in verts]
             low, high = tuple(map(min, *verts)), tuple(map(max, *verts))
             box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts)
             object.__setattr__(self, "_box", box)

@@ -9,7 +9,7 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
 from collections import Counter
-from itertools import chain, groupby
+from itertools import chain
 
 from .errors import (
     DimensionMismatchError,
@@ -74,7 +74,7 @@ class MinkowskiDecomposition(Value):
     """
 
     _fields = ("polytope", "translation", "summands")
-    __slots__ = _fields + ("_runs", "_ks")
+    __slots__ = _fields + ("_runs",)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
@@ -120,16 +120,10 @@ class MinkowskiDecomposition(Value):
         return self
 
     def _set_runs(self, runs) -> None:
-        """Store the runs ``(summand, count)`` expanded by their counts."""
+        """Keep the runs ``(summand, count)``, the list the wall kernel reads,
+        and store them expanded by their counts as the summands."""
+        object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "summands", tuple(chain.from_iterable((s,) * m for s, m in runs)))
-
-    def _kernel_runs(self) -> list:
-        """The runs ``(summand, count)`` of the summands, kept from the first call."""
-        try:
-            return self._runs
-        except AttributeError:
-            object.__setattr__(self, "_runs", [(s, len([*g])) for s, g in groupby(self.summands)])
-            return self._runs
 
     @property
     def p(self) -> int:
@@ -137,16 +131,8 @@ class MinkowskiDecomposition(Value):
 
     @property
     def ks(self) -> tuple[int, ...]:
-        """The summand sizes, kept from the first read."""
-        try:
-            return self._ks
-        except AttributeError:
-            object.__setattr__(self, "_ks", tuple(s.k for s in self.summands))
-            return self._ks
-
-    def sort_key(self) -> tuple:
-        runs = self._kernel_runs()
-        return tuple(chain.from_iterable((summand_sort_key(s),) * m for s, m in runs))
+        """The summand sizes."""
+        return tuple(chain.from_iterable((s.k,) * m for s, m in self._runs))
 
     def to_json_dict(self) -> dict:
         return {

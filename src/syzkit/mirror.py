@@ -89,11 +89,6 @@ def _packed_product(parts, bits: int, xs: int) -> int:
     return packed
 
 
-# The rank-1 kernel packs its factors as one power: 1 + z^u fills both
-# slots of its box, as the moved vertices (0, 0) and (0, 1) do.
-_STEP = (None, None, ((0, 0), (0, 1)), 2)
-
-
 def _read_slots(packed: int, width: int):
     """The ``width``-byte little-endian slots of ``packed`` up to its last
     nonzero one: the ``bytes`` themselves at one byte, else ``int``s read by
@@ -127,17 +122,12 @@ def _wall_slots(dim: int, parts) -> tuple:
     A product whose packed integer would pass MAX_PACKED_BYTES raises before
     any packing.
     """
-    if dim == 1:
-        low = steps = 0
-        for box, m in parts:
-            low, steps = low + m * box[0][0], steps + m
-        bound, axes, ry, parts = 1 << steps, (range(low, low + 1 + steps),), 1, [(_STEP, steps)]
-    else:
-        ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
-        for ((lx, ly), (ex, ey), _, size), m in parts:
-            ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
-            bound *= size**m
-        axes = (range(ox, ox + rx), range(oy, oy + ry))
+    ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
+    for ((lx, ly), (ex, ey), _, size), m in parts:
+        ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
+        bound *= size**m
+    # a rank-1 box lies on the column x = 0, so rank 1 keeps the y axis only
+    axes = (range(ox, ox + rx), range(oy, oy + ry))[2 - dim :]
     width = _slot_bytes(bound)
     size = prod(map(len, axes)) * width
     if size > MAX_PACKED_BYTES:
@@ -250,7 +240,7 @@ def _checked_slots(decomposition: MinkowskiDecomposition) -> tuple:
     """``(runs, axes, slots)`` of g: the kernel's runs and slots, after the
     sum, Newton and sign-point checks."""
     polytope = decomposition.polytope
-    runs = decomposition._kernel_runs()
+    runs = decomposition._runs
     axes, slots = _wall_slots(polytope.dim, [(s._kernel_box(), m) for s, m in runs])
     rows = _rows(axes, slots)
     _check_newton(polytope, axes, slots, rows)
@@ -293,7 +283,7 @@ def chamber_uv(
     """
     cut, d = _cut(decomposition, chamber), decomposition.polytope.dim
     below, above = [], []
-    for s, m in decomposition._kernel_runs():  # a cut inside a run splits it
+    for s, m in decomposition._runs:  # a cut inside a run splits it
         box = s._kernel_box()
         if cut > 0:
             below.append((box, cut if cut < m else m))

@@ -34,5 +34,5 @@ def dual_fan_check(decomposition: MinkowskiDecomposition) -> bool:
     """
     if decomposition.polytope.dim != 2:
         raise UnsupportedDimensionError("the dual-fan check is a rank-two computation")
-    union = frozenset().union(*(tropical_rays(s).rays for s, _ in decomposition._kernel_runs()))
+    union = frozenset().union(*(tropical_rays(s).rays for s, _ in decomposition._runs))
     return union == normal_fan_rays(decomposition.polytope).negated().rays

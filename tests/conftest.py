@@ -7,10 +7,15 @@ import pytest
 from syzkit import (
     MinkowskiDecomposition,
     UnimodularSimplex,
+    chamber_uv,
+    disc_potential,
+    dual_fan_check,
     hull,
     is_unimodular_simplex,
     summand_from_vertices,
+    syz_mirror,
 )
+from syzkit.cli import _cayley_output_bytes
 from syzkit.lattice import vec_add
 from syzkit.mirror import _slot_bytes
 
@@ -143,3 +148,33 @@ def packed_bytes(dec):
         for j in range(dec.polytope.dim)
     )
     return box * _slot_bytes(math.prod(1 + k for k in dec.ks))
+
+
+def recorded_runs(build):
+    """``build()`` and the run lists its decompositions' constructors stored,
+    in order, as each was handed to ``_set_runs``."""
+    stored = []
+    real = MinkowskiDecomposition._set_runs
+
+    def recording(self, runs):
+        stored.append(runs)
+        real(self, runs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MinkowskiDecomposition, "_set_runs", recording)
+        return build(), stored
+
+
+def assert_kernels_keep_runs(dec):
+    """Every reader of ``dec._runs`` (the wall kernel at each chamber, the
+    dual-fan check and the ``cayley`` size) takes the list as it is: none
+    replaces it, regroups it or changes it in place."""
+    runs, copy = dec._runs, list(dec._runs)
+    syz_mirror(dec)
+    disc_potential(dec)
+    for chamber in range(-1, dec.p + 1):
+        chamber_uv(dec, chamber)
+    if dec.polytope.dim == 2:
+        dual_fan_check(dec)
+    _cayley_output_bytes(dec)
+    assert dec._runs is runs and runs == copy

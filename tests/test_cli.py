@@ -785,6 +785,33 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "decompose", str(bad))
         assert code == 2
 
+    # Each was once read as a domain error (exit 1, "InvalidValue") or ended
+    # in a RecursionError traceback.
+    UNREADABLE = {
+        "not UTF-8": b'{"dim": 1, "vertices": [[0], [1\xff]]}',
+        "integer past the digit limit": b'{"dim": 1, "vertices": [[0], [' + b"9" * 5000 + b"]]}",
+        "deep nesting": b"[" * 200_000 + b"]" * 200_000,
+    }
+
+    @pytest.mark.parametrize("raw", UNREADABLE.values(), ids=UNREADABLE)
+    def test_unreadable_json_exits_two(self, capsys, tmp_path, raw):
+        path = tmp_path / "polytope.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert f"error: {path} is not valid JSON: " in err
+
+    def test_deep_nesting_exits_two_without_traceback(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_bytes(self.UNREADABLE["deep nesting"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "syzkit", "decompose", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert "is not valid JSON: maximum recursion depth exceeded" in proc.stderr
+
     def test_unsupported_dimension_is_domain_error(self, capsys, tmp_path):
         cube = tmp_path / "cube.json"
         cube.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0]]}))

@@ -275,6 +275,22 @@ class TestNormalFan:
             normal_fan_rays(hull([(0,), (1,)]))
 
 
+class TestLatticeLength:
+    """``lattice_length`` against the fold of ``gcd`` it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-50, 50), max_size=3))
+    def test_against_the_gcd_fold(self, v):
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        assert lattice_length(tuple(v)) == g
+
+    def test_zero_and_empty_vectors(self):
+        assert lattice_length(()) == lattice_length((0, 0)) == 0
+        assert lattice_length((-4, 6)) == lattice_length((2,)) == 2
+
+
 class TestUnimodularSimplex:
     def test_standard_basis(self):
         assert is_unimodular_simplex([(1, 0), (0, 1)])
@@ -324,7 +340,8 @@ class TestUnimodularSimplex:
 
 
 class TestKernelBox:
-    """The box a simplex keeps for the wall kernel, computed on first use."""
+    """The box a simplex keeps for the wall kernel, computed on first use;
+    every box is a rank-2 box, a rank-1 one on the column x = 0."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(unimodular_simplices(1) + unimodular_simplices(2)))
@@ -345,7 +362,10 @@ class TestKernelBox:
         before = public()
         low, extent, moved, n = fresh._kernel_box()
         verts = fresh.vertex_set()
+        if fresh.dim == 1:  # on the column x = 0 of the rank-2 box
+            verts = tuple((0, v[0]) for v in verts)
         axes = list(zip(*verts))
+        assert len(low) == len(extent) == 2 and all(len(v) == 2 for v in moved)
         assert low == tuple(map(min, axes))
         assert extent == tuple(max(a) - lo for a, lo in zip(axes, low))
         assert moved == tuple(vec_sub(v, low) for v in verts)

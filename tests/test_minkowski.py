@@ -1,7 +1,7 @@
 import pickle
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from syzkit import (
     is_unimodular_simplex,
     lattice_points,
     summand_from_vertices,
+    syz_mirror,
     verify_decomposition,
 )
 from syzkit import lattice, minkowski
@@ -31,12 +32,20 @@ from syzkit.minkowski import summand_sort_key
 from conftest import (
     HEXAGON_CORNERS,
     ap_decomposition,
+    assert_kernels_keep_runs,
     minkowski_sum_all,
     random_unimodular_simplex,
+    recorded_runs,
     seg,
     tri,
     zonotope,
 )
+
+
+def sort_key(dec):
+    """The summand sort keys of a decomposition in summand order, from its
+    runs: the oracle of the order the search returns its results in."""
+    return tuple(chain.from_iterable((summand_sort_key(s),) * m for s, m in dec._runs))
 
 
 def brute_decompositions(polytope):
@@ -71,7 +80,7 @@ def brute_decompositions(polytope):
                 continue
             if minkowski_sum_all((hull(s.vertex_set()) for s in combo), base.dim) == base:
                 results.append(MinkowskiDecomposition(base, polytope.lexmin, combo))
-    results.sort(key=MinkowskiDecomposition.sort_key)
+    results.sort(key=sort_key)
     return results
 
 
@@ -137,7 +146,7 @@ def backtrack_decompositions(polytope, budget=None):
                 remaining[e] += c
 
     search(0, sum(profile.values()))
-    found.sort(key=MinkowskiDecomposition.sort_key)
+    found.sort(key=sort_key)
     return found
 
 
@@ -220,7 +229,7 @@ class PerSummandDecomposition(MinkowskiDecomposition):
                 total[e] = total.get(e, 0) + n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
-        object.__setattr__(self, "_ks", tuple(s.k for s in summands))
+        object.__setattr__(self, "_runs", [(s, len([*g])) for s, g in groupby(summands)])
 
 
 def unimodular_simplices(dim, lo=-3, hi=3):
@@ -549,7 +558,7 @@ class TestDecompositionTypeAgainstPerSummand:
     def test_corpus(self, name):
         rng = random.Random(7)
         for dec in enumerate_decompositions(self.CORPUS[name]):
-            assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
+            assert sort_key(dec) == tuple(summand_sort_key(s) for s in dec.summands)
             shuffled = list(dec.summands)
             rng.shuffle(shuffled)
             moved = [rerooted(s, rng.choice(s.vertex_set())) for s in shuffled]
@@ -625,14 +634,17 @@ class TestDecompositionTypeAgainstPerSummand:
         assert calls == Counter(
             hull=0, edge_profile=1, summand_from_vertices=1, summand_sort_key=2
         )
-        assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
+        assert sort_key(dec) == tuple(summand_sort_key(s) for s in dec.summands)
 
 
-def assert_runs(dec):
+def assert_runs(dec, stored):
     """The runs ``(summand, count)`` a decomposition keeps for the wall
-    kernel name distinct canonical types in sort-key order, expand to its
-    summands, its ``ks`` and its ``sort_key``, and are kept."""
-    runs = dec._kernel_runs()
+    kernel are the list ``stored`` its constructor handed to ``_set_runs``;
+    they name distinct canonical types in sort-key order, expand to its
+    summands, its ``ks`` and its sort keys, and no kernel call replaces or
+    regroups them."""
+    runs = dec._runs
+    assert runs is stored and type(runs) is list
     types = [s for s, _ in runs]
     assert len(set(types)) == len(types)
     assert all(canonical_summand(s) == s for s in types)
@@ -642,8 +654,8 @@ def assert_runs(dec):
     expand = [s for s, m in runs for _ in range(m)]
     assert tuple(expand) == dec.summands
     assert tuple(s.k for s in expand) == dec.ks
-    assert tuple(map(summand_sort_key, expand)) == dec.sort_key()
-    assert dec._kernel_runs() is runs
+    assert tuple(map(summand_sort_key, expand)) == sort_key(dec)
+    assert_kernels_keep_runs(dec)
     return runs
 
 
@@ -651,23 +663,23 @@ class TestRuns:
     """The runs a decomposition keeps for the wall kernel, from the search,
     from the public constructor and from JSON."""
 
-    DECOMPOSITIONS = [
-        dec
-        for polytope in (
-            zonotope(4, 3),
-            zonotope(5, 2),
-            hull(HEXAGON_CORNERS),
-            hull([(0, 0), (2, 0), (0, 2)]),
-            hull([(0, 0), (4, 4)]),
-            hull([(0,), (9,)]),
-            hull([(3, 4)]),
-        )
-        for dec in enumerate_decompositions(polytope)
-    ]
+    POLYTOPES = (
+        zonotope(4, 3),
+        zonotope(5, 2),
+        hull(HEXAGON_CORNERS),
+        hull([(0, 0), (2, 0), (0, 2)]),
+        hull([(0, 0), (4, 4)]),
+        hull([(0,), (9,)]),
+        hull([(3, 4)]),
+    )
+    DECOMPOSITIONS = [dec for polytope in POLYTOPES for dec in enumerate_decompositions(polytope)]
 
     def test_search(self):
-        for dec in self.DECOMPOSITIONS:
-            assert_runs(dec)
+        for polytope in self.POLYTOPES:
+            decs, stored = recorded_runs(lambda: enumerate_decompositions(polytope))
+            assert decs and len(stored) == len(decs)
+            for dec, runs in zip(decs, stored):
+                assert_runs(dec, runs)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(DECOMPOSITIONS), st.data())
@@ -675,15 +687,17 @@ class TestRuns:
         d = dec.polytope.dim
         summands = data.draw(st.permutations(dec.summands))
         moved = tuple(rerooted(s, data.draw(st.sampled_from(s.vertex_set()))) for s in summands)
-        built = MinkowskiDecomposition(dec.polytope, dec.translation, moved)
-        assert assert_runs(built) == assert_runs(dec)
+        built, (runs,) = recorded_runs(
+            lambda: MinkowskiDecomposition(dec.polytope, dec.translation, moved)
+        )
+        assert assert_runs(built, runs) == dec._runs
         shift = data.draw(st.tuples(*[st.integers(-5, 5)] * d))
-        loaded = decomposition_from_json_dict({
+        loaded, (runs,) = recorded_runs(lambda: decomposition_from_json_dict({
             "polytope": dec.polytope.translate(shift).to_json_dict(),
             "translation": list(dec.translation),
             "summands": [s.to_json_dict() for s in moved],
-        })
-        assert assert_runs(loaded) == assert_runs(dec)
+        }))
+        assert assert_runs(loaded, runs) == dec._runs
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -697,8 +711,10 @@ class TestRuns:
         ]
         summands = data.draw(st.permutations(summands))
         polytope = pinned(minkowski_sum_all((hull(s.vertex_set()) for s in summands), dim))
-        dec = MinkowskiDecomposition(polytope, (0,) * dim, tuple(summands))
-        assert sorted(m for _, m in assert_runs(dec)) == sorted(
+        dec, (runs,) = recorded_runs(
+            lambda: MinkowskiDecomposition(polytope, (0,) * dim, tuple(summands))
+        )
+        assert sorted(m for _, m in assert_runs(dec, runs)) == sorted(
             Counter(map(canonical_summand, summands)).values()
         )
 
@@ -715,14 +731,14 @@ class TestSearchByConstruction:
             args = dec.polytope, dec.translation, dec.summands
             again = MinkowskiDecomposition(*args)
             assert again == dec
-            assert (again.summands, again.ks, again.sort_key(), again.to_json_dict()) == (
-                dec.summands, dec.ks, dec.sort_key(), dec.to_json_dict()
+            assert (again.summands, again.ks, sort_key(again), again.to_json_dict()) == (
+                dec.summands, dec.ks, sort_key(dec), dec.to_json_dict()
             )
             oracle = PerSummandDecomposition(*args)
             assert (oracle.summands, oracle.ks, oracle.to_json_dict()) == (
                 dec.summands, dec.ks, dec.to_json_dict()
             )
-            assert dec.sort_key() == tuple(summand_sort_key(s) for s in dec.summands)
+            assert sort_key(dec) == tuple(summand_sort_key(s) for s in dec.summands)
         if backtrack:
             assert decs == backtrack_decompositions(polytope)
         return decs
@@ -736,7 +752,7 @@ class TestSearchByConstruction:
         polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim)
         decs = self.check(polytope.translate(shift))
         want = sorted(summand_sort_key(canonical_summand(s)) for s in parts)
-        assert any(sorted(d.sort_key()) == want for d in decs)
+        assert any(sorted(sort_key(d)) == want for d in decs)
 
     @pytest.mark.parametrize("name", TestDecompositionTypeAgainstPerSummand.CORPUS)
     def test_corpus(self, name):
@@ -849,19 +865,20 @@ class TestTriangleScan:
 def check_results(decs):
     """The search's results come in sort-key order, are made of canonical
     types, and read as their rebuilds by the public constructor do, before
-    and after ``ks`` is first read."""
-    keys = [dec.sort_key() for dec in decs]
-    assert decs == sorted(decs, key=MinkowskiDecomposition.sort_key)
+    and after a kernel call."""
+    keys = [sort_key(dec) for dec in decs]
+    assert decs == sorted(decs, key=sort_key)
     assert keys == sorted(set(keys))
     for dec in decs:
         for s in set(dec.summands):
             assert s == UnimodularSimplex(s.dim, s.generators) == canonical_summand(s)
         again = MinkowskiDecomposition(dec.polytope, dec.translation, dec.summands)
-        assert not hasattr(dec, "_ks")
+        assert dec.ks == tuple(s.k for s in dec.summands)
         view = dec == again, hash(dec) == hash(again), pickle.dumps(dec), dec.to_json_dict()
         assert view[:2] == (True, True) and pickle.loads(view[2]) == dec
-        assert (dec.ks, dec.sort_key()) == (again.ks, again.sort_key())
-        assert dec.ks is dec.ks
+        assert (dec.ks, sort_key(dec)) == (again.ks, sort_key(again))
+        syz_mirror(dec)
+        assert dec.ks == tuple(s.k for s in dec.summands)
         assert (dec == again, hash(dec) == hash(again), pickle.dumps(dec), dec.to_json_dict()) == view
 
 
@@ -879,6 +896,9 @@ class TestSearchResults:
 
     def test_no_sort_key_is_stored(self):
         assert "_sort_key" not in MinkowskiDecomposition.__slots__
+
+    def test_only_the_runs_are_kept(self):
+        assert MinkowskiDecomposition.__slots__ == (*MinkowskiDecomposition._fields, "_runs")
 
     @pytest.mark.parametrize("polytope", [hull(HEXAGON_CORNERS), zonotope(4, 3)],
                              ids=["hexagon", "Z(4,3)"])

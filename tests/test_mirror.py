@@ -41,7 +41,6 @@ from syzkit import (
     wall_factor,
 )
 from syzkit import gw as gw_module
-from syzkit import minkowski as minkowski_module
 from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from syzkit.cli import main
@@ -54,6 +53,7 @@ from conftest import (
     minkowski_sum_all,
     packed_bytes,
     random_unimodular_simplex,
+    recorded_runs,
     seg,
     tri,
     zonotope,
@@ -126,7 +126,7 @@ def type_list_wall_slots(dim, runs):
     if dim == 1:  # 1 + z^u fills both slots of its box
         low = steps = 0
         for s, m in runs:
-            low, steps = low + m * s._kernel_box()[0][0], steps + m
+            low, steps = low + m * min(s.vertex_set())[0], steps + m
         bound, axes = 1 << steps, (range(low, low + 1 + steps),)
         types = [((0, 1), m) for _, m in runs]
     else:
@@ -151,7 +151,7 @@ def run_split_chamber_uv(dec, chamber):
     of the runs: the run list sliced at the cut, a cut inside a run patched
     onto both sides, and each half through ``type_list_wall_slots`` and
     ``_slot_terms``.  Kept as the oracle of the walk."""
-    cut, runs = chamber + 1, dec._kernel_runs()
+    cut, runs = chamber + 1, dec._runs
     i = 0
     while i < len(runs) and cut >= runs[i][1]:
         cut -= runs[i][1]
@@ -519,7 +519,7 @@ class TestChamberWalk:
             for poly, terms in zip(got, run_split_chamber_uv(dec, chamber)):
                 assert list(poly.terms.items()) == list(terms.items())
                 assert_integral(poly)
-        ends = set(accumulate(m for _, m in dec._kernel_runs()))
+        ends = set(accumulate(m for _, m in dec._runs))
         return len(set(range(1, dec.p + 1)) - ends)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -539,7 +539,7 @@ class TestChamberWalk:
         inside = single = 0
         for dec in [*mirror_corpus(), *DECODER_CASES.values()]:
             inside += self.assert_walk(dec)
-            single += sum(m == 1 for _, m in dec._kernel_runs())
+            single += sum(m == 1 for _, m in dec._runs)
         assert inside and single
 
 
@@ -1014,7 +1014,7 @@ class TestKeptBoxes:
     so the per-type set-up is derived once, not once per kernel call."""
 
     def test_boxes_and_runs_are_derived_once(self, monkeypatch):
-        dec = enumerate_decompositions(zonotope(4, 3))[0]
+        (dec, *_), stored = recorded_runs(lambda: enumerate_decompositions(zonotope(4, 3)))
         real = UnimodularSimplex.vertex_set
         computed = []
 
@@ -1025,14 +1025,7 @@ class TestKeptBoxes:
             return real(simplex)
 
         monkeypatch.setattr(UnimodularSimplex, "vertex_set", counting)
-        real_groupby = minkowski_module.groupby
-        grouped = []
-
-        def counting_groupby(summands):
-            grouped.append(summands)
-            return real_groupby(summands)
-
-        monkeypatch.setattr(minkowski_module, "groupby", counting_groupby)
+        runs, copy = dec._runs, list(dec._runs)
         for _ in range(2):
             mirror = syz_mirror(dec)
             assert disc_potential(dec) == mirror.expanded.prepend_variable(1)
@@ -1042,7 +1035,8 @@ class TestKeptBoxes:
         distinct = set(dec.summands)
         assert len(distinct) > 1 and len(dec.summands) > len(distinct)
         assert len(computed) == len(distinct) and set(computed) == distinct
-        assert grouped == [dec.summands]
+        # the runs are the list the search stored, neither replaced nor regrouped
+        assert runs is stored[0] and dec._runs is runs and runs == copy
 
 
 class TestCanonicalTerms:
@@ -1493,7 +1487,7 @@ class TestRowChecksMatchTheirOracles:
         outcomes = Counter()
         for _ in range(400):
             dec = self.random_decomposition(rng)
-            polytope, runs = dec.polytope, dec._kernel_runs()
+            polytope, runs = dec.polytope, dec._runs
             axes, slots = mirror_module._wall_slots(polytope.dim, kernel_parts(runs))
             if rng.random() < 0.6:  # one slot of the box set anew, maybe to its value
                 slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
