@@ -90,7 +90,7 @@ def _cayley_output_bytes(decomposition) -> int:
     """Exact size of the printed ``cayley`` report.  At indent 2, an entry
     prints its digits and 8 bytes more, a row 12 bytes more than its entries
     and the report 25 more than its rows; tag entries are 0 or 1."""
-    count = len(decomposition.summands)
+    count = decomposition.p + 1
     if not count:
         return 23  # '{"generators": []}' at indent 2, and a newline
     return 25 + sum(
@@ -225,7 +225,7 @@ def _cmd_cayley(args):
     size = _cayley_output_bytes(decomposition)
     if size > MAX_CAYLEY_OUTPUT_BYTES:
         raise OutputTooLargeError(
-            f"the Cayley cone of {len(decomposition.summands)} summands would print "
+            f"the Cayley cone of {decomposition.p + 1} summands would print "
             f"{size} bytes, past the cap of {MAX_CAYLEY_OUTPUT_BYTES}"
         )
     return cayley_cone(decomposition).to_json_dict()

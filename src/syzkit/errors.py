@@ -28,10 +28,10 @@ def _rational(value):
 class Value:
     """Immutable value with the declared fields ``_fields``, kept in slots.
 
-    The constructor sets the fields, then calls ``__post_init__``, the one
-    validator of outside input; ``_of`` sets them without it, for values that
-    syzkit built canonical itself.  Equality and hash read the declared fields
-    only, and an instance equals only instances of its own exact type.
+    The constructor stores the field values in the first slots, in order, and
+    calls ``__post_init__``, the one validator of outside input; ``_of`` stores
+    them unchecked, for values syzkit built canonical.  Equality reads those
+    slots, hash, ``repr`` and pickling the fields; only the exact type equals.
     """
 
     __slots__ = ()
@@ -42,6 +42,7 @@ class Value:
         # attrgetter returns the bare value.
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        cls._stored = staticmethod(attrgetter(*cls.__slots__[:len(cls._fields)]))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -49,15 +50,15 @@ class Value:
             args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
         if kwargs or len(args) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name, value in zip(fields, args):
+        for name, value in zip(self.__slots__, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
     @classmethod
     def _of(cls, *values):
-        """An instance with the declared fields set to ``values``, unchecked."""
+        """An instance whose first slots hold ``values``, unchecked."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
+        for name, value in zip(cls.__slots__, values):
             object.__setattr__(self, name, value)
         return self
 
@@ -67,7 +68,7 @@ class Value:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values(self) == self._values(other)
+        return self._stored(self) == self._stored(other)
 
     def __hash__(self):
         return hash(self._values(self))

@@ -52,13 +52,6 @@ class DiscClass(Value):
         return DiscClass(data["sector"], data["multiplicities"])
 
 
-def _check_shape(decomposition: MinkowskiDecomposition, beta: DiscClass) -> None:
-    if tuple(map(len, beta.multiplicities)) != decomposition.ks:
-        raise ShapeMismatchError(
-            "multiplicity table shape does not match the decomposition"
-        )
-
-
 def gw_invariant(
     decomposition: MinkowskiDecomposition, chamber: int, beta: DiscClass
 ) -> int:
@@ -68,7 +61,15 @@ def gw_invariant(
     D0 classes may touch walls i <= chamber only; Dinf classes walls
     i > chamber only.  Maslov-zero classes always count 0.
     """
-    _check_shape(decomposition, beta)
+    rows, start = beta.multiplicities, 0
+    for s, m in decomposition._runs:  # one row per wall, of its size: no ks is built
+        k = s.k
+        for row in rows[start:start + m]:
+            if len(row) != k:
+                rows = ()  # so that the count below fails
+        start += m
+    if start != len(rows):
+        raise ShapeMismatchError("multiplicity table shape does not match the decomposition")
     cut = _cut(decomposition, chamber)
     if beta.sector == SECTOR_NONE:
         warnings.warn(
@@ -77,19 +78,29 @@ def gw_invariant(
             stacklevel=2,
         )
         return 0
-    rows = beta.multiplicities
     far = rows[cut:] if beta.sector == SECTOR_D0 else rows[:cut]
     return int(all(sum(row) <= 1 for row in rows) and not any(map(any, far)))
+
+
+def _wall_options(decomposition: MinkowskiDecomposition, chamber: int, sector: str) -> list:
+    """The rows each wall takes in the sector's classes with invariant 1: the
+    zero row or a unit row on the sector's side of the fiber, else the zero row."""
+    if sector not in (SECTOR_D0, SECTOR_DINF):
+        raise ValueError("sector must be 'D0' or 'Dinf'")
+    cut, options, d0 = _cut(decomposition, chamber), [], sector == SECTOR_D0
+    for s, m in decomposition._runs:  # a cut inside a run splits it
+        far = [(0,) * s.k]
+        near = far + [tuple(int(j == t) for j in range(s.k)) for t in range(s.k)]
+        below = min(max(cut, 0), m)
+        options += [near if d0 else far] * below + [far if d0 else near] * (m - below)
+        cut -= m
+    return options
 
 
 def _class_count(decomposition: MinkowskiDecomposition, chamber: int, sector: str) -> int:
     """The number of classes in the sector with invariant 1: the product of
     (1 + k_i) over the walls on the sector's side of a fiber in the chamber."""
-    if sector not in (SECTOR_D0, SECTOR_DINF):
-        raise ValueError("sector must be 'D0' or 'Dinf'")
-    cut = _cut(decomposition, chamber)
-    ks = decomposition.ks
-    return prod(1 + k for k in (ks[:cut] if sector == SECTOR_D0 else ks[cut:]))
+    return prod(map(len, _wall_options(decomposition, chamber, sector)))
 
 
 def enumerate_gw_classes(
@@ -105,17 +116,11 @@ def enumerate_gw_classes(
     raises SearchBudgetExceededError before any class is built, and a negative
     budget raises ValueError.
     """
-    count = _class_count(decomposition, chamber, sector)
-    max_classes = _search_budget(budget)
+    options = _wall_options(decomposition, chamber, sector)
+    count, max_classes = prod(map(len, options)), _search_budget(budget)
     if count > max_classes:
         raise SearchBudgetExceededError(
             f"{count} classes in sector {sector} at chamber {chamber} "
             f"exceed the budget of {max_classes}"
         )
-    cut = _cut(decomposition, chamber)
-    ks = decomposition.ks
-    # A wall on the sector's side takes the zero row or one unit row, any other the zero row.
-    near = [[(0,) * k, *(tuple(int(j == t) for j in range(k)) for t in range(k))] for k in ks]
-    far = [[(0,) * k] for k in ks]
-    options = near[:cut] + far[cut:] if sector == SECTOR_D0 else far[:cut] + near[cut:]
     return [DiscClass._of(sector, combo) for combo in product(*options)]

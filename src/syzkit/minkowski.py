@@ -69,24 +69,28 @@ class MinkowskiDecomposition(Value):
 
     The polytope is pinned with its lexicographic minimum vertex at the
     origin; ``translation`` records the vertex of the original polytope that
-    was moved there.  Summands are rooted at the origin and stored in
-    canonical order, which also fixes the wall indexing downstream.
+    was moved there.  Summands are rooted at the origin and kept as runs
+    ``(summand, count)`` of distinct types in canonical order, which also
+    fixes the wall indexing downstream; ``summands`` expands them, and
+    equality compares the runs.  ``_of`` takes such runs, whose edge
+    profiles add up to the pinned polytope's, and does not check them again:
+    the search builds its results so.
     """
 
     _fields = ("polytope", "translation", "summands")
-    __slots__ = _fields + ("_runs",)
+    __slots__ = ("polytope", "translation", "_runs")
 
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(map(json_int, self.translation)))
-        if not isinstance(self.summands, (tuple, list)):
-            kind = type(self.summands).__name__
+        if not isinstance(self._runs, (tuple, list)):  # the summands as given, until grouped
+            kind = type(self._runs).__name__
             raise TypeError(f"summands must be a tuple or a list, not a {kind}")
         # Summands are mostly a few types repeated, so each distinct one is
         # canonicalised, rank-checked and profiled once, weighted by its count.
         # One whose least generator is lexicographically positive is already
         # rooted at its lexicographic minimum, hence canonical.
         runs: Counter = Counter()
-        for s, m in Counter(self.summands).items():
+        for s, m in Counter(self._runs).items():
             if type(s) is not UnimodularSimplex:
                 raise TypeError(f"expected a UnimodularSimplex summand, got {s!r}")
             runs[s if s.generators[0] > (0,) * s.dim else canonical_summand(s)] += m
@@ -106,28 +110,18 @@ class MinkowskiDecomposition(Value):
                 total[e] = total.get(e, 0) + runs[s] * n
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
-        self._set_runs([(s, runs[s]) for s in types])
+        object.__setattr__(self, "_runs", [(s, runs[s]) for s in types])
 
-    @classmethod
-    def _of(cls, polytope: LatticePolytope, translation: IntVec, runs) -> "MinkowskiDecomposition":
-        """Wrap runs ``(summand, count)`` of canonical summands, in sort-key
-        order, whose edge profiles add up to the pinned polytope's, without
-        checking them again: the search builds its results so."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "polytope", polytope)
-        object.__setattr__(self, "translation", translation)
-        self._set_runs(runs)
-        return self
-
-    def _set_runs(self, runs) -> None:
-        """Keep the runs ``(summand, count)``, the list the wall kernel reads,
-        and store them expanded by their counts as the summands."""
-        object.__setattr__(self, "_runs", runs)
-        object.__setattr__(self, "summands", tuple(chain.from_iterable((s,) * m for s, m in runs)))
+    @property
+    def summands(self) -> tuple[UnimodularSimplex, ...]:
+        return tuple(chain.from_iterable((s,) * m for s, m in self._runs))
 
     @property
     def p(self) -> int:
-        return len(self.summands) - 1
+        p = -1  # a plain loop: _cut reads p on every chamber_uv call
+        for _, m in self._runs:
+            p += m
+        return p
 
     @property
     def ks(self) -> tuple[int, ...]:
@@ -138,7 +132,7 @@ class MinkowskiDecomposition(Value):
         return {
             "polytope": self.polytope.to_json_dict(),
             "translation": list(self.translation),
-            "summands": [s.to_json_dict() for s in self.summands],
+            "summands": [s.to_json_dict() for s, m in self._runs for _ in range(m)],
         }
 
 
@@ -317,10 +311,10 @@ class CayleyCone(Value):
 def cayley_cone(decomposition: MinkowskiDecomposition) -> CayleyCone:
     """Generators (w, e_i) for every vertex w of the i-th summand, ordered by
     summand index and then lexicographically by vertex."""
-    count = decomposition.p + 1
-    gens = []
-    for i, s in enumerate(decomposition.summands):
-        tag = tuple(1 if j == i else 0 for j in range(count))
-        for w in sorted(s.vertex_set()):
-            gens.append(w + tag)
+    count, gens, start = decomposition.p + 1, [], 0
+    for s, m in decomposition._runs:  # one vertex sort per run
+        verts = sorted(s.vertex_set())
+        for i in range(start, start + m):
+            gens += [w + (0,) * i + (1,) + (0,) * (count - 1 - i) for w in verts]
+        start += m
     return CayleyCone(tuple(gens))

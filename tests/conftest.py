@@ -152,16 +152,21 @@ def packed_bytes(dec):
 
 def recorded_runs(build):
     """``build()`` and the run lists its decompositions' constructors stored,
-    in order, as each was handed to ``_set_runs``."""
+    in order: the list handed to ``_of``, or the one ``__post_init__`` made."""
     stored = []
-    real = MinkowskiDecomposition._set_runs
+    real_of, real_init = MinkowskiDecomposition._of.__func__, MinkowskiDecomposition.__post_init__
 
-    def recording(self, runs):
+    def of(cls, polytope, translation, runs):
         stored.append(runs)
-        real(self, runs)
+        return real_of(cls, polytope, translation, runs)
+
+    def post_init(self):
+        real_init(self)
+        stored.append(self._runs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MinkowskiDecomposition, "_set_runs", recording)
+        patch.setattr(MinkowskiDecomposition, "_of", classmethod(of))
+        patch.setattr(MinkowskiDecomposition, "__post_init__", post_init)
         return build(), stored
 
 

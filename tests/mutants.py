@@ -1,0 +1,110 @@
+"""Committed mutants: each one must be caught by the tests it names.
+
+Every entry is ``(name, file, old, new, tests)``.  The runner copies
+``src/`` to a temporary directory, replaces the one occurrence of ``old``
+in ``file`` (a path under ``src/syzkit``) by ``new``, and runs pytest on
+``tests`` with that copy first on ``PYTHONPATH``.  It fails when a mutant
+survives (its tests pass), when ``old`` does not occur exactly once, or
+when the tests import syzkit from anywhere but the mutated copy.  So a
+refactor that rewrites a mutated line must carry its mutant forward.
+
+Standard library only:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    (
+        "ks with the counts dropped",
+        "minkowski.py",
+        "return tuple(chain.from_iterable((s.k,) * m for s, m in self._runs))",
+        "return tuple(s.k for s, m in self._runs)",
+        ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands"],
+    ),
+    (
+        "chamber cut off by one per run",
+        "mirror.py",
+        "        cut -= m\n",
+        "        cut -= m - 1\n",
+        ["tests/test_mirror.py::TestChamberWalk"],
+    ),
+    (
+        "p off by one",
+        "minkowski.py",
+        "        p = -1  # a plain loop",
+        "        p = 0  # a plain loop",
+        ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands"],
+    ),
+    (
+        "equality that ignores the counts",
+        "errors.py",
+        "return self._stored(self) == self._stored(other)",
+        "return [[s for s, *_ in f] if type(f) is list else f for f in self._stored(self)] == "
+        "[[s for s, *_ in f] if type(f) is list else f for f in self._stored(other)]",
+        ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands::test_corpus"],
+    ),
+    (
+        "to_json_dict emitting each run once",
+        "minkowski.py",
+        '"summands": [s.to_json_dict() for s, m in self._runs for _ in range(m)]',
+        '"summands": [s.to_json_dict() for s, m in self._runs]',
+        ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands"],
+    ),
+]
+
+
+def mutate(src: Path, file: str, old: str, new: str) -> None:
+    path = src / "syzkit" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: the mutated text occurs {text.count(old)} times, not once:\n{old}")
+    path.write_text(text.replace(old, new))
+
+
+def run_tests(src: Path, tests) -> int:
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    where = subprocess.run(
+        [sys.executable, "-c", "import syzkit; print(syzkit.__file__)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"the tests would import syzkit from {where}, not from the mutated copy")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    if names and len(chosen) != len(set(names)):
+        raise SystemExit(f"unknown mutants: {sorted(set(names) - {m[0] for m in MUTANTS})}")
+    survived = []
+    for name, file, old, new, tests in chosen:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            mutate(src, file, old, new)
+            code = run_tests(src, tests)
+        verdict = "caught" if code == 1 else "SURVIVED" if code == 0 else f"pytest exit {code}"
+        print(f"{verdict:>10}  {name}  ({time.perf_counter() - start:.1f} s)")
+        if code != 1:
+            survived.append(name)
+    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants caught")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -641,6 +641,19 @@ class TestTropical:
         assert "--scale" in err
         assert not svg_path.exists()
 
+    def test_svg_path_that_cannot_be_written(self, capsys, hex_triangles_file, tmp_path):
+        """An SVG path in a directory that does not exist is an input error:
+        exit 2, no report on stdout, and one ``error:`` line on stderr that
+        names the path, in process and from a subprocess, with no traceback."""
+        svg_path = tmp_path / "missing" / "out.svg"
+        argv = ["tropical", "--decomposition", hex_triangles_file, "--svg", str(svg_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {svg_path}: ") and err.count("\n") == 1
+        proc = subprocess.run([sys.executable, "-m", "syzkit", *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+        assert not svg_path.parent.exists()
+
     @pytest.mark.parametrize("scale", ["0", "-3"], ids=["zero", "negative"])
     def test_scale_below_one_without_svg(self, capsys, hex_triangles_file, scale):
         code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from collections import Counter
@@ -210,9 +211,8 @@ class PerSummandDecomposition(MinkowskiDecomposition):
     def __post_init__(self):
         object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
         summands = tuple(
-            sorted((canonical_summand(s) for s in self.summands), key=summand_sort_key)
+            sorted((canonical_summand(s) for s in self._runs), key=summand_sort_key)
         )
-        object.__setattr__(self, "summands", summands)
         d = self.polytope.dim
         if self.polytope.lexmin != (0,) * d:
             raise ValueError(
@@ -639,7 +639,7 @@ class TestDecompositionTypeAgainstPerSummand:
 
 def assert_runs(dec, stored):
     """The runs ``(summand, count)`` a decomposition keeps for the wall
-    kernel are the list ``stored`` its constructor handed to ``_set_runs``;
+    kernel are the list ``stored`` its constructor kept (``recorded_runs``);
     they name distinct canonical types in sort-key order, expand to its
     summands, its ``ks`` and its sort keys, and no kernel call replaces or
     regroups them."""
@@ -717,6 +717,114 @@ class TestRuns:
         assert sorted(m for _, m in assert_runs(dec, runs)) == sorted(
             Counter(map(canonical_summand, summands)).values()
         )
+
+
+class ExpandedDecomposition:
+    """A decomposition kept as its expanded summands tuple, each summand
+    canonicalised on its own and sorted by its key: the stored form before
+    the runs became the only one, kept as the oracle of every reader of the
+    runs."""
+
+    def __init__(self, polytope, translation, summands):
+        self.summands = tuple(sorted(map(canonical_summand, summands), key=summand_sort_key))
+        self.fields = (polytope, tuple(translation), self.summands)
+        self.p = len(self.summands) - 1
+        self.ks = tuple(s.k for s in self.summands)
+
+    def to_json_dict(self):
+        polytope, translation, summands = self.fields
+        return {
+            "polytope": polytope.to_json_dict(),
+            "translation": list(translation),
+            "summands": [s.to_json_dict() for s in summands],
+        }
+
+    def cayley_generators(self):
+        gens = []
+        for i, s in enumerate(self.summands):
+            tag = tuple(1 if j == i else 0 for j in range(self.p + 1))
+            for w in sorted(s.vertex_set()):
+                gens.append(w + tag)
+        return tuple(gens)
+
+    def __repr__(self):
+        names = ("polytope", "translation", "summands")
+        listed = ", ".join(f"{name}={v!r}" for name, v in zip(names, self.fields))
+        return f"MinkowskiDecomposition({listed})"
+
+
+def assert_reads_as_expanded(dec, oracle):
+    """``dec`` reads as the expanded form ``oracle`` does: its summands,
+    ``p``, ``ks``, JSON bytes, Cayley cone, hash, ``repr`` and pickling."""
+    assert (dec.summands, dec.p, dec.ks) == (oracle.summands, oracle.p, oracle.ks)
+    assert json.dumps(dec.to_json_dict()) == json.dumps(oracle.to_json_dict())
+    assert cayley_cone(dec).generators == oracle.cayley_generators()
+    assert hash(dec) == hash(oracle.fields)
+    assert repr(dec) == repr(oracle)
+    assert dec.__reduce__() == (MinkowskiDecomposition, oracle.fields)
+    again = pickle.loads(pickle.dumps(dec))
+    assert again == dec and again._runs == dec._runs and repr(again) == repr(dec)
+
+
+def assert_compare_as_expanded(decs, oracles):
+    """Each pair compares as the pair of expanded forms does, and equal
+    decompositions hash alike."""
+    for (a, oa), (b, ob) in product(zip(decs, oracles), repeat=2):
+        assert (a == b, a != b) == (oa.fields == ob.fields, oa.fields != ob.fields)
+        assert a != b or hash(a) == hash(b)
+
+
+class TestRunsAgainstExpandedSummands:
+    """The runs as the only stored form against the expanded summands tuple,
+    through the public constructor and the search, on shuffled and re-rooted
+    summand lists."""
+
+    @staticmethod
+    def moved(summands, pick, shuffle):
+        """The summands shuffled, each rooted at a vertex ``pick`` chooses."""
+        moved = [rerooted(s, pick(s.vertex_set())) for s in summands]
+        shuffle(moved)
+        return moved
+
+    def check(self, polytope, summands, translation, pick, shuffle):
+        built = MinkowskiDecomposition(polytope, translation, tuple(summands))
+        decs, oracles = [built], [ExpandedDecomposition(polytope, translation, summands)]
+        for dec in enumerate_decompositions(polytope):
+            moved = self.moved(dec.summands, pick, shuffle)
+            oracle = ExpandedDecomposition(dec.polytope, dec.translation, moved)
+            rebuilt = MinkowskiDecomposition(dec.polytope, dec.translation, tuple(moved))
+            decs += [dec, rebuilt]
+            oracles += [oracle, oracle]
+        for dec, oracle in zip(decs, oracles):
+            assert_reads_as_expanded(dec, oracle)
+        assert_compare_as_expanded(decs, oracles)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_summand_lists(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        types = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), max_size=3))
+        summands = [s for s in types for _ in range(data.draw(st.integers(1, 4)))]
+        polytope = pinned(minkowski_sum_all((hull(s.vertex_set()) for s in summands), dim))
+        translation = data.draw(st.tuples(*[st.integers(-5, 5)] * dim))
+
+        def pick(vertices):
+            return data.draw(st.sampled_from(vertices))
+
+        def shuffle(items):
+            items[:] = data.draw(st.permutations(items))
+
+        self.check(polytope, self.moved(summands, pick, shuffle), translation, pick, shuffle)
+
+    @pytest.mark.parametrize("name", ["hexagon*3", "hexagon*6", "Z(6,2)"])
+    def test_corpus(self, name):
+        """Dilated hexagons have results with the same types in different
+        counts, which only the counts tell apart."""
+        rng = random.Random(31)
+        polytope = pinned(DECOMPOSE_CORPUS[name])
+        (first, *_) = enumerate_decompositions(polytope)
+        self.check(polytope, self.moved(first.summands, rng.choice, rng.shuffle), (3, -4),
+                   rng.choice, rng.shuffle)
 
 
 class TestSearchByConstruction:
@@ -898,7 +1006,9 @@ class TestSearchResults:
         assert "_sort_key" not in MinkowskiDecomposition.__slots__
 
     def test_only_the_runs_are_kept(self):
-        assert MinkowskiDecomposition.__slots__ == (*MinkowskiDecomposition._fields, "_runs")
+        # the summands are a view of the runs, not a kept tuple
+        assert MinkowskiDecomposition.__slots__ == ("polytope", "translation", "_runs")
+        assert type(MinkowskiDecomposition.__dict__["summands"]) is property
 
     @pytest.mark.parametrize("polytope", [hull(HEXAGON_CORNERS), zonotope(4, 3)],
                              ids=["hexagon", "Z(4,3)"])

@@ -357,6 +357,25 @@ class TestDiscClass:
             DiscClass("D1", ((0,),))
 
 
+# Decompositions whose runs have counts above one, so that a chamber's cut
+# falls inside a run: the zonotopes Z(3,3) and Z(4,2), and A_4.
+MULTI_RUN = [
+    dec
+    for polytope in (zonotope(3, 3), zonotope(4, 2), hull([(0,), (5,)]))
+    for dec in enumerate_decompositions(polytope)
+]
+
+
+def expanded_classes(ks, chamber, sector):
+    """The classes with invariant 1, listed from the expanded summand sizes
+    ``ks``: the listing that walking the runs replaced, kept as its oracle."""
+    cut = chamber + 1
+    near = [[(0,) * k, *(tuple(int(j == t) for j in range(k)) for t in range(k))] for k in ks]
+    far = [[(0,) * k] for k in ks]
+    options = near[:cut] + far[cut:] if sector == SECTOR_D0 else far[:cut] + near[cut:]
+    return [DiscClass(sector, combo) for combo in product(*options)]
+
+
 class TestGwInvariant:
     def test_empty_table_counts_one(self, hexagon_segments):
         beta = DiscClass(SECTOR_D0, ((0,), (0,), (0,)))
@@ -393,6 +412,27 @@ class TestGwInvariant:
             gw_invariant(conifold, 0, DiscClass(SECTOR_D0, ((0,),)))
         with pytest.raises(ShapeMismatchError):
             gw_invariant(conifold, 0, DiscClass(SECTOR_D0, ((0, 0), (0,))))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(MULTI_RUN), st.data())
+    def test_shape_check_reads_the_runs_as_the_expanded_sizes(self, dec, data):
+        """The row lengths are compared run by run; a table is refused exactly
+        when its row lengths differ from the expanded sizes ``ks``."""
+        ks = [s.k for s in dec.summands]
+        lengths = data.draw(st.one_of(
+            st.just(ks),
+            st.permutations(ks),
+            st.lists(st.integers(0, 3), max_size=len(ks) + 2),
+            st.integers(0, len(ks) - 1).map(lambda i: ks[:i] + [3 - ks[i]] + ks[i + 1:]),
+            st.integers(0, len(ks)).map(lambda i: ks[:i] + ks[i + 1:]),
+            st.integers(0, len(ks)).map(lambda i: ks[:i] + [1] + ks[i:]),
+        ))
+        beta = DiscClass(SECTOR_D0, tuple((0,) * n for n in lengths))
+        if lengths == ks:
+            assert gw_invariant(dec, dec.p, beta) == 1
+        else:
+            with pytest.raises(ShapeMismatchError):
+                gw_invariant(dec, dec.p, beta)
 
     def test_chamber_range(self, conifold):
         beta = DiscClass(SECTOR_D0, ((0,), (0,)))
@@ -447,6 +487,16 @@ class TestEnumerateClasses:
                     expected_high *= 1 + k
             assert len(low) == expected_low
             assert len(high) == expected_high
+
+    def test_runs_split_at_every_chamber_as_the_expanded_walls(self):
+        """The listing and the count from the runs against the listing from
+        the expanded sizes, at every chamber and in both sectors."""
+        for dec in MULTI_RUN:
+            ks = tuple(s.k for s in dec.summands)
+            for chamber, sector in product(range(-1, dec.p + 1), (SECTOR_D0, SECTOR_DINF)):
+                want = expanded_classes(ks, chamber, sector)
+                assert enumerate_gw_classes(dec, chamber, sector) == want
+                assert gw_module._class_count(dec, chamber, sector) == len(want)
 
     def test_equals_exhaustive_invariant_scan(
         self, conifold, hexagon_segments, hexagon_triangles
