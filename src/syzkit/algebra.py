@@ -229,7 +229,7 @@ def solve_character_match(
     x = solve_multiplicative([(1,) + v for v in support], ratios, f.dim + 1)
     if x is None:
         return None
-    character = Character(x[0], tuple(x[1:]))
+    character = Character._of(x[0], tuple(x[1:]))  # positive Fractions
     if apply_character(f, character) != g:
         return None
     return character

@@ -49,10 +49,6 @@ def _parse(kind, parser, data):
         raise _InputError(f"malformed {kind}: {exc}") from exc
 
 
-def _load_polytope(path):
-    return _parse("polytope file", polytope_from_json_dict, _load_json(path))
-
-
 def _load_decomposition(path):
     return _parse("decomposition file", decomposition_from_json_dict, _load_json(path))
 
@@ -72,9 +68,15 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-# Caps on the bytes ``gw`` prints when it lists classes and on those ``cayley`` prints.
-MAX_GW_OUTPUT_BYTES = 2**28
-MAX_CAYLEY_OUTPUT_BYTES = 2**28
+# Cap on the bytes that ``gw`` and ``cayley`` print, each predicted before any work.
+MAX_OUTPUT_BYTES = 2**28
+
+
+def _refuse_past_cap(size: int, what: str) -> None:
+    if size > MAX_OUTPUT_BYTES:
+        raise OutputTooLargeError(
+            f"{what} would print {size} bytes, past the cap of {MAX_OUTPUT_BYTES}"
+        )
 
 
 def _gw_output_bytes(head: dict, ks) -> int:
@@ -116,7 +118,7 @@ def _parse_basis(text: str):
 
 
 def _cmd_decompose(args):
-    polytope = _load_polytope(args.polytope)
+    polytope = _parse("polytope file", polytope_from_json_dict, _load_json(args.polytope))
     budget = _resolve_budget(args)
     return [d.to_json_dict() for d in enumerate_decompositions(polytope, budget)]
 
@@ -166,12 +168,7 @@ def _cmd_gw(args):
             "count": _class_count(decomposition, chamber, sector)}
     # past the budget, enumerate_gw_classes raises before it builds a class
     if head["count"] <= budget:
-        size = _gw_output_bytes(head, decomposition.ks)
-        if size > MAX_GW_OUTPUT_BYTES:
-            raise OutputTooLargeError(
-                f"{head['count']} classes would print {size} bytes, "
-                f"past the cap of {MAX_GW_OUTPUT_BYTES}"
-            )
+        _refuse_past_cap(_gw_output_bytes(head, decomposition.ks), f"{head['count']} classes")
     classes = enumerate_gw_classes(decomposition, chamber, sector, budget)
     return {**head, "classes": [c.to_json_dict() for c in classes]}
 
@@ -222,12 +219,8 @@ def _cmd_tropical(args):
 
 def _cmd_cayley(args):
     decomposition = _load_decomposition(args.decomposition)
-    size = _cayley_output_bytes(decomposition)
-    if size > MAX_CAYLEY_OUTPUT_BYTES:
-        raise OutputTooLargeError(
-            f"the Cayley cone of {decomposition.p + 1} summands would print "
-            f"{size} bytes, past the cap of {MAX_CAYLEY_OUTPUT_BYTES}"
-        )
+    what = f"the Cayley cone of {decomposition.p + 1} summands"
+    _refuse_past_cap(_cayley_output_bytes(decomposition), what)
     return cayley_cone(decomposition).to_json_dict()
 
 

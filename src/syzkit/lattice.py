@@ -204,7 +204,7 @@ class RaySet(Value):
         object.__setattr__(self, "rays", rays)
 
     def negated(self) -> "RaySet":
-        return RaySet(frozenset(vec_neg(r) for r in self.rays))
+        return RaySet._of(frozenset(vec_neg(r) for r in self.rays))  # -r is primitive too
 
     def to_json_dict(self) -> dict:
         return {"rays": [list(r) for r in sorted(self.rays)]}
@@ -214,7 +214,8 @@ def normal_fan_rays(polytope: LatticePolytope) -> RaySet:
     """Primitive outward edge normals; both line normals for a segment, none for a point."""
     if polytope.dim != 2:
         raise UnsupportedDimensionError("normal fans are computed in rank two only")
-    return RaySet(frozenset((ey, -ex) for ex, ey in edge_profile(polytope)))
+    # edge_profile's directions are primitive, and so are their rotations
+    return RaySet._of(frozenset((ey, -ex) for ex, ey in edge_profile(polytope)))
 
 
 def is_unimodular_simplex(generators) -> bool:

@@ -317,4 +317,4 @@ def cayley_cone(decomposition: MinkowskiDecomposition) -> CayleyCone:
         for i in range(start, start + m):
             gens += [w + (0,) * i + (1,) + (0,) * (count - 1 - i) for w in verts]
         start += m
-    return CayleyCone(tuple(gens))
+    return CayleyCone._of(tuple(gens))  # int tuples, as __post_init__ leaves them

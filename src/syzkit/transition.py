@@ -87,7 +87,7 @@ def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimple
     if polytope.dim == 1:
         for p in pool:
             if p != v1 and abs(p[0] - v1[0]) == 1:
-                return BasisSimplex((v1, p))
+                return BasisSimplex._of((v1, p))  # int points, |p - v1| == 1
         raise InvalidBasisError("no unimodular chain of lattice points exists")
     for v2 in pool:
         if v2 == v1:
@@ -99,7 +99,7 @@ def _default_basis(polytope: LatticePolytope, pool: list[IntVec]) -> BasisSimple
             if v3 in (v1, v2):
                 continue
             if abs(cross(w1, vec_sub(v3, v2))) == 1:
-                return BasisSimplex((v1, v2, v3))
+                return BasisSimplex._of((v1, v2, v3))  # int points, |cross| == 1
     raise InvalidBasisError("no unimodular chain of lattice points exists")
 
 
@@ -178,11 +178,12 @@ def match_transition(
     mirror = syz_mirror(decomposition)
     points = lattice_points(polytope)
     if basis is None:
-        # the kernel emits the support of g in lexicographic order
+        # g's support, which the kernel emits in lexicographic order, lies in P
+        # by the Newton check, and the basis starts at P's first vertex
         basis = _default_basis(polytope, list(mirror.table.entries))
-    elif not isinstance(basis, BasisSimplex):
-        basis = BasisSimplex(basis)
-    basis.validate_for(polytope)
+    else:  # only a basis from the caller can miss P
+        basis = basis if isinstance(basis, BasisSimplex) else BasisSimplex(basis)
+        basis.validate_for(polytope)
 
     targets = {v: mirror.table.count(v) for v in basis.points}
     for v, n_v in targets.items():
@@ -215,4 +216,4 @@ def match_transition(
             "character and specialization failed to reproduce the mirror; "
             "this indicates an implementation bug"
         )
-    return TransitionReport(basis, character, specialization, True)
+    return TransitionReport._of(basis, character, specialization, True)  # no validator

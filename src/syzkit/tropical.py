@@ -14,7 +14,8 @@ def tropical_rays(summand: UnimodularSimplex) -> RaySet:
     """
     if summand.dim != 2:
         raise UnsupportedDimensionError("tropicalization is computed in rank two only")
-    return RaySet(frozenset((-ey, ex) for ex, ey in summand.edge_profile()))
+    # a unimodular simplex's edges are primitive, and so are their rotations
+    return RaySet._of(frozenset((-ey, ex) for ex, ey in summand.edge_profile()))
 
 
 def wall_chambers(summand: UnimodularSimplex) -> int:

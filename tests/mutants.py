@@ -61,6 +61,50 @@ MUTANTS = [
         '"summands": [s.to_json_dict() for s, m in self._runs]',
         ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands"],
     ),
+    (
+        "rank-1 column on y",
+        "lattice.py",
+        "verts = [(0, y) for (y,) in verts]",
+        "verts = [(y, 0) for (y,) in verts]",
+        ["tests/test_mirror.py::TestSyzMirror::test_ap_binomials"],
+    ),
+    (
+        "row stride taken from rx",
+        "mirror.py",
+        "bits * ry)",
+        "bits * rx)",
+        ["tests/test_mirror.py::TestChamberWalk"],
+    ),
+    (
+        "ascending result sort",
+        "minkowski.py",
+        "found.sort(reverse=True)",
+        "found.sort()",
+        ["tests/test_minkowski.py::TestAgainstTheFullWalk"],
+    ),
+    (
+        "forcing pair read from the wrong side",
+        "minkowski.py",
+        "low = left[pair[0]] - left.get(pair[1], 0)",
+        "low = left.get(pair[1], 0) - left[pair[0]]",
+        ["tests/test_minkowski.py::TestAgainstTheFullWalk"],
+    ),
+    (
+        "cayley_cone validating its own rows",
+        "minkowski.py",
+        "return CayleyCone._of(tuple(gens))",
+        "return CayleyCone(tuple(gens))",
+        ["tests/test_package.py::"
+         "test_every_stage_skips_the_validators[cayley_cone]"],
+    ),
+    (
+        "output cap refusing a report of exactly its size",
+        "cli.py",
+        "if size > MAX_OUTPUT_BYTES:",
+        "if size >= MAX_OUTPUT_BYTES:",
+        ["tests/test_cli.py::TestCayleyOutputCap::"
+         "test_predicted_size_is_exact_and_output_unchanged"],
+    ),
 ]
 
 

@@ -453,7 +453,8 @@ class TestGW:
 
 class TestGwOutputCap:
     """``gw`` predicts the bytes of its class listing from the count and
-    refuses a listing past MAX_GW_OUTPUT_BYTES before it builds a class."""
+    refuses a listing past MAX_OUTPUT_BYTES, the cap it shares with
+    ``cayley``, before it builds a class."""
 
     @staticmethod
     def decomposition_file(tmp_path, dec):
@@ -475,8 +476,10 @@ class TestGwOutputCap:
         code, out, err = run_cli(capsys, "gw", "--decomposition", path)
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert json.loads(out)["error"] == "OutputTooLarge"
-        assert "2097152 classes" in err and str(cli_module.MAX_GW_OUTPUT_BYTES) in err
+        # the refusal, byte for byte
+        detail = "2097152 classes would print 1595932749 bytes, past the cap of 268435456"
+        assert out == json.dumps({"error": "OutputTooLarge", "detail": detail}, indent=2) + "\n"
+        assert err == f"error: {detail}\n"
 
     def test_the_budget_still_caps_the_count(self, capsys, tmp_path, monkeypatch):
         path = self.decomposition_file(tmp_path, ap_decomposition(20))
@@ -503,15 +506,16 @@ class TestGwOutputCap:
                 size = len(out.encode())
                 assert cli_module._gw_output_bytes(head, dec.ks) == size
                 # the cap admits a listing of exactly its size
-                monkeypatch.setattr(cli_module, "MAX_GW_OUTPUT_BYTES", size)
+                monkeypatch.setattr(cli_module, "MAX_OUTPUT_BYTES", size)
                 assert run_cli(capsys, *argv)[:2] == (0, out)
-                monkeypatch.setattr(cli_module, "MAX_GW_OUTPUT_BYTES", size - 1)
+                monkeypatch.setattr(cli_module, "MAX_OUTPUT_BYTES", size - 1)
                 code, out, _ = run_cli(capsys, *argv)
                 assert (code, json.loads(out)["error"]) == (1, "OutputTooLarge")
                 monkeypatch.undo()
 
     def test_default_cap(self):
-        assert cli_module.MAX_GW_OUTPUT_BYTES == 2**28
+        assert cli_module.MAX_OUTPUT_BYTES == 2**28
+        assert not {"MAX_GW_OUTPUT_BYTES", "MAX_CAYLEY_OUTPUT_BYTES"} & vars(cli_module).keys()
 
 
 class TestTransition:
@@ -732,7 +736,8 @@ class TestCayley:
 
 class TestCayleyOutputCap:
     """``cayley`` predicts the bytes of its report from the summands and
-    refuses a report past MAX_CAYLEY_OUTPUT_BYTES before it builds a row."""
+    refuses a report past MAX_OUTPUT_BYTES, the cap it shares with ``gw``,
+    before it builds a row."""
 
     @staticmethod
     def decomposition_file(tmp_path, doc):
@@ -757,8 +762,11 @@ class TestCayleyOutputCap:
         code, out, err = run_cli(capsys, "cayley", "--decomposition", path)
         assert time.perf_counter() - start < 5
         assert code == 1
-        assert json.loads(out)["error"] == "OutputTooLarge"
-        assert "20000 summands" in err and str(cli_module.MAX_CAYLEY_OUTPUT_BYTES) in err
+        # the refusal, byte for byte
+        detail = ("the Cayley cone of 20000 summands would print 7200840025 bytes, "
+                  "past the cap of 268435456")
+        assert out == json.dumps({"error": "OutputTooLarge", "detail": detail}, indent=2) + "\n"
+        assert err == f"error: {detail}\n"
 
     def test_predicted_size_is_exact_and_output_unchanged(self, capsys, tmp_path, monkeypatch):
         decs = [ap_decomposition(p) for p in (0, 1, 4, 11)]
@@ -774,16 +782,16 @@ class TestCayleyOutputCap:
             size = len(out.encode())
             assert cli_module._cayley_output_bytes(dec) == size
             # the cap admits a report of exactly its size
-            monkeypatch.setattr(cli_module, "MAX_CAYLEY_OUTPUT_BYTES", size)
+            monkeypatch.setattr(cli_module, "MAX_OUTPUT_BYTES", size)
             assert run_cli(capsys, *argv)[:2] == (0, out)
-            monkeypatch.setattr(cli_module, "MAX_CAYLEY_OUTPUT_BYTES", size - 1)
+            monkeypatch.setattr(cli_module, "MAX_OUTPUT_BYTES", size - 1)
             monkeypatch.setattr(cli_module, "cayley_cone", None)  # a row would raise
             code, out, _ = run_cli(capsys, *argv)
             assert (code, json.loads(out)["error"]) == (1, "OutputTooLarge")
             monkeypatch.undo()
 
     def test_default_cap(self):
-        assert cli_module.MAX_CAYLEY_OUTPUT_BYTES == 2**28
+        assert cli_module.MAX_OUTPUT_BYTES == 2**28
 
 
 class TestErrorPaths:

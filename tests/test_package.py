@@ -22,18 +22,29 @@ from syzkit import (
     DiscClass,
     GWTable,
     LatticePolytope,
+    LaurentPolynomial,
     MinkowskiDecomposition,
     RaySet,
     SYZMirror,
     TransitionReport,
     UnimodularSimplex,
+    apply_character,
+    cayley_cone,
+    chamber_uv,
+    disc_potential,
+    dual_fan_check,
     enumerate_decompositions,
     enumerate_gw_classes,
+    gw_invariant,
     hull,
     match_transition,
+    normal_fan_rays,
+    solve_character_match,
     syz_mirror,
+    tropical_rays,
 )
-from conftest import HEXAGON_CORNERS, seg, tri
+from syzkit.errors import Value
+from conftest import HEXAGON_CORNERS, ap_decomposition, seg, tri, zonotope
 
 # The declared fields of every public value class, in constructor order.
 FIELDS = {
@@ -59,27 +70,35 @@ def fields_of(value, cls=None):
 
 def examples():
     """(label, value) pairs: every value class through its public
-    constructor, and through ``_of`` where it has one."""
+    constructor, and through ``_of`` as a stage builds it, where one does."""
     hexagon = hull(HEXAGON_CORNERS)
     segments = (seg((1, 0)), seg((0, 1)), seg((1, 1)))
     public = MinkowskiDecomposition(hexagon, (0, 0), segments)
     (built, _) = enumerate_decompositions(hexagon)
     report = match_transition(public, [(0, 1), (1, 1), (1, 2)])
+    default = match_transition(built)
+    f = LaurentPolynomial(2, {(0, 0): 1, (1, 0): 2, (0, 1): Fraction(1, 3)})
+    matched = solve_character_match(f, apply_character(f, Character(Fraction(5, 2), (3, 7))))
     return [
         ("LatticePolytope", LatticePolytope(2, ((0, 0), (1, 0), (0, 1)))),
         ("LatticePolytope._of", hexagon),
         ("RaySet", RaySet(frozenset({(1, 0), (0, -1)}))),
+        ("RaySet._of", tropical_rays(tri((1, 0), (1, 1)))),
         ("UnimodularSimplex", tri((1, 0), (1, 1))),
         ("MinkowskiDecomposition", public),
         ("MinkowskiDecomposition._of", built),
         ("CayleyCone", CayleyCone(((0, 0, 1), (1, 0, 1)))),
+        ("CayleyCone._of", cayley_cone(built)),
         ("Character", Character(Fraction(3, 2), (Fraction(1), Fraction(2, 5)))),
+        ("Character._of", matched),
         ("DiscClass", DiscClass("D0", ((1, 0), (0,)))),
         ("DiscClass._of", enumerate_gw_classes(public, 1, "D0")[-1]),
         ("GWTable", GWTable({(0, 0): 1, (1, 1): 3})),
         ("GWTable._of", syz_mirror(public).table),
         ("BasisSimplex", report.basis),
-        ("TransitionReport", report),
+        ("BasisSimplex._of", default.basis),
+        ("TransitionReport", TransitionReport(*fields_of(report))),
+        ("TransitionReport._of", report),
     ]
 
 
@@ -153,6 +172,69 @@ class TestValueClasses:
         assert again == value and repr(again) == repr(value)
         if not isinstance(value, UNHASHABLE):
             assert hash(value) == hash(values) == hash(again)
+
+
+def rule_inputs():
+    """The inputs of the stages ``test_every_stage_skips_the_validators``
+    runs, built through the public constructors: rank-1 and rank-2
+    decompositions, each with a disc class of its walls and a basis."""
+    hexagon = hull(HEXAGON_CORNERS)
+    decs = [ap_decomposition(3), ap_decomposition(0)]
+    decs += [MinkowskiDecomposition(hexagon, (0, 0), (seg((1, 0)), seg((0, 1)), seg((1, 1))))]
+    decs += [MinkowskiDecomposition(hexagon, (0, 0), (tri((1, 0), (1, 1)), tri((0, 1), (1, 1))))]
+    decs += [MinkowskiDecomposition(d.polytope, d.translation, d.summands)
+             for d in enumerate_decompositions(zonotope(4, 3))[:3]]
+    classes = [DiscClass("D0", [[0] * s.k for s in d.summands]) for d in decs]
+    bases = [BasisSimplex(match_transition(d).basis.points) for d in decs]
+    f = LaurentPolynomial(2, {(0, 0): 1, (1, 0): 2, (0, 1): Fraction(1, 3), (2, 5): 4})
+    g = LaurentPolynomial(2, apply_character(f, Character(Fraction(5, 2), (3, 7))).terms)
+    return decs, classes, bases, f, g
+
+
+RULE_DECS, RULE_CLASSES, RULE_BASES, RULE_F, RULE_G = rule_inputs()
+RANK_2 = [d for d in RULE_DECS if d.polytope.dim == 2]
+
+# Each stage, run on the inputs above.
+STAGES = {
+    "enumerate_decompositions": lambda: [enumerate_decompositions(d.polytope) for d in RULE_DECS],
+    "syz_mirror": lambda: [syz_mirror(d) for d in RULE_DECS],
+    "disc_potential": lambda: [disc_potential(d) for d in RULE_DECS],
+    "chamber_uv": lambda: [chamber_uv(d, c) for d in RULE_DECS for c in range(-1, d.p + 1)],
+    "enumerate_gw_classes": lambda: [
+        enumerate_gw_classes(d, c, sector)
+        for d in RULE_DECS for c in range(-1, d.p + 1) for sector in ("D0", "Dinf")
+    ],
+    "gw_invariant": lambda: [
+        gw_invariant(d, c, beta)
+        for d, beta in zip(RULE_DECS, RULE_CLASSES) for c in range(-1, d.p + 1)
+    ],
+    "match_transition_default_basis": lambda: [match_transition(d) for d in RULE_DECS],
+    "match_transition_given_basis": lambda: [
+        match_transition(d, basis) for d, basis in zip(RULE_DECS, RULE_BASES)
+    ],
+    "tropical_rays": lambda: [tropical_rays(s) for d in RANK_2 for s, _ in d._runs],
+    "normal_fan_rays": lambda: [normal_fan_rays(d.polytope) for d in RANK_2],
+    "dual_fan_check": lambda: [dual_fan_check(d) for d in RANK_2],
+    "cayley_cone": lambda: [cayley_cone(d) for d in RULE_DECS],
+    "solve_character_match": lambda: [solve_character_match(RULE_F, RULE_G)],
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_skips_the_validators(stage, monkeypatch):
+    """Values are validated where input enters, by the public constructors:
+    every value a stage builds is canonical by construction and wrapped with
+    ``_of``.  With ``Value.__init__`` and ``LaurentPolynomial.__init__``
+    made to raise, each stage returns what it returns with them."""
+    expected = STAGES[stage]()
+    assert expected and expected != [None]
+
+    def validated(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} built in {stage} was validated")
+
+    monkeypatch.setattr(Value, "__init__", validated)
+    monkeypatch.setattr(LaurentPolynomial, "__init__", validated)
+    assert STAGES[stage]() == expected
 
 
 def test_syz_mirror_replace():

@@ -23,6 +23,7 @@ from syzkit import (
 )
 from syzkit import transition as transition_module
 from conftest import (
+    HEXAGON_CORNERS,
     ap_decomposition,
     brute_det,
     minkowski_sum_all,
@@ -105,6 +106,30 @@ class TestBasisSimplex:
     def test_error_paths(self, fails, match):
         with pytest.raises(InvalidBasisError, match=match):
             fails()
+
+
+class TestDefaultBasis:
+    """``match_transition`` draws its default basis from g's support, which
+    the Newton check keeps in P, starting at P's first vertex, and wraps it
+    with ``_of``: it must pass ``validate_for`` and the public constructor."""
+
+    CASES = {
+        "A_p": lambda: [ap_decomposition(p) for p in range(12)],
+        "Z(4,3)": lambda: enumerate_decompositions(zonotope(4, 3)),
+        "Z(5,2)": lambda: enumerate_decompositions(zonotope(5, 2)),
+        "Z(4,5)": lambda: enumerate_decompositions(zonotope(4, 5)),
+        "hexagon": lambda: enumerate_decompositions(hull(HEXAGON_CORNERS)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_passes_validate_for_and_the_constructor(self, case):
+        decs = self.CASES[case]()
+        assert decs
+        for dec in decs:
+            basis = match_transition(dec).basis
+            basis.validate_for(dec.polytope)
+            assert BasisSimplex(basis.points) == basis  # the tuples the constructor makes
+            assert basis.points[0] == dec.polytope.vertices[0]
 
 
 def set_validate(basis, polytope):
