@@ -155,27 +155,28 @@ class Character(Value):
         }
 
 
+def _power_table(a: Fraction, exps) -> dict[int, tuple[int, int]]:
+    """``{e: (num, den)}``, ``num / den = a ** e`` not reduced, for each e of
+    ``exps`` (iterable twice) in order: for a = p / q, p^|e| and q^|e| are
+    multiplied up from the lowest |e|, and e < 0 swaps the two."""
+    p, q = a.numerator, a.denominator
+    powers = {}
+    k = 0
+    pk = qk = 1
+    for m in sorted({abs(e) for e in exps}):
+        pk *= p ** (m - k)
+        qk *= q ** (m - k)
+        powers[m] = (pk, qk)
+        k = m
+    return {e: powers[e] if e >= 0 else powers[-e][::-1] for e in exps}
+
+
 def _weight_pairs(character: Character, points) -> dict[IntVec, tuple[int, int]]:
     """``{v: (num, den)}`` with ``num / den`` the character's weight
-    ``gamma * prod(alpha_j ** v_j)`` at v, not reduced.
-
-    One table of powers per coordinate: for alpha_j = p / q it holds p^k and
-    q^k at every |v_j| that occurs, multiplied up from the lowest, and
-    alpha_j ** k for k < 0 swaps the two.  ``points`` must be iterable twice.
+    ``gamma * prod(alpha_j ** v_j)`` at v, not reduced, from one
+    ``_power_table`` per coordinate.  ``points`` must be iterable twice.
     """
-    tables = []
-    for j, a in enumerate(character.alpha):
-        p, q = a.numerator, a.denominator
-        exps = {v[j] for v in points}
-        powers = {}
-        k = 0
-        pk = qk = 1
-        for m in sorted({abs(e) for e in exps}):
-            pk *= p ** (m - k)
-            qk *= q ** (m - k)
-            powers[m] = (pk, qk)
-            k = m
-        tables.append({e: powers[e] if e >= 0 else powers[-e][::-1] for e in exps})
+    tables = [_power_table(a, {v[j] for v in points}) for j, a in enumerate(character.alpha)]
     gn, gd = character.gamma.numerator, character.gamma.denominator
     out = {}
     for v in points:

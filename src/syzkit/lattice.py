@@ -149,6 +149,7 @@ def lattice_points(polytope: LatticePolytope) -> list[IntVec]:
 def _column_bounds(polytope: LatticePolytope):
     """``(x, lo(x), hi(x))`` for each column x of a rank-2 polytope, left to
     right: its lattice points in column x are (x, lo(x)), ..., (x, hi(x)).
+    A segment is one column, keyed 0.
 
     The interior lies left of each counterclockwise edge a -> a + e, i.e.
     e_x * (y - a_y) >= e_y * (x - a_x).  The edges going right, in order,
@@ -158,6 +159,8 @@ def _column_bounds(polytope: LatticePolytope):
     column runs from its first vertex to its last.
     """
     verts = polytope.vertices
+    if polytope.dim == 1:
+        return [(0, verts[0][0], verts[-1][0])]
     lows, highs, low_end, high_end = [], [], verts[0][1], verts[-1][1]
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
         ex, ey = bx - ax, by - ay

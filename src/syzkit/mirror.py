@@ -162,11 +162,11 @@ def _rows(axes, slots) -> list:
     return list(zip(axes[0], [slots[i : i + ry] for i in range(0, len(slots), ry)]))
 
 
-def _check_newton(polytope, axes, slots, rows) -> None:
+def _check_newton(polytope, axes, slots, rows, bounds=None) -> None:
     """The Newton polytope of g is P: the box is P's bounding box, every
     vertex of P carries a term, read from its slot by flat index, and in
     rank 2 every nonzero slot of column x lies between P's bounds lo(x) and
-    hi(x).  In rank 1 the box is P."""
+    hi(x), the ``bounds`` given or ``_column_bounds``.  In rank 1 the box is P."""
     verts, low = polytope.vertices, axes[-1].start
     step = len(axes[-1]) if polytope.dim == 2 else 0  # in rank 1, v[0] is v[-1]
     if (
@@ -177,7 +177,7 @@ def _check_newton(polytope, axes, slots, rows) -> None:
         )
         or polytope.dim == 2 and any(
             any(row[: lo - low]) or any(row[hi - low + 1 :])
-            for (_, row), (_, lo, hi) in zip(rows, _column_bounds(polytope))
+            for (_, row), (_, lo, hi) in zip(rows, bounds or _column_bounds(polytope))
         )
     ):
         raise VerificationFailedError(
@@ -236,14 +236,15 @@ def _check_sign_points(dim: int, axes, rows, runs) -> None:
             )
 
 
-def _checked_slots(decomposition: MinkowskiDecomposition) -> tuple:
+def _checked_slots(decomposition: MinkowskiDecomposition, bounds=None) -> tuple:
     """``(runs, axes, slots)`` of g: the kernel's runs and slots, after the
-    sum, Newton and sign-point checks."""
+    sum, Newton and sign-point checks; the Newton check reads P's column
+    ``bounds`` when the caller has walked them."""
     polytope = decomposition.polytope
     runs = decomposition._runs
     axes, slots = _wall_slots(polytope.dim, [(s._kernel_box(), m) for s, m in runs])
     rows = _rows(axes, slots)
-    _check_newton(polytope, axes, slots, rows)
+    _check_newton(polytope, axes, slots, rows, bounds)
     _check_sign_points(polytope.dim, axes, rows, runs)
     return runs, axes, slots
 

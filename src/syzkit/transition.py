@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
 
-from .algebra import Character, _weight_pairs, fraction_str
+from .algebra import Character, _power_table, fraction_str
 from .errors import InvalidBasisError, Value, VerificationFailedError, json_int
 from .lattice import (
     SUPPORTED_DIMS,
@@ -26,7 +26,7 @@ from .lattice import (
     vec_sub,
 )
 from .minkowski import MinkowskiDecomposition
-from .mirror import syz_mirror
+from .mirror import _checked_slots, _rows, _slot_terms
 
 
 class BasisSimplex(Value):
@@ -59,10 +59,7 @@ class BasisSimplex(Value):
         column (in rank 1, of the segment), and the first is a vertex."""
         if self.dim != polytope.dim:
             raise InvalidBasisError("basis rank differs from the polytope rank")
-        if polytope.dim == 1:  # the segment is one column, keyed 0
-            columns = {0: (polytope.vertices[0][0], polytope.vertices[-1][0])}
-        else:
-            columns = {x: (lo, hi) for x, lo, hi in _column_bounds(polytope)}
+        columns = {x: (lo, hi) for x, lo, hi in _column_bounds(polytope)}
         for p in self.points:
             lo, hi = columns.get(p[0] if polytope.dim == 2 else 0, (1, 0))
             if not lo <= p[-1] <= hi:
@@ -175,43 +172,50 @@ def match_transition(
     indicate a bug and raises VerificationFailedError.
     """
     polytope = decomposition.polytope
-    mirror = syz_mirror(decomposition)
-    points = lattice_points(polytope)
+    d, bounds = polytope.dim, list(_column_bounds(polytope))  # for the Newton check too
+    _, axes, slots = _checked_slots(decomposition, bounds)
+    terms = _slot_terms(axes, slots)
     if basis is None:
         # g's support, which the kernel emits in lexicographic order, lies in P
         # by the Newton check, and the basis starts at P's first vertex
-        basis = _default_basis(polytope, list(mirror.table.entries))
+        basis = _default_basis(polytope, list(terms))
     else:  # only a basis from the caller can miss P
         basis = basis if isinstance(basis, BasisSimplex) else BasisSimplex(basis)
         basis.validate_for(polytope)
 
-    targets = {v: mirror.table.count(v) for v in basis.points}
+    targets = {v: terms.get(v, 0) for v in basis.points}
     for v, n_v in targets.items():
         if n_v <= 0:
             raise InvalidBasisError(f"the mirror coefficient vanishes at basis point {v}")
     character = _basis_character(basis.points, list(targets.values()))
 
-    # One pass over the weights num / den: each basis weight must be n_v,
-    # every other point gets q_v = n_v * den / num, and the family (1 on the
-    # basis, q_v elsewhere) must be g under the character term by term,
-    # compared as num * q.numerator == n_v * den * q.denominator, and have
-    # g's support: g may miss interior points, where q_v = 0.
-    entries, count = mirror.table.entries, mirror.table.count
+    # One walk of P's columns over g's slot rows, each weight num / den from one
+    # power table per box axis: each basis weight must be n_v, every other point
+    # gets q_v = n_v * den / num with n_v its slot (0 where g misses it), and the
+    # family (1 on the basis, q_v elsewhere) must be g under the character term
+    # by term, checked against g's terms, not the slots, and have g's support.
+    gamma, low = character.gamma, axes[-1].start
+    ys = list(_power_table(character.alpha[-1], axes[-1]).values())
+    xs = list(_power_table(character.alpha[0], axes[0]).values()) if d == 2 else [(1, 1)]
     specialization, support, wrong = {}, 0, 0
-    for v, (num, den) in _weight_pairs(character, points).items():
-        if v in targets:
-            if num != targets[v] * den:
-                raise VerificationFailedError(
-                    f"the solved character gives weight {Fraction(num, den)} at basis "
-                    f"point {v}, not n_v = {targets[v]}; this indicates an implementation bug"
-                )
-            a = b = 1
-        else:
-            q = specialization[v] = Fraction(count(v) * den, num)
-            a, b = q.numerator, q.denominator
-        wrong += num * a != entries.get(v, 0) * den * b
-        support += a != 0
-    if wrong or support != len(entries):
+    for (x, row), (_, lo, hi), (xn, xd) in zip(_rows(axes, slots), bounds, xs):
+        key, num0, den0 = (x,)[2 - d :], gamma.numerator * xn, gamma.denominator * xd
+        cut = slice(lo - low, hi - low + 1)
+        for y, n_v, (yn, yd) in zip(range(lo, hi + 1), row[cut], ys[cut]):
+            v, num, den = (*key, y), num0 * yn, den0 * yd
+            if v in targets:
+                if num != targets[v] * den:
+                    raise VerificationFailedError(
+                        f"the solved character gives weight {Fraction(num, den)} at basis "
+                        f"point {v}, not n_v = {targets[v]}; this indicates an implementation bug"
+                    )
+                a = b = 1
+            else:
+                q = specialization[v] = Fraction(n_v * den, num)
+                a, b = q.numerator, q.denominator
+            wrong += num * a != terms.get(v, 0) * den * b
+            support += a != 0
+    if wrong or support != len(terms):
         raise VerificationFailedError(
             "character and specialization failed to reproduce the mirror; "
             "this indicates an implementation bug"

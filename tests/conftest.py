@@ -82,6 +82,14 @@ def minkowski_sum_all(polys, dim):
     return acc
 
 
+def sum_decomposition(parts):
+    """The decomposition of the Minkowski sum of rank-2 simplices, pinned at
+    its lexicographic minimum."""
+    polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
+    shift = polytope.lexmin
+    return MinkowskiDecomposition(polytope.translate(tuple(-x for x in shift)), shift, tuple(parts))
+
+
 def brute_det(rows):
     """Determinant by cofactor expansion, in any rank: the oracle for the
     closed forms that syzkit uses in rank 1 and 2."""

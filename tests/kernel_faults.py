@@ -1,7 +1,8 @@
 """Corrupted-kernel injections, shared by the in-process tests and their run
 under ``python -O``.  Each patches one seam of ``syzkit.mirror`` so that
 the wall kernel hands back a wrong product, and names the check that must
-catch it: ``syz_mirror`` and ``disc_potential`` must both raise
+catch it: ``syz_mirror``, ``disc_potential`` and ``match_transition``,
+which reads the checked kernel directly, must each raise
 ``VerificationFailedError`` with that text.  ``chamber_uv`` runs the sum
 check alone, on each half, so it must raise on the injections that check
 catches, at chambers -1 and p.  Standard library and syzkit only, so that
@@ -15,7 +16,7 @@ prints one line per injection and entry point, ``caught`` or ``missed``.
 import sys
 
 from syzkit import MinkowskiDecomposition, UnimodularSimplex, VerificationFailedError, hull
-from syzkit import chamber_uv, disc_potential, syz_mirror
+from syzkit import chamber_uv, disc_potential, match_transition, syz_mirror
 from syzkit import mirror
 
 
@@ -89,7 +90,9 @@ INJECTIONS = {
         "sign point"),
 }
 
-ENTRY_POINTS = {"syz_mirror": syz_mirror, "disc_potential": disc_potential}
+ENTRY_POINTS = {
+    "syz_mirror": syz_mirror, "disc_potential": disc_potential, "match_transition": match_transition
+}
 
 # At chamber -1 the whole product lies above the fiber, at p below it; the
 # other half is the empty product.

@@ -105,6 +105,27 @@ MUTANTS = [
         ["tests/test_cli.py::TestCayleyOutputCap::"
          "test_predicted_size_is_exact_and_output_unchanged"],
     ),
+    (
+        "transition walk reading the slot one up in y",
+        "transition.py",
+        "zip(range(lo, hi + 1), row[cut], ys[cut])",
+        "zip(range(lo, hi + 1), row[cut.start + 1 :], ys[cut])",
+        ["tests/test_transition.py::TestMatchTransition::test_dp6_triangle_decomposition"],
+    ),
+    (
+        "term-by-term check reading the slot that fed q_v",
+        "transition.py",
+        "wrong += num * a != terms.get(v, 0) * den * b",
+        "wrong += num * a != n_v * den * b",
+        ["tests/test_mirror.py::TestIdentityChecks::test_specialization_mismatch_is_caught[value]"],
+    ),
+    (
+        "transition support count dropped",
+        "transition.py",
+        "if wrong or support != len(terms):",
+        "if wrong:",
+        ["tests/test_mirror.py::TestIdentityChecks::test_unwalked_term_is_caught"],
+    ),
 ]
 
 

@@ -296,6 +296,17 @@ class TestSolveCharacterMatch:
         g = poly(1, {(0,): 1, (2,): 2})
         assert solve_character_match(f, g) is None
 
+    def test_wrong_solver_answer_is_refused(self, monkeypatch):
+        """A positive answer of the solver that does not carry f onto g:
+        ``apply_character``, through its power tables, shows the mismatch."""
+        f = poly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (-1, 2): Fraction(1, 5)})
+        right = Character(Fraction(3, 2), (Fraction(2, 5), Fraction(7, 3)))
+        g = apply_character(f, right)
+        assert solve_character_match(f, g) == right
+        for wrong in ([Fraction(3, 2), Fraction(2, 5), Fraction(7, 4)], [Fraction(2)] * 3):
+            monkeypatch.setattr(intlinalg, "solve_multiplicative", lambda *args: wrong)
+            assert solve_character_match(f, g) is None
+
     def test_support_mismatch_raises(self):
         f = one_plus(2, (1, 0))
         g = one_plus(2, (0, 1))

@@ -55,6 +55,7 @@ from conftest import (
     random_unimodular_simplex,
     recorded_runs,
     seg,
+    sum_decomposition,
     tri,
     zonotope,
 )
@@ -166,14 +167,6 @@ def run_split_chamber_uv(dec, chamber):
         mirror_module._slot_terms(*type_list_wall_slots(d, half), lead)
         for half, lead in ((below, (1,)), (above, (-1,)))
     )
-
-
-def sum_decomposition(parts):
-    """The decomposition of the Minkowski sum of rank-2 simplices, pinned at
-    its lexicographic minimum."""
-    polytope = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
-    shift = polytope.lexmin
-    return MinkowskiDecomposition(polytope.translate(tuple(-x for x in shift)), shift, tuple(parts))
 
 
 def _box_simplices():
@@ -992,7 +985,7 @@ class TestDiscPotentialChecksItsKernel:
             for name in kernel_faults.INJECTIONS
             for entry in kernel_faults.entry_points(name)
         ]
-        assert len(want) == 2 * len(kernel_faults.INJECTIONS) + 4
+        assert len(want) == 3 * len(kernel_faults.INJECTIONS) + 4
         assert proc.stdout.splitlines() == want
 
 
@@ -1293,33 +1286,31 @@ class TestIdentityChecks:
 
     @pytest.mark.parametrize("point", [(0, 1), (1, 1), (1, 2)])
     def test_one_corrupted_basis_weight_is_caught(self, monkeypatch, hexagon_triangles, point):
-        real = transition_module._weight_pairs
+        # the character solved for n_v + 1 at ``point``: its weight there is
+        # wrong, and at the other two basis points right
+        real = transition_module._basis_character
 
-        def corrupted(character, points):
-            weights = real(character, points)
-            num, den = weights[point]
-            weights[point] = (num + den, den)
-            return weights
+        def corrupted(points, targets):
+            return real(points, [n + (v == point) for v, n in zip(points, targets)])
 
-        monkeypatch.setattr(transition_module, "_weight_pairs", corrupted)
+        monkeypatch.setattr(transition_module, "_basis_character", corrupted)
         with pytest.raises(VerificationFailedError, match=re.escape(f"basis point {point}")):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
     @pytest.mark.parametrize("corrupt", [lambda n: n + 1, lambda n: 0], ids=["value", "support"])
     def test_specialization_mismatch_is_caught(self, monkeypatch, hexagon_triangles, corrupt):
-        # the table misreads n_v at one non-basis point, so q_v there is
-        # wrong while g and its entries stay true
-        class MisreadTable(GWTable):
-            def count(self, point):
-                n = super().count(point)
-                return corrupt(n) if tuple(point) == (2, 2) else n
+        # the walk misreads n_v at one non-basis point, (2, 2), so q_v there is
+        # wrong while the kernel's slots and g's terms stay true
+        monkeypatch.setattr(transition_module, "_rows", misread_rows((2, 2), corrupt))
+        with pytest.raises(VerificationFailedError, match="failed to reproduce"):
+            match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
-        def misreading_mirror(decomposition):
-            mirror = syz_mirror(decomposition)
-            return mirror._replace(table=MisreadTable(mirror.table.entries))
-
-        monkeypatch.setattr(transition_module, "syz_mirror", misreading_mirror)
-        with pytest.raises(VerificationFailedError):
+    def test_unwalked_term_is_caught(self, monkeypatch, hexagon_triangles):
+        # the walk misses column 2, whose points (2, 1) and (2, 2) are terms of
+        # g off the basis: only the support count sees them
+        real = transition_module._rows
+        monkeypatch.setattr(transition_module, "_rows", lambda axes, slots: real(axes, slots)[:2])
+        with pytest.raises(VerificationFailedError, match="failed to reproduce"):
             match_transition(hexagon_triangles, [(0, 1), (1, 1), (1, 2)])
 
     def test_checks_survive_python_O(self):
@@ -1327,18 +1318,14 @@ class TestIdentityChecks:
             "import sys",
             "assert False, 'asserts are live'",
             "from syzkit import VerificationFailedError, UnimodularSimplex, hull",
-            "from syzkit import GWTable, MinkowskiDecomposition, match_transition, syz_mirror",
+            "from syzkit import MinkowskiDecomposition, match_transition, syz_mirror",
             "import syzkit.mirror as m",
             "import syzkit.transition as t",
             "step = UnimodularSimplex(1, ((1,),))",
             "dec = MinkowskiDecomposition(hull([(0,), (21,)]), (0,), (step,) * 21)",
-            "class MisreadTable(GWTable):",
-            "    def count(self, p):",
-            "        return super().count(p) + (tuple(p) == (5,))",
-            "def misreading_mirror(d):",
-            "    mirror = syz_mirror(d)",
-            "    return mirror._replace(table=MisreadTable(mirror.table.entries))",
-            "t.syz_mirror = misreading_mirror",
+            "rows = t._rows",  # the walk misreads n_v at (5,), off the basis
+            "t._rows = lambda axes, slots: [",
+            "    (x, [n + (i == 5) for i, n in enumerate(row)]) for x, row in rows(axes, slots)]",
             "try:",
             "    match_transition(dec)",
             "except VerificationFailedError:",
@@ -1378,6 +1365,20 @@ class TestIdentityChecks:
         assert proc.returncode == 0, proc.stderr
         want = [f"caught {width} 1" for width, _ in self.NARROW_SLOTS for _ in "uv"]
         assert proc.stdout.splitlines() == want
+
+
+def misread_rows(point, corrupt):
+    """A rank-2 ``_rows`` whose rows are copies, with the slot of ``point``
+    read through ``corrupt``; the slots themselves stay as they are."""
+    real = mirror_module._rows
+
+    def misread(axes, slots):
+        rows = [(x, list(row)) for x, row in real(axes, slots)]
+        row, y = rows[point[0] - axes[0].start][1], point[1] - axes[1].start
+        row[y] = corrupt(row[y])
+        return rows
+
+    return misread
 
 
 def corrupt_slot(axes, slots, point, value):

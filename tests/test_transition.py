@@ -1,18 +1,21 @@
+import functools
+import json
 import random
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from syzkit import (
     BasisSimplex,
     Character,
     InvalidBasisError,
     MinkowskiDecomposition,
+    VerificationFailedError,
     apply_character,
     enumerate_decompositions,
     hull,
@@ -29,11 +32,15 @@ from conftest import (
     minkowski_sum_all,
     random_unimodular_simplex,
     seg,
+    sum_decomposition,
+    unimodular_simplices,
     zonotope,
 )
+from listing_match import listing_match
 from parametric import parameter_name, toric_family, weight
 from root_solver import solve_multiplicative as solve_by_roots
 from syzkit.intlinalg import solve_multiplicative
+from syzkit.lattice import vec_add
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
 
@@ -252,10 +259,9 @@ class TestToricFamily:
 
 class TestMatchTransition:
     @pytest.mark.parametrize("basis", [None, DP6_BASIS], ids=["default", "paper"])
-    def test_lattice_points_listed_once(self, monkeypatch, hexagon_triangles, basis):
-        """For the specialization only: the basis validation and the Newton
-        check of syz_mirror read column bounds, and the default basis is
-        chosen from the support of g."""
+    def test_lists_no_lattice_points(self, monkeypatch, hexagon_triangles, basis):
+        """The walk reads P's column bounds, as the Newton check and the basis
+        validation do, and the default basis is chosen from the support of g."""
         calls = []
         for module in [m for name, m in sys.modules.items() if name.startswith("syzkit")]:
             if hasattr(module, "lattice_points"):
@@ -265,7 +271,7 @@ class TestMatchTransition:
 
                 monkeypatch.setattr(module, "lattice_points", counted)
         assert match_transition(hexagon_triangles, basis).verified
-        assert calls == [hexagon_triangles.polytope]
+        assert calls == []
 
     def test_conifold_is_the_identity_match(self, conifold):
         report = match_transition(conifold, ((0, 0), (1, 0), (0, 1)))
@@ -390,6 +396,103 @@ class TestMatchTransition:
                     assert report.specialization[v] == 1
             checked += 1
         assert checked >= 25
+
+
+ZONOTOPES = [(4, 5), (5, 3), (6, 2), (3, 3), (2, 7)]
+SUMMANDS = unimodular_simplices(2, bound=2)
+
+
+def hexagon_with_sides(a, b, c):
+    """The hexagon with sides a, b and c along (1, 0), (0, 1) and (1, 1)."""
+    return hull([(0, 0), (a, 0), (a + c, c), (a + c, b + c), (c, b + c), (0, b)])
+
+
+@functools.cache
+def decompositions_of(polytope) -> list:
+    return enumerate_decompositions(polytope)
+
+
+@st.composite
+def match_cases(draw):
+    """A decomposition and a basis for its match.  The decomposition is A_p,
+    one of a zonotope or of a hexagon with sides 1 to 4, or a sum of one to
+    four unimodular simplices; the basis is None (the default), the paper's,
+    or a unimodular chain from a vertex of P, inside P where one exists."""
+    kind = draw(st.sampled_from(["A_p", "zonotope", "hexagon", "sum"]))
+    if kind == "A_p":
+        dec = ap_decomposition(draw(st.integers(0, 39)))
+    elif kind == "sum":
+        dec = sum_decomposition(draw(st.lists(st.sampled_from(SUMMANDS), min_size=1, max_size=4)))
+    else:
+        polytope = (
+            zonotope(*draw(st.sampled_from(ZONOTOPES))) if kind == "zonotope"
+            else hexagon_with_sides(*draw(st.tuples(*[st.integers(1, 4)] * 3)))
+        )
+        dec = draw(st.sampled_from(decompositions_of(polytope)))
+    polytope = dec.polytope
+    choice = draw(st.sampled_from(["default", "given", "paper"][: polytope.dim + 1]))
+    if choice != "given":
+        return dec, None if choice == "default" else DP6_BASIS
+    start = draw(st.sampled_from(polytope.vertices))
+    steps = UNIMODULAR_PAIRS if polytope.dim == 2 else [((1,),), ((-1,),)]
+    chains = [list(accumulate(diffs, vec_add, initial=start)) for diffs in steps]
+    inside = set(lattice_points(polytope))
+    return dec, draw(st.sampled_from([c for c in chains if inside.issuperset(c)] or chains))
+
+
+def outcome(match, decomposition, basis):
+    """The report of a match, with its JSON text, its keys in order and the
+    types of its values, or the type and text of the error it raised."""
+    try:
+        report = match(decomposition, basis)
+    except (InvalidBasisError, VerificationFailedError) as exc:
+        return type(exc), str(exc)
+    values = report.specialization
+    return report, json.dumps(report.to_json_dict()), list(values), {type(q) for q in values.values()}
+
+
+class TestAgainstTheListingMatch:
+    """The column walk against ``listing_match``, which lists P's lattice
+    points and reads every n_v from the table: equal reports with the same
+    JSON, or the same error; ``Fraction`` values, ``Fraction(0)`` where g
+    misses a point, in lexicographic key order."""
+
+    def assert_same(self, dec, basis) -> bool:
+        """Check the walk against the oracle on one case, and return whether
+        its report has a point with q_v = 0."""
+        got = outcome(match_transition, dec, basis)
+        assert got == outcome(listing_match, dec, basis)
+        if isinstance(got[0], type):
+            return False
+        _, _, keys, types = got
+        assert keys == sorted(keys) and types <= {Fraction}
+        return 0 in got[0].specialization.values()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(match_cases())
+    def test_drawn_cases(self, case):
+        if self.assert_same(*case):
+            event("q_v = 0 at some point")
+
+    def test_corpus(self):
+        """Every decomposition of five zonotopes and of the hexagons with
+        sides 1 to 4, A_0 to A_39 and 300 random sums at the default basis,
+        and the paper's hexagon at the paper basis."""
+        rng = random.Random(5)
+        cases = [(d, None) for m, n in ZONOTOPES for d in decompositions_of(zonotope(m, n))]
+        cases += [
+            (d, None)
+            for sides in product(range(1, 5), repeat=3)
+            for d in decompositions_of(hexagon_with_sides(*sides))
+        ]
+        cases += [(ap_decomposition(p), None) for p in range(40)]
+        cases += [
+            (sum_decomposition([random_unimodular_simplex(rng) for _ in range(rng.randint(1, 4))]), None)
+            for _ in range(300)
+        ]
+        cases += [(d, DP6_BASIS) for d in decompositions_of(hull(HEXAGON_CORNERS))]
+        zeros = sum(self.assert_same(dec, basis) for dec, basis in cases)
+        assert len(cases) == 568 and zeros == 91
 
 
 @st.composite
