@@ -43,6 +43,8 @@ class Value:
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
         cls._stored = staticmethod(attrgetter(*cls.__slots__[:len(cls._fields)]))
+        # ``_setters``: the setters of those slots' member descriptors, for ``_of``
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__[:len(cls._fields)])
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -58,8 +60,8 @@ class Value:
     def _of(cls, *values):
         """An instance whose first slots hold ``values``, unchecked."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(self, value)
         return self
 
     def __post_init__(self):

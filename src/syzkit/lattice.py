@@ -5,6 +5,7 @@ arbitrary precision; no floating point enters this module.
 """
 
 from math import gcd
+from operator import add, neg, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -20,15 +21,15 @@ SUPPORTED_DIMS = (1, 2)
 
 
 def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a: IntVec) -> IntVec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def cross(a: IntVec, b: IntVec) -> int:

@@ -201,9 +201,7 @@ def enumerate_decompositions(
     """
     max_nodes = _search_budget(budget)
     d = polytope.dim
-    shift = polytope.lexmin
-    base = polytope.translate(vec_neg(shift))
-    left = edge_profile(base)
+    left = edge_profile(polytope)  # translation-invariant: P's edges, as P walks them
     bound = sum(left.values()) // 2
     if bound > MAX_SUMMANDS:
         raise OutputTooLargeError(
@@ -239,27 +237,27 @@ def enumerate_decompositions(
     found: list[tuple[int, ...]] = []  # the counts of each result, in type-key order
     nodes = 0
 
+    # plain loops on the node path: a generator costs as much as a node's dict reads
     def place(i: int) -> None:
         nonlocal nodes
-        if any(left[u] != left.get(nu, 0) for u, nu in settle[i]):
-            return
+        for u, nu in settle[i]:
+            if left[u] != left.get(nu, 0):
+                return
         if i == len(triangles):
             # the settled pairs and the unit counts spend the edge budget exactly
             for j, u in enumerate(units, len(triangles)):
                 counts[j] = left[u]
-            found.append(tuple(counts[t] for t in order))
+            found.append(tuple([counts[t] for t in order]))
             return
-        edges = triangles[i]
-        low, top = 0, min(left[e] for e in edges)
+        a, b, c = triangles[i]
+        low, top = 0, min(left[a], left[b], left[c])
         if (pair := forced[i]) is not None:
             # the one multiplicity that leaves the pair symmetric
             low = left[pair[0]] - left.get(pair[1], 0)
             if not 0 <= low <= top:
                 return
             top = low
-            for e in edges:
-                left[e] -= low
-            counts[i] = low
+        spend = low  # the first node spends low, each later one 1 more
         for m in range(low, top + 1):
             nodes += 1
             if nodes > max_nodes:
@@ -267,14 +265,15 @@ def enumerate_decompositions(
                     f"decomposition search exceeded {max_nodes} nodes: "
                     f"{len(found)} decompositions found in {nodes - 1} nodes visited"
                 )
-            if m > low:
-                for e in edges:
-                    left[e] -= 1
-                counts[i] = m
+            left[a] -= spend
+            left[b] -= spend
+            left[c] -= spend
+            counts[i] = m
             place(i + 1)
-        for e in edges:
-            left[e] += top
-        counts[i] = 0
+            spend = 1
+        left[a] += top
+        left[b] += top
+        left[c] += top
 
     place(0)
     # Descending count vectors order the results as their expanded sort keys
@@ -285,6 +284,8 @@ def enumerate_decompositions(
     # instead: every summand spends part of the same total edge budget, so no
     # result's summands are a proper prefix of another's.
     found.sort(reverse=True)
+    shift = polytope.lexmin
+    base = polytope.translate(vec_neg(shift))
     return [
         MinkowskiDecomposition._of(base, shift, [(types[t], m) for t, m in zip(order, vec) if m])
         for vec in found

@@ -57,9 +57,13 @@ class BasisSimplex(Value):
     def validate_for(self, polytope: LatticePolytope) -> None:
         """Each point lies in the polytope, tested against the bounds of its
         column (in rank 1, of the segment), and the first is a vertex."""
+        self._validate_in(polytope, _column_bounds(polytope))
+
+    def _validate_in(self, polytope: LatticePolytope, bounds) -> None:
+        """``validate_for`` with P's ``_column_bounds`` as the caller walked them."""
         if self.dim != polytope.dim:
             raise InvalidBasisError("basis rank differs from the polytope rank")
-        columns = {x: (lo, hi) for x, lo, hi in _column_bounds(polytope)}
+        columns = {x: (lo, hi) for x, lo, hi in bounds}
         for p in self.points:
             lo, hi = columns.get(p[0] if polytope.dim == 2 else 0, (1, 0))
             if not lo <= p[-1] <= hi:
@@ -172,7 +176,7 @@ def match_transition(
     indicate a bug and raises VerificationFailedError.
     """
     polytope = decomposition.polytope
-    d, bounds = polytope.dim, list(_column_bounds(polytope))  # for the Newton check too
+    d, bounds = polytope.dim, list(_column_bounds(polytope))  # for the checks too
     _, axes, slots = _checked_slots(decomposition, bounds)
     terms = _slot_terms(axes, slots)
     if basis is None:
@@ -181,7 +185,7 @@ def match_transition(
         basis = _default_basis(polytope, list(terms))
     else:  # only a basis from the caller can miss P
         basis = basis if isinstance(basis, BasisSimplex) else BasisSimplex(basis)
-        basis.validate_for(polytope)
+        basis._validate_in(polytope, bounds)  # the bounds walked above, not a second walk
 
     targets = {v: terms.get(v, 0) for v in basis.points}
     for v, n_v in targets.items():

@@ -90,6 +90,48 @@ MUTANTS = [
         ["tests/test_minkowski.py::TestAgainstTheFullWalk"],
     ),
     (
+        "forced multiplicity refused at the top of its range",
+        "minkowski.py",
+        "if not 0 <= low <= top:",
+        "if not 0 <= low < top:",
+        ["tests/test_minkowski.py::TestEnumerate::test_hexagon_has_exactly_two"],
+    ),
+    (
+        "stale count: every node keeps its level's first count",
+        "minkowski.py",
+        "            counts[i] = m\n",
+        "            counts[i] = low\n",
+        ["tests/test_minkowski.py::TestEnumerate::test_hexagon_has_exactly_two"],
+    ),
+    (
+        "forced nodes left uncounted",
+        "minkowski.py",
+        "            nodes += 1\n",
+        "            nodes += pair is None\n",
+        ["tests/test_minkowski.py::TestEnumerate::test_budget_counts_triangle_choices"],
+    ),
+    (
+        "edge length read from one coordinate",
+        "lattice.py",
+        "g = gcd(*e)",
+        "g = abs(e[0]) or abs(e[-1])",
+        ["tests/test_lattice.py::TestEdgeProfile"],
+    ),
+    (
+        "_of setters taken from the slots shifted by one",
+        "errors.py",
+        "getattr(cls, n).__set__ for n in cls.__slots__[:len(cls._fields)]",
+        "getattr(cls, n).__set__ for n in cls.__slots__[1:len(cls._fields) + 1]",
+        ["tests/test_value_of.py::test_of_builds_what_the_constructor_builds"],
+    ),
+    (
+        "given basis validated on a second chain walk",
+        "transition.py",
+        "basis._validate_in(polytope, bounds)",
+        "basis.validate_for(polytope)",
+        ["tests/test_transition.py::TestMatchTransition::test_walks_the_chains_once"],
+    ),
+    (
         "cayley_cone validating its own rows",
         "minkowski.py",
         "return CayleyCone._of(tuple(gens))",

@@ -1026,6 +1026,39 @@ class TestSearchResults:
         assert enumerate_decompositions(polytope) and calls == Counter()
 
 
+def search_nodes(polytope, most):
+    """The nodes the search visits on ``polytope``, at most ``most``: the
+    least budget it succeeds with, found by bisection."""
+    low, high = 0, most
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            enumerate_decompositions(polytope, budget=mid)
+        except SearchBudgetExceededError:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+# The search profiles its input as given, not pinned at the origin, so every
+# shape of the benchmark's decompose corpus is also searched far from it:
+# its rank-2 polygons, the small polytopes of TestAgainstBruteForce and the
+# unit-step segments of rank 1.
+TRANSLATED_SHAPES = {
+    **DECOMPOSE_CORPUS,
+    **{name: hull(corners) for name, corners in (
+        ("square", [(0, 0), (1, 0), (1, 1), (0, 1)]),
+        ("rotated square", [(0, 0), (1, 1), (2, 0), (1, -1)]),
+        ("triangle", [(0, 0), (1, 0), (1, 1)]),
+        ("doubled square", [(0, 0), (2, 0), (2, 2), (0, 2)]),
+        ("segment (2,1)", [(0, 0), (2, 1)]),
+        ("segment (2,0)", [(0, 0), (2, 0)]),
+    )},
+    **{f"[0,{n}]": hull([(0,), (n,)]) for n in (1, 2, 10, 20, 900)},
+}
+
+
 class TestAgainstTheFullWalk:
     """The search with forced multiplicities against the full walk: the same
     results in the same order, read the same, in no more nodes."""
@@ -1036,6 +1069,7 @@ class TestAgainstTheFullWalk:
         decs = enumerate_decompositions(polytope, budget=nodes)
         assert decs == want
         assert [dec.to_json_dict() for dec in decs] == [dec.to_json_dict() for dec in want]
+        return want, nodes
 
     @pytest.mark.parametrize("name", DECOMPOSE_CORPUS)
     def test_corpus(self, name):
@@ -1059,6 +1093,24 @@ class TestAgainstTheFullWalk:
         parts = data.draw(st.lists(st.sampled_from(SIMPLICES[dim]), min_size=1, max_size=4))
         shift = data.draw(st.tuples(*[st.integers(-9, 9)] * dim))
         self.check(minkowski_sum_all((hull(s.vertex_set()) for s in parts), dim).translate(shift))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(TRANSLATED_SHAPES)), st.data())
+    def test_translated_corpus_shapes(self, name, data):
+        """A translate far from the origin gives the oracle's results, in its
+        order and read the same, and takes the nodes the search takes on the
+        shape at the origin: it succeeds with that budget and fails with one
+        less."""
+        shape = TRANSLATED_SHAPES[name]
+        shift = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * shape.dim))
+        moved = shape.translate(shift)
+        want, most = self.check(moved)
+        assert all(dec.translation == vec_add(shape.lexmin, shift) for dec in want)
+        nodes = search_nodes(pinned(shape), most)
+        assert enumerate_decompositions(moved, budget=nodes) == want
+        if nodes:
+            with pytest.raises(SearchBudgetExceededError):
+                enumerate_decompositions(moved, budget=nodes - 1)
 
 
 class TestSummandCap:

@@ -40,7 +40,7 @@ from listing_match import listing_match
 from parametric import parameter_name, toric_family, weight
 from root_solver import solve_multiplicative as solve_by_roots
 from syzkit.intlinalg import solve_multiplicative
-from syzkit.lattice import vec_add
+from syzkit.lattice import _column_bounds, vec_add
 
 DP6_BASIS = ((0, 1), (1, 1), (1, 2))
 
@@ -225,6 +225,17 @@ class TestValidation:
         monkeypatch.setattr(transition_module, "lattice_points", refuse)
         BasisSimplex(DP6_BASIS).validate_for(hexagon)
 
+    def test_a_match_refuses_a_basis_with_the_same_message(self, hexagon_triangles):
+        """``match_transition`` validates a given basis on the column bounds
+        it walked itself, with ``validate_for``'s verdict and message."""
+        hexagon = hexagon_triangles.polytope
+        for points in (DP6_BASIS, ((0, 0), (1, 0), (2, -1)), ((0, 0), (-1, 0), (-1, 1)),
+                       ((1, 1), (1, 2), (2, 2)), ((0,), (1,))):
+            basis = BasisSimplex(points)
+            want = verdict(basis.validate_for, hexagon)
+            assert verdict(match_transition, hexagon_triangles, basis) == want
+            assert verdict(basis._validate_in, hexagon, list(_column_bounds(hexagon))) == want
+
 
 class TestToricFamily:
     def test_dp6_family_shape(self, hexagon):
@@ -272,6 +283,21 @@ class TestMatchTransition:
                 monkeypatch.setattr(module, "lattice_points", counted)
         assert match_transition(hexagon_triangles, basis).verified
         assert calls == []
+
+    @pytest.mark.parametrize("basis", [None, DP6_BASIS], ids=["default", "paper"])
+    def test_walks_the_chains_once(self, monkeypatch, hexagon_triangles, basis):
+        """One walk of P's column bounds serves the Newton check, the walk and
+        the validation of a given basis."""
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("syzkit")]:
+            if hasattr(module, "_column_bounds"):
+                def counted(polytope, real=module._column_bounds):
+                    calls.append(polytope)
+                    return real(polytope)
+
+                monkeypatch.setattr(module, "_column_bounds", counted)
+        assert match_transition(hexagon_triangles, basis).verified
+        assert calls == [hexagon_triangles.polytope]
 
     def test_conifold_is_the_identity_match(self, conifold):
         report = match_transition(conifold, ((0, 0), (1, 0), (0, 1)))
