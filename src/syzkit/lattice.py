@@ -156,8 +156,10 @@ def _column_bounds(polytope: LatticePolytope):
     e_x * (y - a_y) >= e_y * (x - a_x).  The edges going right, in order,
     bound y from below (a ceiling), those going left, in order, from above
     (a floor), each over its own columns; a chain's end vertex gives its
-    last column.  A point or a vertical segment has no such edge: its one
-    column runs from its first vertex to its last.
+    last column.  An edge of integer slope steps by a ``range``, a flat one
+    repeats a_y, and only a fractional slope rounds each column.  A point or
+    a vertical segment has no such edge: its one column runs from its first
+    vertex to its last.
     """
     verts = polytope.vertices
     if polytope.dim == 1:
@@ -166,10 +168,16 @@ def _column_bounds(polytope: LatticePolytope):
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
         ex, ey = bx - ax, by - ay
         if ex > 0:
-            lows += [ay - (-ey * k) // ex for k in range(ex)]
+            lows += (
+                [ay - (-ey * k) // ex for k in range(ex)] if ey % ex
+                else range(ay, by, ey // ex) if ey else [ay] * ex
+            )
             low_end = by
         elif ex < 0:
-            highs += [ay + (-ey * k) // ex for k in range(-ex)]
+            highs += (
+                [ay + (-ey * k) // ex for k in range(-ex)] if ey % ex
+                else range(ay, by, -ey // ex) if ey else [ay] * -ex
+            )
             high_end = by
     lows.append(low_end)
     highs.append(high_end)
@@ -262,15 +270,17 @@ class UnimodularSimplex(Value):
     def _kernel_box(self) -> tuple:
         """The wall kernel's box, kept from the first call, as the kernel reads
         it once per run on every call: least corner, extent, moved vertices,
-        1 + k, all in rank 2; a rank-1 simplex lies on the column x = 0."""
+        1 + k, all in rank 2 (a rank-1 simplex on the column x = 0), and the
+        sign-point check's key, u_0 & 1 | (u_-1 & 1) << (dim - 1) per generator."""
         try:
             return self._box
         except AttributeError:
-            verts = self.vertex_set()
+            verts, top = self.vertex_set(), self.dim - 1
+            parity = tuple([u[0] & 1 | (u[-1] & 1) << top for u in self.generators])
             if self.dim == 1:
                 verts = [(0, y) for (y,) in verts]
             low, high = tuple(map(min, *verts)), tuple(map(max, *verts))
-            box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts)
+            box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts), parity
             object.__setattr__(self, "_box", box)
             return box
 

@@ -105,7 +105,7 @@ def _read_slots(packed: int, width: int):
     return slots.tolist()
 
 
-def _wall_slots(dim: int, parts) -> tuple:
+def _wall_slots(dim: int, parts, sums=None) -> tuple:
     """The box ``axes`` (one ``range`` per coordinate) and the coefficients
     ``slots`` of the product of the wall factors of the parts ``(box,
     count)``, each box a summand's ``_kernel_box()``, one slot per box point
@@ -120,16 +120,17 @@ def _wall_slots(dim: int, parts) -> tuple:
     in ``_packed_product``: one power per part.  The product is read in
     whole slots by ``_read_slots``, so a carry anywhere fails the sum check.
     A product whose packed integer would pass MAX_PACKED_BYTES raises before
-    any packing.
+    any packing.  ``sums`` is ``(ox, oy, rx, ry, bound)`` if the caller has
+    summed the parts' corners, extents and sizes.
     """
-    ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
-    for ((lx, ly), (ex, ey), _, size), m in parts:
+    ox, oy, rx, ry, bound = sums or (0, 0, 1, 1, 1)
+    for ((lx, ly), (ex, ey), _, size, _), m in () if sums else parts:  # unless summed already
         ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
         bound *= size**m
     # a rank-1 box lies on the column x = 0, so rank 1 keeps the y axis only
     axes = (range(ox, ox + rx), range(oy, oy + ry))[2 - dim :]
     width = _slot_bytes(bound)
-    size = prod(map(len, axes)) * width
+    size = rx * ry * width  # in rank 1, rx is 1
     if size > MAX_PACKED_BYTES:
         raise OutputTooLargeError(
             f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
@@ -162,30 +163,6 @@ def _rows(axes, slots) -> list:
     return list(zip(axes[0], [slots[i : i + ry] for i in range(0, len(slots), ry)]))
 
 
-def _check_newton(polytope, axes, slots, rows, bounds=None) -> None:
-    """The Newton polytope of g is P: the box is P's bounding box, every
-    vertex of P carries a term, read from its slot by flat index, and in
-    rank 2 every nonzero slot of column x lies between P's bounds lo(x) and
-    hi(x), the ``bounds`` given or ``_column_bounds``.  In rank 1 the box is P."""
-    verts, low = polytope.vertices, axes[-1].start
-    step = len(axes[-1]) if polytope.dim == 2 else 0  # in rank 1, v[0] is v[-1]
-    if (
-        axes != tuple(range(min(c), max(c) + 1) for c in zip(*verts))
-        or not all(
-            i < len(slots) and slots[i]
-            for i in [(v[0] - axes[0].start) * step + v[-1] - low for v in verts]
-        )
-        or polytope.dim == 2 and any(
-            any(row[: lo - low]) or any(row[hi - low + 1 :])
-            for (_, row), (_, lo, hi) in zip(rows, bounds or _column_bounds(polytope))
-        )
-    ):
-        raise VerificationFailedError(
-            "the Newton polytope of g is not the decomposition's polytope; "
-            "this indicates an implementation bug"
-        )
-
-
 # _SIGNS[dim][point][b]: the value at the sign point eps (eps_j = -1 where
 # bit j of ``point`` is set) of every z^v whose parity bits are b, and
 # _FACTORS[dim][bits]: the values there of the wall factor 1 + sum z^u of
@@ -204,27 +181,39 @@ _FACTORS = {
 }
 
 
-def _check_sign_points(dim: int, axes, rows, runs) -> None:
-    """g(eps) == prod f_i(eps) at the 2^dim points eps in {1, -1}^dim.
-
+def _check_g(polytope, parts, axes, slots, bounds=None) -> None:
+    """g's Newton polytope is P: the box is P's bounding box, every vertex of P
+    has a nonzero slot (read by flat index), and the slots of each column x
+    from lo(x) to hi(x), P's ``bounds`` or ``_column_bounds`` (one column in
+    rank 1), sum to ``sum(slots)``, as unsigned slots do exactly when none
+    outside P is nonzero.  And g(eps) == prod f_i(eps) at eps in {1, -1}^dim:
     z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
-    so g is summed by the parity bits of its exponents: the even and odd
-    offsets of each slot row of ``_rows``.  The factor of each run
-    ``(summand, count)`` is read once from ``_FACTORS``.  At eps = (1, ..., 1)
-    this is the sum check of ``_wall_slots``, which has run, so that point
-    is skipped.  Unlike the sum check, this sees coefficients swapped between
-    exponents of different parity.
-    """
-    top = dim - 1  # in rank 1, v[0] is v[-1]
-    low = axes[-1].start & 1
+    so the same sums, at even and odd offsets, bucket g by the parity bits of
+    its exponents, and each part's factor is read from ``_FACTORS`` by its
+    box's key.  eps = (1, ..., 1) is the sum check, which has run; the other
+    points see coefficients swapped between exponents of different parity."""
+    dim, verts, x0, low = polytope.dim, polytope.vertices, axes[0].start, axes[-1].start
+    step, top = (len(axes[-1]), 1) if dim == 2 else (0, 0)  # in rank 1, v[0] is v[-1]
     parity = [0] * (1 << dim)
-    for x, row in rows:
-        parity[x & 1 | low << top] += sum(row[0::2])
-        parity[x & 1 | (low ^ 1) << top] += sum(row[1::2])
+    for x, lo, hi in bounds or _column_bounds(polytope):
+        a = (x - x0) * step + lo - low
+        b = a + hi - lo + 1
+        key = x & 1 | (lo & 1) << top
+        parity[key] += sum(slots[a:b:2])
+        parity[key ^ 1 << top] += sum(slots[a + 1 : b : 2])
+    if (
+        axes != tuple([range(min(c), max(c) + 1) for c in zip(*verts)])
+        or not all(
+            i < len(slots) and slots[i] for i in [(v[0] - x0) * step + v[-1] - low for v in verts]
+        )
+        or sum(parity) != sum(slots)
+    ):
+        raise VerificationFailedError(
+            "the Newton polytope of g is not the decomposition's polytope; "
+            "this indicates an implementation bug"
+        )
     values = _FACTORS[dim]
-    factors = [
-        (values[tuple([u[0] & 1 | (u[-1] & 1) << top for u in s.generators])], m) for s, m in runs
-    ]
+    factors = [(values[box[4]], m) for box, m in parts]
     for point, sign in enumerate(_SIGNS[dim][1:], 1):
         left = sum(map(mul, sign, parity))
         right = prod([f[point] ** m for f, m in factors])
@@ -238,14 +227,12 @@ def _check_sign_points(dim: int, axes, rows, runs) -> None:
 
 def _checked_slots(decomposition: MinkowskiDecomposition, bounds=None) -> tuple:
     """``(runs, axes, slots)`` of g: the kernel's runs and slots, after the
-    sum, Newton and sign-point checks; the Newton check reads P's column
-    ``bounds`` when the caller has walked them."""
-    polytope = decomposition.polytope
-    runs = decomposition._runs
-    axes, slots = _wall_slots(polytope.dim, [(s._kernel_box(), m) for s, m in runs])
-    rows = _rows(axes, slots)
-    _check_newton(polytope, axes, slots, rows, bounds)
-    _check_sign_points(polytope.dim, axes, rows, runs)
+    sum check and ``_check_g``, which reads P's column ``bounds`` when the
+    caller has walked them."""
+    polytope, runs = decomposition.polytope, decomposition._runs
+    parts = [(s._kernel_box(), m) for s, m in runs]
+    axes, slots = _wall_slots(polytope.dim, parts)
+    _check_g(polytope, parts, axes, slots, bounds)
     return runs, axes, slots
 
 
@@ -255,7 +242,7 @@ def syz_mirror(decomposition: MinkowskiDecomposition) -> SYZMirror:
     The table holds the (positive integer) coefficients of g: it wraps the
     same dict as the expanded mirror.  The Newton polytope of g must be the
     decomposition's polytope, and g must equal the product of the wall
-    factors at every sign point; both checks read the kernel's slot rows.
+    factors at every sign point; both checks read one walk of P's columns.
     """
     runs, axes, slots = _checked_slots(decomposition)
     terms = _slot_terms(axes, slots)
@@ -282,16 +269,25 @@ def chamber_uv(
     times those above; their product is the expanded mirror with the z0
     exponent cancelled.
     """
-    cut, d = _cut(decomposition, chamber), decomposition.polytope.dim
+    d, cut, p = decomposition.polytope.dim, json_int(chamber) + 1, -1
     below, above = [], []
+    bx = by = ax = ay = 0  # each half's least corner, extent and bound
+    bw = bh = bb = aw = ah = ab = 1
     for s, m in decomposition._runs:  # a cut inside a run splits it
-        box = s._kernel_box()
+        (lx, ly), (ex, ey), _, size, _ = box = s._kernel_box()
+        p += m
         if cut > 0:
-            below.append((box, cut if cut < m else m))
+            j = cut if cut < m else m
+            below.append((box, j))
+            bx, by, bw, bh, bb = bx + j * lx, by + j * ly, bw + j * ex, bh + j * ey, bb * size**j
         if cut < m:
-            above.append((box, m - cut if cut > 0 else m))
+            j = m - cut if cut > 0 else m
+            above.append((box, j))
+            ax, ay, aw, ah, ab = ax + j * lx, ay + j * ly, aw + j * ex, ah + j * ey, ab * size**j
         cut -= m
-    (axes_u, u), (axes_v, v) = _wall_slots(d, below), _wall_slots(d, above)
+    _cut(chamber, p)  # the range check, on the p the walk counted
+    axes_u, u = _wall_slots(d, below, (bx, by, bw, bh, bb))
+    axes_v, v = _wall_slots(d, above, (ax, ay, aw, ah, ab))
     return (
         LaurentPolynomial._of(d + 1, dict(compress(zip(product((1,), *axes_u), u), u))),
         LaurentPolynomial._of(d + 1, dict(compress(zip(product((-1,), *axes_v), v), v))),

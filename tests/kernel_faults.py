@@ -32,6 +32,14 @@ def hexagon_triangles():
     return MinkowskiDecomposition(hull(corners), (0, 0), parts)
 
 
+def thin_triangle():
+    """The unimodular triangle 0, (2, 1), (1, 1) as its own one summand: g is
+    1 + xy + x^2 y in a 3 x 2 box, and its lower edge, of slope 1/2, is the one
+    edge whose columns ``_column_bounds`` rounds one by one."""
+    parts = (UnimodularSimplex(2, ((2, 1), (1, 1))),)
+    return MinkowskiDecomposition(hull([(0, 0), (2, 1), (1, 1)]), (0, 0), parts)
+
+
 def _slots_edited(edit):
     """A ``_wall_slots`` that hands its slots, padded to the whole box with
     the zero slots the kernel does not read, through ``edit(axes, slots)``."""
@@ -78,6 +86,10 @@ INJECTIONS = {
     # (2, 0) lies in the box but not in the hexagon
     "slot outside P": (
         hexagon_triangles, lambda: {"_wall_slots": _slots_edited(_set_slot(6, 1))},
+        "Newton polytope"),
+    # (1, 0) lies in the box but below the edge of slope 1/2, outside P
+    "slot outside P by a fractional edge": (
+        thin_triangle, lambda: {"_wall_slots": _slots_edited(_set_slot(2, 1))},
         "Newton polytope"),
     "box shifted": (
         hexagon_triangles,

@@ -168,6 +168,27 @@ MUTANTS = [
         "if wrong:",
         ["tests/test_mirror.py::TestIdentityChecks::test_unwalked_term_is_caught"],
     ),
+    (
+        "odd-offset sum credited to the even parity bucket",
+        "mirror.py",
+        "        parity[key ^ 1 << top] += sum(slots[a + 1 : b : 2])\n",
+        "        parity[key] += sum(slots[a + 1 : b : 2])\n",
+        ["tests/test_mirror.py::TestRowChecksMatchTheirOracles"],
+    ),
+    (
+        "in-bound total compared with itself",
+        "mirror.py",
+        "or sum(parity) != sum(slots)",
+        "or sum(parity) != sum(parity)",
+        ["tests/test_mirror.py::TestIdentityChecks::test_newton_polytope_mismatch_is_caught"],
+    ),
+    (
+        "integer-slope column range stepping the wrong way",
+        "lattice.py",
+        "range(ay, by, ey // ex)",
+        "range(ay, by, -(ey // ex))",
+        ["tests/test_lattice.py::TestColumnBoundsRanges::test_against_the_comprehension"],
+    ),
 ]
 
 

@@ -202,6 +202,66 @@ def box_scan_lattice_points(polytope):
     return out
 
 
+def comprehension_column_bounds(polytope):
+    """``_column_bounds`` as it was before edges of integer slope stepped by a
+    ``range``: every edge's columns rounded one by one.  Kept as the oracle of
+    the range path."""
+    verts = polytope.vertices
+    if polytope.dim == 1:
+        return [(0, verts[0][0], verts[-1][0])]
+    lows, highs, low_end, high_end = [], [], verts[0][1], verts[-1][1]
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        if ex > 0:
+            lows += [ay - (-ey * k) // ex for k in range(ex)]
+            low_end = by
+        elif ex < 0:
+            highs += [ay + (-ey * k) // ex for k in range(-ex)]
+            high_end = by
+    lows.append(low_end)
+    highs.append(high_end)
+    return list(zip(range(verts[0][0], verts[0][0] + len(lows)), lows, reversed(highs)))
+
+
+def edge_kinds(polytope):
+    """The kinds of the counterclockwise edges of a rank-2 polytope: "flat",
+    "integer" (nonzero integer slope), "fractional" or "vertical"; a segment
+    is one edge out and back, and a point is its own kind."""
+    verts = polytope.vertices
+    if len(verts) == 1:
+        return {"point"}
+    kinds = {"segment"} if len(verts) == 2 else set()
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        kinds.add("vertical" if not ex else "flat" if not ey else
+                  "fractional" if ey % ex else "integer")
+    return kinds
+
+
+class TestColumnBoundsRanges:
+    """``_column_bounds`` steps an edge of integer slope by a ``range`` and
+    repeats a flat edge's height; on derandomized polygons, segments and
+    points it gives the bounds, and ``lattice_points`` the points, of the
+    comprehension that rounded every column."""
+
+    def test_against_the_comprehension(self):
+        kinds = set()
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), min_size=1, max_size=6))
+        def compare(points):
+            polytope = hull(points)
+            want = comprehension_column_bounds(polytope)
+            assert list(lattice_module._column_bounds(polytope)) == want
+            assert lattice_points(polytope) == [
+                (x, y) for x, lo, hi in want for y in range(lo, hi + 1)
+            ]
+            kinds.update(edge_kinds(polytope))
+
+        compare()
+        assert kinds == {"flat", "integer", "fractional", "vertical", "segment", "point"}
+
+
 class TestMinkowskiSum:
     """The pairwise-hull ``minkowski_sum`` of conftest, which builds every
     Minkowski sum the tests compare against."""
@@ -360,7 +420,7 @@ class TestKernelBox:
             )
 
         before = public()
-        low, extent, moved, n = fresh._kernel_box()
+        low, extent, moved, n, parity = fresh._kernel_box()
         verts = fresh.vertex_set()
         if fresh.dim == 1:  # on the column x = 0 of the rank-2 box
             verts = tuple((0, v[0]) for v in verts)
@@ -370,6 +430,8 @@ class TestKernelBox:
         assert extent == tuple(max(a) - lo for a, lo in zip(axes, low))
         assert moved == tuple(vec_sub(v, low) for v in verts)
         assert n == 1 + fresh.k
+        # the sign-point check's key: bit j of a generator's parity is u_j mod 2
+        assert parity == tuple(sum(c % 2 << j for j, c in enumerate(u)) for u in fresh.generators)
         assert fresh._kernel_box() is fresh._kernel_box()
         assert public() == before
         assert before[:2] == (True, True)

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import re
 import subprocess
@@ -44,6 +45,7 @@ from syzkit import gw as gw_module
 from syzkit import mirror as mirror_module
 from syzkit import transition as transition_module
 from syzkit.cli import main
+from syzkit.lattice import _column_bounds
 from parametric import lift
 import kernel_faults
 from conftest import (
@@ -133,7 +135,7 @@ def type_list_wall_slots(dim, runs):
     else:
         boxes = [(s._kernel_box(), m) for s, m in runs]
         ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
-        for ((lx, ly), (ex, ey), _, size), m in boxes:
+        for ((lx, ly), (ex, ey), _, size, _), m in boxes:
             ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
             bound *= size**m
         axes = (range(ox, ox + rx), range(oy, oy + ry))
@@ -438,7 +440,8 @@ class TestGwInvariant:
         "chamber", [True, 0.0, Fraction(1), "1"], ids=["bool", "float", "Fraction", "string"]
     )
     def test_chamber_must_be_an_int(self, conifold, chamber):
-        """One check in ``minkowski._cut`` serves every function that takes a chamber."""
+        """``json_int`` rejects a chamber that is not an int in every function
+        that takes one, ``chamber_uv`` before its walk of the runs."""
         beta = DiscClass(SECTOR_D0, ((0,), (0,)))
         for call in (
             lambda: chamber_uv(conifold, chamber),
@@ -1461,12 +1464,11 @@ class TestSignPointCheck:
         runs = list(Counter(dec.summands).items())
         axes, slots = mirror_module._wall_slots(d, kernel_parts(runs))
         slots = list(slots)
-        check = mirror_module._check_sign_points
-        check(d, axes, mirror_module._rows(axes, slots), runs)
+        mirror_module._check_g(dec.polytope, kernel_parts(runs), axes, slots)
         for i in [i for i, n in enumerate(slots) if n]:
             slots[i] += 1
             with pytest.raises(VerificationFailedError, match="sign point"):
-                check(d, axes, mirror_module._rows(axes, slots), runs)
+                mirror_module._check_g(dec.polytope, kernel_parts(runs), axes, slots)
             slots[i] -= 1
 
     def test_check_survives_python_O(self):
@@ -1520,9 +1522,51 @@ def dict_sign_point_check(dim, table, runs):
     return True
 
 
+def row_newton_check(polytope, axes, slots):
+    """The Newton check that read ``mirror._rows``, one slice per column,
+    kept as the oracle of the one walk of ``_check_g``: True when the box is
+    P's bounding box, every vertex of P carries a term, and in rank 2 no
+    nonzero slot of a row lies outside P's bounds in its column."""
+    verts, low = polytope.vertices, axes[-1].start
+    step = len(axes[-1]) if polytope.dim == 2 else 0  # in rank 1, v[0] is v[-1]
+    return not (
+        axes != tuple(range(min(c), max(c) + 1) for c in zip(*verts))
+        or not all(
+            i < len(slots) and slots[i]
+            for i in [(v[0] - axes[0].start) * step + v[-1] - low for v in verts]
+        )
+        or polytope.dim == 2 and any(
+            any(row[: lo - low]) or any(row[hi - low + 1 :])
+            for (_, row), (_, lo, hi) in zip(
+                mirror_module._rows(axes, slots), _column_bounds(polytope)
+            )
+        )
+    )
+
+
+def row_sign_point_check(dim, axes, slots, runs):
+    """The sign-point check that summed the even and odd offsets of each row
+    of ``mirror._rows``, kept as the oracle of the one walk of ``_check_g``:
+    True when g equals the product of the wall factors at every sign point."""
+    top, low = dim - 1, axes[-1].start & 1
+    parity = [0] * (1 << dim)
+    for x, row in mirror_module._rows(axes, slots):
+        parity[x & 1 | low << top] += sum(row[0::2])
+        parity[x & 1 | (low ^ 1) << top] += sum(row[1::2])
+    values = mirror_module._FACTORS[dim]
+    factors = [
+        (values[tuple(u[0] & 1 | (u[-1] & 1) << top for u in s.generators)], m) for s, m in runs
+    ]
+    return all(  # eps = (1, ..., 1) is the kernel's sum check
+        sum(map(operator.mul, sign, parity)) == math.prod(f[point] ** m for f, m in factors)
+        for point, sign in enumerate(mirror_module._SIGNS[dim][1:], 1)
+    )
+
+
 class TestRowChecksMatchTheirOracles:
-    """The Newton and sign-point checks read g's slot rows; on random
-    decompositions, some with one slot corrupted, they reject exactly what
+    """``_check_g`` walks P's columns once over g's slots; on random
+    decompositions, each with one slot set anew, it rejects exactly what the
+    row-based Newton and sign-point checks reject, and those exactly what
     the checks on the term dict reject."""
 
     @staticmethod
@@ -1533,6 +1577,16 @@ class TestRowChecksMatchTheirOracles:
         p = minkowski_sum_all((hull(s.vertex_set()) for s in parts), 2)
         return MinkowskiDecomposition(p, (0, 0), tuple(parts))
 
+    @staticmethod
+    def one_walk_verdict(polytope, runs, axes, slots):
+        """``_check_g``'s outcome as the oracles' pair: passes (True, True),
+        raises at the Newton check (False, False), at a sign point (True, False)."""
+        try:
+            mirror_module._check_g(polytope, kernel_parts(runs), axes, slots)
+        except VerificationFailedError as exc:
+            return (True, False) if "sign point" in str(exc) else (False, False)
+        return (True, True)
+
     def test_against_the_term_dict_checks(self):
         rng = random.Random(26)
         outcomes = Counter()
@@ -1540,28 +1594,20 @@ class TestRowChecksMatchTheirOracles:
             dec = self.random_decomposition(rng)
             polytope, runs = dec.polytope, dec._runs
             axes, slots = mirror_module._wall_slots(polytope.dim, kernel_parts(runs))
-            if rng.random() < 0.6:  # one slot of the box set anew, maybe to its value
-                slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
-                index = rng.randrange(len(slots))
-                slots[index] = rng.choice([0, 1, slots[index] + 1])
-            terms, rows = mirror_module._slot_terms(axes, slots), mirror_module._rows(axes, slots)
+            # one slot of the box set anew, maybe to its value
+            slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
+            index = rng.randrange(len(slots))
+            slots[index] = rng.choice([0, 1, slots[index] + 1])
+            terms = mirror_module._slot_terms(axes, slots)
             want = (set_newton_check(polytope, terms),
                     dict_sign_point_check(polytope.dim, terms, runs))
-            got = []
-            for check in (
-                lambda: mirror_module._check_newton(polytope, axes, slots, rows),
-                lambda: mirror_module._check_sign_points(polytope.dim, axes, rows, runs),
-            ):
-                try:
-                    check()
-                except VerificationFailedError:
-                    got.append(False)
-                else:
-                    got.append(True)
-            assert tuple(got) == want, (dec, slots)
+            rows = (row_newton_check(polytope, axes, slots),
+                    row_sign_point_check(polytope.dim, axes, slots, runs))
+            assert rows == want, (dec, slots)
+            # A draw that fails the Newton check changed a coefficient, which
+            # changes g at every sign point, so (False, True) cannot occur.
+            assert self.one_walk_verdict(polytope, runs, axes, slots) == want, (dec, slots)
             outcomes[want] += 1
-        # A draw that fails the Newton check changed a coefficient, which
-        # changes g at every sign point, so (False, True) cannot occur.
         assert outcomes.keys() == {(True, True), (True, False), (False, False)}, outcomes
 
 
