@@ -70,7 +70,7 @@ def gw_invariant(
         start += m
     if start != len(rows):
         raise ShapeMismatchError("multiplicity table shape does not match the decomposition")
-    cut = _cut(chamber, decomposition.p)
+    cut = _cut(decomposition, chamber)
     if beta.sector == SECTOR_NONE:
         warnings.warn(
             "one-pointed invariants are defined for Maslov-index-two classes; "
@@ -87,7 +87,7 @@ def _wall_options(decomposition: MinkowskiDecomposition, chamber: int, sector: s
     zero row or a unit row on the sector's side of the fiber, else the zero row."""
     if sector not in (SECTOR_D0, SECTOR_DINF):
         raise ValueError("sector must be 'D0' or 'Dinf'")
-    cut, options, d0 = _cut(chamber, decomposition.p), [], sector == SECTOR_D0
+    cut, options, d0 = _cut(decomposition, chamber), [], sector == SECTOR_D0
     for s, m in decomposition._runs:  # a cut inside a run splits it
         far = [(0,) * s.k]
         near = far + [tuple(int(j == t) for j in range(s.k)) for t in range(s.k)]

@@ -270,17 +270,15 @@ class UnimodularSimplex(Value):
     def _kernel_box(self) -> tuple:
         """The wall kernel's box, kept from the first call, as the kernel reads
         it once per run on every call: least corner, extent, moved vertices,
-        1 + k, all in rank 2 (a rank-1 simplex on the column x = 0), and the
-        sign-point check's key, u_0 & 1 | (u_-1 & 1) << (dim - 1) per generator."""
+        1 + k, all in rank 2; a rank-1 simplex lies on the column x = 0."""
         try:
             return self._box
         except AttributeError:
-            verts, top = self.vertex_set(), self.dim - 1
-            parity = tuple([u[0] & 1 | (u[-1] & 1) << top for u in self.generators])
+            verts = self.vertex_set()
             if self.dim == 1:
                 verts = [(0, y) for (y,) in verts]
             low, high = tuple(map(min, *verts)), tuple(map(max, *verts))
-            box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts), parity
+            box = low, vec_sub(high, low), tuple(vec_sub(v, low) for v in verts), len(verts)
             object.__setattr__(self, "_box", box)
             return box
 

@@ -118,7 +118,7 @@ class MinkowskiDecomposition(Value):
 
     @property
     def p(self) -> int:
-        p = -1  # a plain loop: gw reads p on every call
+        p = -1  # a plain loop: _cut reads p on every chamber_uv call
         for _, m in self._runs:
             p += m
         return p
@@ -148,12 +148,12 @@ def decomposition_from_json_dict(data: dict) -> MinkowskiDecomposition:
     )
 
 
-def _cut(chamber: int, p: int) -> int:
-    """The number of walls below a fiber in the chamber of a decomposition
-    with walls 0..p: walls i <= chamber are in its D0 sector, the rest in
-    Dinf.  A chamber that is not an int, a bool among them, raises TypeError."""
-    if not -1 <= json_int(chamber) <= p:
-        raise ValueError(f"chamber {chamber} outside -1..{p}")
+def _cut(decomposition: MinkowskiDecomposition, chamber: int) -> int:
+    """The number of walls below a fiber in the chamber: walls i <= chamber
+    are in its D0 sector, the rest in Dinf.  A chamber that is not an int,
+    a bool among them, raises TypeError."""
+    if not -1 <= json_int(chamber) <= decomposition.p:
+        raise ValueError(f"chamber {chamber} outside -1..{decomposition.p}")
     return chamber + 1
 
 

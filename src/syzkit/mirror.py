@@ -105,7 +105,7 @@ def _read_slots(packed: int, width: int):
     return slots.tolist()
 
 
-def _wall_slots(dim: int, parts, sums=None) -> tuple:
+def _wall_slots(dim: int, parts) -> tuple:
     """The box ``axes`` (one ``range`` per coordinate) and the coefficients
     ``slots`` of the product of the wall factors of the parts ``(box,
     count)``, each box a summand's ``_kernel_box()``, one slot per box point
@@ -120,17 +120,16 @@ def _wall_slots(dim: int, parts, sums=None) -> tuple:
     in ``_packed_product``: one power per part.  The product is read in
     whole slots by ``_read_slots``, so a carry anywhere fails the sum check.
     A product whose packed integer would pass MAX_PACKED_BYTES raises before
-    any packing.  ``sums`` is ``(ox, oy, rx, ry, bound)`` if the caller has
-    summed the parts' corners, extents and sizes.
+    any packing.
     """
-    ox, oy, rx, ry, bound = sums or (0, 0, 1, 1, 1)
-    for ((lx, ly), (ex, ey), _, size, _), m in () if sums else parts:  # unless summed already
+    ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
+    for ((lx, ly), (ex, ey), _, size), m in parts:
         ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
         bound *= size**m
     # a rank-1 box lies on the column x = 0, so rank 1 keeps the y axis only
     axes = (range(ox, ox + rx), range(oy, oy + ry))[2 - dim :]
     width = _slot_bytes(bound)
-    size = rx * ry * width  # in rank 1, rx is 1
+    size = prod(map(len, axes)) * width
     if size > MAX_PACKED_BYTES:
         raise OutputTooLargeError(
             f"the packed wall product would take {size} bytes, past the cap of {MAX_PACKED_BYTES}"
@@ -181,7 +180,7 @@ _FACTORS = {
 }
 
 
-def _check_g(polytope, parts, axes, slots, bounds=None) -> None:
+def _check_g(polytope, runs, axes, slots, bounds=None) -> None:
     """g's Newton polytope is P: the box is P's bounding box, every vertex of P
     has a nonzero slot (read by flat index), and the slots of each column x
     from lo(x) to hi(x), P's ``bounds`` or ``_column_bounds`` (one column in
@@ -189,9 +188,10 @@ def _check_g(polytope, parts, axes, slots, bounds=None) -> None:
     outside P is nonzero.  And g(eps) == prod f_i(eps) at eps in {1, -1}^dim:
     z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
     so the same sums, at even and odd offsets, bucket g by the parity bits of
-    its exponents, and each part's factor is read from ``_FACTORS`` by its
-    box's key.  eps = (1, ..., 1) is the sum check, which has run; the other
-    points see coefficients swapped between exponents of different parity."""
+    its exponents, and the factor of each run ``(summand, count)`` is read
+    once from ``_FACTORS``.  eps = (1, ..., 1) is the sum check, which has
+    run; the other points see coefficients swapped between exponents of
+    different parity."""
     dim, verts, x0, low = polytope.dim, polytope.vertices, axes[0].start, axes[-1].start
     step, top = (len(axes[-1]), 1) if dim == 2 else (0, 0)  # in rank 1, v[0] is v[-1]
     parity = [0] * (1 << dim)
@@ -213,7 +213,9 @@ def _check_g(polytope, parts, axes, slots, bounds=None) -> None:
             "this indicates an implementation bug"
         )
     values = _FACTORS[dim]
-    factors = [(values[box[4]], m) for box, m in parts]
+    factors = [
+        (values[tuple([u[0] & 1 | (u[-1] & 1) << top for u in s.generators])], m) for s, m in runs
+    ]
     for point, sign in enumerate(_SIGNS[dim][1:], 1):
         left = sum(map(mul, sign, parity))
         right = prod([f[point] ** m for f, m in factors])
@@ -230,9 +232,8 @@ def _checked_slots(decomposition: MinkowskiDecomposition, bounds=None) -> tuple:
     sum check and ``_check_g``, which reads P's column ``bounds`` when the
     caller has walked them."""
     polytope, runs = decomposition.polytope, decomposition._runs
-    parts = [(s._kernel_box(), m) for s, m in runs]
-    axes, slots = _wall_slots(polytope.dim, parts)
-    _check_g(polytope, parts, axes, slots, bounds)
+    axes, slots = _wall_slots(polytope.dim, [(s._kernel_box(), m) for s, m in runs])
+    _check_g(polytope, runs, axes, slots, bounds)
     return runs, axes, slots
 
 
@@ -269,25 +270,16 @@ def chamber_uv(
     times those above; their product is the expanded mirror with the z0
     exponent cancelled.
     """
-    d, cut, p = decomposition.polytope.dim, json_int(chamber) + 1, -1
+    cut, d = _cut(decomposition, chamber), decomposition.polytope.dim
     below, above = [], []
-    bx = by = ax = ay = 0  # each half's least corner, extent and bound
-    bw = bh = bb = aw = ah = ab = 1
     for s, m in decomposition._runs:  # a cut inside a run splits it
-        (lx, ly), (ex, ey), _, size, _ = box = s._kernel_box()
-        p += m
+        box = s._kernel_box()
         if cut > 0:
-            j = cut if cut < m else m
-            below.append((box, j))
-            bx, by, bw, bh, bb = bx + j * lx, by + j * ly, bw + j * ex, bh + j * ey, bb * size**j
+            below.append((box, cut if cut < m else m))
         if cut < m:
-            j = m - cut if cut > 0 else m
-            above.append((box, j))
-            ax, ay, aw, ah, ab = ax + j * lx, ay + j * ly, aw + j * ex, ah + j * ey, ab * size**j
+            above.append((box, m - cut if cut > 0 else m))
         cut -= m
-    _cut(chamber, p)  # the range check, on the p the walk counted
-    axes_u, u = _wall_slots(d, below, (bx, by, bw, bh, bb))
-    axes_v, v = _wall_slots(d, above, (ax, ay, aw, ah, ab))
+    (axes_u, u), (axes_v, v) = _wall_slots(d, below), _wall_slots(d, above)
     return (
         LaurentPolynomial._of(d + 1, dict(compress(zip(product((1,), *axes_u), u), u))),
         LaurentPolynomial._of(d + 1, dict(compress(zip(product((-1,), *axes_v), v), v))),

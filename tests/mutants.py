@@ -189,6 +189,13 @@ MUTANTS = [
         "range(ay, by, -(ey // ex))",
         ["tests/test_lattice.py::TestColumnBoundsRanges::test_against_the_comprehension"],
     ),
+    (
+        "chamber_uv's range check skipped",
+        "mirror.py",
+        "    cut, d = _cut(decomposition, chamber), decomposition.polytope.dim\n",
+        "    cut, d = json_int(chamber) + 1, decomposition.polytope.dim\n",
+        ["tests/test_mirror.py::TestGwInvariant::test_chamber_range"],
+    ),
 ]
 
 

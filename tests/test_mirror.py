@@ -135,7 +135,7 @@ def type_list_wall_slots(dim, runs):
     else:
         boxes = [(s._kernel_box(), m) for s, m in runs]
         ox, oy, rx, ry, bound = 0, 0, 1, 1, 1
-        for ((lx, ly), (ex, ey), _, size, _), m in boxes:
+        for ((lx, ly), (ex, ey), _, size), m in boxes:
             ox, oy, rx, ry = ox + m * lx, oy + m * ly, rx + m * ex, ry + m * ey
             bound *= size**m
         axes = (range(ox, ox + rx), range(oy, oy + ry))
@@ -435,13 +435,15 @@ class TestGwInvariant:
             gw_invariant(conifold, 2, beta)
         with pytest.raises(ValueError):
             gw_invariant(conifold, -2, beta)
+        for chamber in (2, -2):
+            with pytest.raises(ValueError):
+                chamber_uv(conifold, chamber)
 
     @pytest.mark.parametrize(
         "chamber", [True, 0.0, Fraction(1), "1"], ids=["bool", "float", "Fraction", "string"]
     )
     def test_chamber_must_be_an_int(self, conifold, chamber):
-        """``json_int`` rejects a chamber that is not an int in every function
-        that takes one, ``chamber_uv`` before its walk of the runs."""
+        """One check in ``minkowski._cut`` serves every function that takes a chamber."""
         beta = DiscClass(SECTOR_D0, ((0,), (0,)))
         for call in (
             lambda: chamber_uv(conifold, chamber),
@@ -1464,11 +1466,11 @@ class TestSignPointCheck:
         runs = list(Counter(dec.summands).items())
         axes, slots = mirror_module._wall_slots(d, kernel_parts(runs))
         slots = list(slots)
-        mirror_module._check_g(dec.polytope, kernel_parts(runs), axes, slots)
+        mirror_module._check_g(dec.polytope, runs, axes, slots)
         for i in [i for i, n in enumerate(slots) if n]:
             slots[i] += 1
             with pytest.raises(VerificationFailedError, match="sign point"):
-                mirror_module._check_g(dec.polytope, kernel_parts(runs), axes, slots)
+                mirror_module._check_g(dec.polytope, runs, axes, slots)
             slots[i] -= 1
 
     def test_check_survives_python_O(self):
@@ -1582,20 +1584,26 @@ class TestRowChecksMatchTheirOracles:
         """``_check_g``'s outcome as the oracles' pair: passes (True, True),
         raises at the Newton check (False, False), at a sign point (True, False)."""
         try:
-            mirror_module._check_g(polytope, kernel_parts(runs), axes, slots)
+            mirror_module._check_g(polytope, runs, axes, slots)
         except VerificationFailedError as exc:
             return (True, False) if "sign point" in str(exc) else (False, False)
         return (True, True)
 
     def test_against_the_term_dict_checks(self):
         rng = random.Random(26)
-        outcomes = Counter()
+        outcomes, short = Counter(), 0
         for _ in range(400):
             dec = self.random_decomposition(rng)
             polytope, runs = dec.polytope, dec._runs
             axes, slots = mirror_module._wall_slots(polytope.dim, kernel_parts(runs))
-            # one slot of the box set anew, maybe to its value
-            slots = list(slots) + [0] * (math.prod(map(len, axes)) - len(slots))
+            # one slot set anew, maybe to its value: of the kernel's own list,
+            # which stops at its last nonzero slot, or of the list padded to the box
+            box = math.prod(map(len, axes))
+            if rng.random() < 0.4:
+                slots = list(slots)
+                short += len(slots) < box
+            else:
+                slots = list(slots) + [0] * (box - len(slots))
             index = rng.randrange(len(slots))
             slots[index] = rng.choice([0, 1, slots[index] + 1])
             terms = mirror_module._slot_terms(axes, slots)
@@ -1609,6 +1617,7 @@ class TestRowChecksMatchTheirOracles:
             assert self.one_walk_verdict(polytope, runs, axes, slots) == want, (dec, slots)
             outcomes[want] += 1
         assert outcomes.keys() == {(True, True), (True, False), (False, False)}, outcomes
+        assert short > 20, short
 
 
 def diagonal_steps(n):
