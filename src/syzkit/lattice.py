@@ -185,19 +185,19 @@ def _column_bounds(polytope: LatticePolytope):
 
 
 def edge_profile(polytope: LatticePolytope) -> dict[IntVec, int]:
-    """Primitive edge directions of the counterclockwise boundary with lattice lengths.
-
-    A segment is traversed out and back, so both directions appear; a point
-    has no edges.
-    """
+    """Primitive edge directions of the counterclockwise boundary with lattice
+    lengths.  A segment is traversed out and back, so both directions appear,
+    as in {(1,): b - a, (-1,): b - a} for [a, b] in rank 1; a point has none."""
     verts = polytope.vertices
     if len(verts) == 1:
         return {}
+    if polytope.dim == 1:
+        return dict.fromkeys(((1,), (-1,)), verts[1][0] - verts[0][0])
     profile: dict[IntVec, int] = {}
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        e = [y - x for x, y in zip(a, b)]
-        g = gcd(*e)
-        profile[tuple(x // g for x in e)] = g
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        g = gcd(ex, ey)
+        profile[ex // g, ey // g] = g
     return profile
 
 

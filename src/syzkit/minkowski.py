@@ -9,7 +9,7 @@ budget must be antipodally symmetric, and it fixes every unit segment.
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import (
     DimensionMismatchError,
@@ -50,7 +50,7 @@ def _search_budget(budget) -> int:
 def summand_sort_key(summand: UnimodularSimplex) -> tuple:
     # generators compare by reversed coordinates; this fixes the wall
     # labelling so that the e1-type summand precedes the e2-type one
-    return (summand.k, tuple(g[::-1] for g in summand.generators))
+    return (summand.k, tuple([g[::-1] for g in summand.generators]))
 
 
 def summand_from_vertices(dim: int, vertices) -> UnimodularSimplex:
@@ -72,7 +72,7 @@ class MinkowskiDecomposition(Value):
     was moved there.  Summands are rooted at the origin and kept as runs
     ``(summand, count)`` of distinct types in canonical order, which also
     fixes the wall indexing downstream; ``summands`` expands them, and
-    equality compares the runs.  ``_of`` takes such runs, whose edge
+    equality and hash read the runs.  ``_of`` takes such runs, whose edge
     profiles add up to the pinned polytope's, and does not check them again:
     the search builds its results so.
     """
@@ -111,6 +111,9 @@ class MinkowskiDecomposition(Value):
         if total != edge_profile(self.polytope):
             raise ValueError("summands do not sum to the polytope")
         object.__setattr__(self, "_runs", [(s, runs[s]) for s in types])
+
+    def __hash__(self):  # the stored fields, so no summand is expanded
+        return hash((self.polytope, self.translation, *self._runs))
 
     @property
     def summands(self) -> tuple[UnimodularSimplex, ...]:
@@ -173,11 +176,11 @@ def _unimodular_triangles(profile: dict[IntVec, int]) -> list[tuple[IntVec, IntV
     """Counterclockwise edge triples ``(a, b, -(a+b))`` with ``cross(a, b) == 1``
     and all three edges among the profile's directions.  Each triangle is
     listed once, as the rotation that starts at its least edge."""
-    return sorted(
+    return sorted([
         (a, b, c) for a in profile for b in profile
-        if a[0] * b[1] - a[1] * b[0] == 1 and a < b
+        if a < b and a[0] * b[1] - a[1] * b[0] == 1
         and a < (c := (-a[0] - b[0], -a[1] - b[1])) and c in profile
-    )
+    ])
 
 
 def enumerate_decompositions(
@@ -216,7 +219,7 @@ def enumerate_decompositions(
     forced: list[tuple[IntVec, IntVec] | None] = [None] * len(triangles)
     units = []
     for u in left:
-        nu = vec_neg(u)
+        nu = (-u[0], -u[-1])[:d]  # -u; in rank 1, u[0] is u[-1]
         if u > nu:
             units.append(u)
         i = max(last.get(u, 0), last.get(nu, 0))
@@ -235,6 +238,7 @@ def enumerate_decompositions(
     order = sorted(range(len(types)), key=keys.__getitem__)
     counts = [0] * len(types)  # the multiplicity of each type
     found: list[tuple[int, ...]] = []  # the counts of each result, in type-key order
+    types = [types[t] for t in order]  # the types in that order
     nodes = 0
 
     # plain loops on the node path: a generator costs as much as a node's dict reads
@@ -284,10 +288,10 @@ def enumerate_decompositions(
     # instead: every summand spends part of the same total edge budget, so no
     # result's summands are a proper prefix of another's.
     found.sort(reverse=True)
-    shift = polytope.lexmin
-    base = polytope.translate(vec_neg(shift))
+    shift = polytope.lexmin  # a translate of canonical vertices is canonical
+    base = LatticePolytope._of(d, tuple([vec_sub(v, shift) for v in polytope.vertices]))
     return [
-        MinkowskiDecomposition._of(base, shift, [(types[t], m) for t, m in zip(order, vec) if m])
+        MinkowskiDecomposition._of(base, shift, list(compress(zip(types, vec), vec)))
         for vec in found
     ]
 

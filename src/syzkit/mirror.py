@@ -181,17 +181,16 @@ _FACTORS = {
 
 
 def _check_g(polytope, runs, axes, slots, bounds=None) -> None:
-    """g's Newton polytope is P: the box is P's bounding box, every vertex of P
-    has a nonzero slot (read by flat index), and the slots of each column x
-    from lo(x) to hi(x), P's ``bounds`` or ``_column_bounds`` (one column in
-    rank 1), sum to ``sum(slots)``, as unsigned slots do exactly when none
-    outside P is nonzero.  And g(eps) == prod f_i(eps) at eps in {1, -1}^dim:
-    z^v is -1 at eps when an odd number of the v_j with eps_j = -1 are odd,
-    so the same sums, at even and odd offsets, bucket g by the parity bits of
-    its exponents, and the factor of each run ``(summand, count)`` is read
-    once from ``_FACTORS``.  eps = (1, ..., 1) is the sum check, which has
-    run; the other points see coefficients swapped between exponents of
-    different parity."""
+    """g's Newton polytope is P: the box is P's bounding box, the slot of each
+    vertex of P, a sum of one vertex per summand in one way only, is 1 (read
+    by flat index), and the slots of each column x from lo(x) to hi(x), P's
+    ``bounds`` or ``_column_bounds`` (one column in rank 1), sum to
+    ``sum(slots)``, as unsigned slots do exactly when none outside P is
+    nonzero.  And g(eps) == prod f_i(eps) at eps in {1, -1}^dim: z^v is -1 at
+    eps when an odd number of the v_j with eps_j = -1 are odd, so the same
+    sums, at even and odd offsets, bucket g by the parity bits of its
+    exponents, and each run's factor is read once from ``_FACTORS``.  eps =
+    (1, ..., 1) is the sum check; the others catch swaps across parities."""
     dim, verts, x0, low = polytope.dim, polytope.vertices, axes[0].start, axes[-1].start
     step, top = (len(axes[-1]), 1) if dim == 2 else (0, 0)  # in rank 1, v[0] is v[-1]
     parity = [0] * (1 << dim)
@@ -204,7 +203,8 @@ def _check_g(polytope, runs, axes, slots, bounds=None) -> None:
     if (
         axes != tuple([range(min(c), max(c) + 1) for c in zip(*verts)])
         or not all(
-            i < len(slots) and slots[i] for i in [(v[0] - x0) * step + v[-1] - low for v in verts]
+            i < len(slots) and slots[i] == 1
+            for i in [(v[0] - x0) * step + v[-1] - low for v in verts]
         )
         or sum(parity) != sum(slots)
     ):

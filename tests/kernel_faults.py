@@ -16,6 +16,7 @@ prints one line per injection and entry point, ``caught`` or ``missed``.
 import sys
 
 from syzkit import MinkowskiDecomposition, UnimodularSimplex, VerificationFailedError, hull
+from syzkit import enumerate_decompositions
 from syzkit import chamber_uv, disc_potential, match_transition, syz_mirror
 from syzkit import mirror
 
@@ -40,6 +41,13 @@ def thin_triangle():
     return MinkowskiDecomposition(hull([(0, 0), (2, 1), (1, 1)]), (0, 0), parts)
 
 
+def zonotope_3_2():
+    """Z(3,2), the sum of [0, 2 d] for d = (1, 0), (0, 1), (1, 1), as the
+    first decomposition the search returns: g fills a 5 x 5 box."""
+    corners = [(0, 0), (2, 0), (4, 2), (4, 4), (2, 4), (0, 2)]
+    return enumerate_decompositions(hull(corners))[0]
+
+
 def _slots_edited(edit):
     """A ``_wall_slots`` that hands its slots, padded to the whole box with
     the zero slots the kernel does not read, through ``edit(axes, slots)``."""
@@ -58,6 +66,14 @@ def _slots_edited(edit):
 def _set_slot(index, value):
     def edit(axes, slots):
         slots[index] = value
+        return axes, slots
+
+    return edit
+
+
+def _swap_slots(i, j):
+    def edit(axes, slots):
+        slots[i], slots[j] = slots[j], slots[i]
         return axes, slots
 
     return edit
@@ -95,6 +111,15 @@ INJECTIONS = {
         hexagon_triangles,
         lambda: {"_wall_slots": _slots_edited(
             lambda axes, slots: (tuple(range(a.start + 1, a.stop + 1) for a in axes), slots))},
+        "Newton polytope"),
+    # A vertex slot swapped with a slot of its parity class keeps the sum,
+    # the parity buckets and the support: 1, 4, 6, 4, 1 read as 6, 4, 1, 4, 1
+    "vertex slot swapped within its parity": (
+        lambda: steps(4), lambda: {"_wall_slots": _slots_edited(_swap_slots(0, 2))},
+        "Newton polytope"),
+    # the vertex (0, 0) and the centre (2, 2) of Z(3,2), both even in x and y
+    "Z(3,2) vertex slot swapped with the centre": (
+        zonotope_3_2, lambda: {"_wall_slots": _slots_edited(_swap_slots(0, 12))},
         "Newton polytope"),
     # g = 1 + 6z + 15z^2 + ... on [0, 6] in one-byte slots: 6 and 15 swapped
     "slots swapped": (

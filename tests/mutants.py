@@ -55,6 +55,13 @@ MUTANTS = [
         ["tests/test_minkowski.py::TestRunsAgainstExpandedSummands::test_corpus"],
     ),
     (
+        "hash of the expanded summands",
+        "minkowski.py",
+        "return hash((self.polytope, self.translation, *self._runs))",
+        "return hash((self.polytope, self.translation, self.summands))",
+        ["tests/test_minkowski.py::TestRuns::test_hash_expands_no_summand"],
+    ),
+    (
         "to_json_dict emitting each run once",
         "minkowski.py",
         '"summands": [s.to_json_dict() for s, m in self._runs for _ in range(m)]',
@@ -113,9 +120,16 @@ MUTANTS = [
     (
         "edge length read from one coordinate",
         "lattice.py",
-        "g = gcd(*e)",
-        "g = abs(e[0]) or abs(e[-1])",
+        "g = gcd(ex, ey)",
+        "g = abs(ex) or abs(ey)",
         ["tests/test_lattice.py::TestEdgeProfile"],
+    ),
+    (
+        "rank-1 profile with its backward direction dropped",
+        "lattice.py",
+        "return dict.fromkeys(((1,), (-1,)), verts[1][0] - verts[0][0])",
+        "return dict.fromkeys(((1,),), verts[1][0] - verts[0][0])",
+        ["tests/test_lattice.py::TestEdgeProfileAgainstTheRankGenericWalk"],
     ),
     (
         "_of setters taken from the slots shifted by one",
@@ -174,6 +188,13 @@ MUTANTS = [
         "        parity[key ^ 1 << top] += sum(slots[a + 1 : b : 2])\n",
         "        parity[key] += sum(slots[a + 1 : b : 2])\n",
         ["tests/test_mirror.py::TestRowChecksMatchTheirOracles"],
+    ),
+    (
+        "vertex slot only required to be nonzero",
+        "mirror.py",
+        "            i < len(slots) and slots[i] == 1\n",
+        "            i < len(slots) and slots[i]\n",
+        ["tests/test_mirror.py::TestDiscPotentialChecksItsKernel::test_every_injection_is_caught"],
     ),
     (
         "in-bound total compared with itself",

@@ -461,6 +461,78 @@ class TestEdgeProfile:
             assert s.edge_profile() == edge_profile(hull(s.vertex_set()))
 
 
+def rank_generic_edge_profile(polytope):
+    """``edge_profile`` as it was before it read rank 2 as ``(ex, ey)`` and
+    rank 1 in closed form: one edge vector per counterclockwise edge, in any
+    rank, divided by the gcd of its entries.  Kept as the oracle."""
+    verts = polytope.vertices
+    if len(verts) == 1:
+        return {}
+    profile = {}
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        e = [y - x for x, y in zip(a, b)]
+        g = gcd(*e)
+        profile[tuple(x // g for x in e)] = g
+    return profile
+
+
+def point_sets():
+    """Derandomizable point sets: rank-1 sets, rank-2 sets of one to three
+    points, segments along a drawn direction, and polygons dilated so that
+    their edges are long."""
+    coord = st.integers(-30, 30)
+    step = st.integers(-4, 4)
+    return st.one_of(
+        st.lists(st.tuples(coord), min_size=1, max_size=4),
+        st.lists(st.tuples(coord, coord), min_size=1, max_size=3),
+        st.builds(lambda x, y, dx, dy, n: [(x, y), (x + n * dx, y + n * dy)],
+                  coord, coord, step, step, st.integers(1, 40)),
+        st.builds(lambda k, pts: [(k * x, k * y) for x, y in pts], st.integers(2, 300),
+                  st.lists(st.tuples(step, step), min_size=3, max_size=8)),
+    )
+
+
+def profile_kinds(polytope):
+    """What a hull is: rank 1, a point, a horizontal, vertical or diagonal
+    segment, a triangle or a polygon, and whether an edge is longer than 1."""
+    verts = polytope.vertices
+    if polytope.dim == 1:
+        return {"rank 1"}
+    if len(verts) == 1:
+        return {"point"}
+    if len(verts) == 2:
+        (ax, ay), (bx, by) = verts
+        kinds = {"horizontal" if ay == by else "vertical" if ax == bx else "diagonal"}
+    else:
+        kinds = {"triangle" if len(verts) == 3 else "polygon"}
+    if max(rank_generic_edge_profile(polytope).values()) > 1:
+        kinds.add("long edge")
+    return kinds
+
+
+class TestEdgeProfileAgainstTheRankGenericWalk:
+    """The plain-integer ``edge_profile`` gives the rank-generic walk's dict,
+    key order included: the decomposition search walks its directions in
+    insertion order, so the order fixes the triangle scan and the nodes."""
+
+    def test_against_the_oracle(self):
+        kinds = set()
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(point_sets())
+        def compare(points):
+            polytope = hull(points)
+            got, want = edge_profile(polytope), rank_generic_edge_profile(polytope)
+            assert list(got.items()) == list(want.items())
+            kinds.update(profile_kinds(polytope))
+
+        compare()
+        assert kinds == {
+            "rank 1", "point", "horizontal", "vertical", "diagonal", "triangle", "polygon",
+            "long edge",
+        }
+
+
 class TestJson:
     def test_round_trip_any_vertex_order(self):
         data = {"dim": 2, "vertices": [[2, 2], [0, 0], [1, 2], [1, 0], [0, 1], [2, 1]]}

@@ -674,6 +674,19 @@ class TestRuns:
     )
     DECOMPOSITIONS = [dec for polytope in POLYTOPES for dec in enumerate_decompositions(polytope)]
 
+    def test_hash_expands_no_summand(self, monkeypatch):
+        """``hash`` reads the stored runs: A_1500 from the search and its
+        rebuild from the reversed summands hash alike with ``summands``
+        refused."""
+        (dec,) = enumerate_decompositions(hull([(0,), (1500,)]))
+        again = MinkowskiDecomposition(dec.polytope, dec.translation, dec.summands[::-1])
+
+        def refuse(self):
+            raise AssertionError("hash expanded the summands")
+
+        monkeypatch.setattr(MinkowskiDecomposition, "summands", property(refuse))
+        assert hash(dec) == hash(again)
+
     def test_search(self):
         for polytope in self.POLYTOPES:
             decs, stored = recorded_runs(lambda: enumerate_decompositions(polytope))
@@ -755,11 +768,14 @@ class ExpandedDecomposition:
 
 def assert_reads_as_expanded(dec, oracle):
     """``dec`` reads as the expanded form ``oracle`` does: its summands,
-    ``p``, ``ks``, JSON bytes, Cayley cone, hash, ``repr`` and pickling."""
+    ``p``, ``ks``, JSON bytes, Cayley cone, ``repr`` and pickling; and it
+    hashes its polytope, translation and the runs the oracle's sorted
+    summands group into, with none expanded."""
     assert (dec.summands, dec.p, dec.ks) == (oracle.summands, oracle.p, oracle.ks)
     assert json.dumps(dec.to_json_dict()) == json.dumps(oracle.to_json_dict())
     assert cayley_cone(dec).generators == oracle.cayley_generators()
-    assert hash(dec) == hash(oracle.fields)
+    runs = [(s, len(list(group))) for s, group in groupby(oracle.summands)]
+    assert hash(dec) == hash((*oracle.fields[:2], *runs))
     assert repr(dec) == repr(oracle)
     assert dec.__reduce__() == (MinkowskiDecomposition, oracle.fields)
     again = pickle.loads(pickle.dumps(dec))

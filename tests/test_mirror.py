@@ -1399,7 +1399,9 @@ def corrupt_slot(axes, slots, point, value):
 
 def swappable_slots(dec):
     """Two slots of g's packed integer, in the kernel's box, whose
-    coefficients differ and whose exponents differ mod 2."""
+    coefficients differ and whose exponents differ mod 2, and whether one
+    of them is a vertex of P: a pair of non-vertex slots where there is one,
+    since a vertex slot, always 1, fails the vertex test when swapped."""
     d = dec.polytope.dim
     g = mixed_radix_wall_product(d, dec.summands)
     verts = dec.polytope.vertices
@@ -1412,10 +1414,14 @@ def swappable_slots(dec):
             index = index * r + x - lo
         return index
 
-    for e, f in combinations(g, 2):
-        if g[e] != g[f] and any((x - y) % 2 for x, y in zip(e, f)):
-            return slot(e), slot(f)
-    raise AssertionError("no two such slots")
+    pairs = [
+        (e in verts or f in verts, slot(e), slot(f)) for e, f in combinations(g, 2)
+        if g[e] != g[f] and any((x - y) % 2 for x, y in zip(e, f))
+    ]
+    if not pairs:
+        raise AssertionError("no two such slots")
+    at_vertex, i, j = min(pairs, key=lambda pair: pair[0])
+    return i, j, at_vertex
 
 
 def swap_packed_slots(monkeypatch, width, i, j):
@@ -1449,27 +1455,36 @@ class TestSignPointCheck:
         d = dec.polytope.dim
         real = kernel(d, dec.summands)
         width = mirror_module._slot_bytes(math.prod(1 + k for k in dec.ks))
-        swap_packed_slots(monkeypatch, width, *swappable_slots(dec))
-        # The kernel's sum check passes the swap, and so does the Newton
-        # check: the support is unchanged.
+        i, j, at_vertex = swappable_slots(dec)
+        swap_packed_slots(monkeypatch, width, i, j)
+        # The kernel's sum check passes the swap, and so does the support
+        # test: the support is unchanged.  The vertex test sees it when it
+        # moves a vertex's 1, as on the hexagon, whose one interior point is
+        # the only slot that is not a vertex; the sign points see the rest.
         swapped = kernel(d, dec.summands)
         assert swapped != real
         assert list(swapped) == list(real)
         assert sum(swapped.values()) == sum(real.values())
-        with pytest.raises(VerificationFailedError, match="sign point"):
+        assert at_vertex == (dec.polytope == hull(HEXAGON_CORNERS))
+        with pytest.raises(
+            VerificationFailedError, match="Newton polytope" if at_vertex else "sign point"
+        ):
             syz_mirror(dec)
 
     @pytest.mark.parametrize("dec", DECOMPOSITIONS)
     def test_every_changed_coefficient_is_caught(self, dec):
-        """Changing one coefficient by one changes g at every sign point."""
+        """Changing one coefficient by one changes g at every sign point; at a
+        vertex of P the vertex test, which runs first, sees the 1 changed."""
         d = dec.polytope.dim
         runs = list(Counter(dec.summands).items())
         axes, slots = mirror_module._wall_slots(d, kernel_parts(runs))
         slots = list(slots)
         mirror_module._check_g(dec.polytope, runs, axes, slots)
+        points = list(product(*axes))
         for i in [i for i, n in enumerate(slots) if n]:
             slots[i] += 1
-            with pytest.raises(VerificationFailedError, match="sign point"):
+            match = "Newton polytope" if points[i] in dec.polytope.vertices else "sign point"
+            with pytest.raises(VerificationFailedError, match=match):
                 mirror_module._check_g(dec.polytope, runs, axes, slots)
             slots[i] -= 1
 
@@ -1569,7 +1584,8 @@ class TestRowChecksMatchTheirOracles:
     """``_check_g`` walks P's columns once over g's slots; on random
     decompositions, each with one slot set anew, it rejects exactly what the
     row-based Newton and sign-point checks reject, and those exactly what
-    the checks on the term dict reject."""
+    the checks on the term dict reject, and it also rejects, as a Newton
+    polytope failure, a vertex of P whose coefficient is not 1."""
 
     @staticmethod
     def random_decomposition(rng):
@@ -1591,7 +1607,7 @@ class TestRowChecksMatchTheirOracles:
 
     def test_against_the_term_dict_checks(self):
         rng = random.Random(26)
-        outcomes, short = Counter(), 0
+        outcomes, short, vertex_only = Counter(), 0, 0
         for _ in range(400):
             dec = self.random_decomposition(rng)
             polytope, runs = dec.polytope, dec._runs
@@ -1614,10 +1630,15 @@ class TestRowChecksMatchTheirOracles:
             assert rows == want, (dec, slots)
             # A draw that fails the Newton check changed a coefficient, which
             # changes g at every sign point, so (False, True) cannot occur.
+            # Every vertex of P carries 1, one vertex per summand summed.
+            if not all(terms.get(v) == 1 for v in polytope.vertices):
+                vertex_only += want[0]
+                want = (False, False)
             assert self.one_walk_verdict(polytope, runs, axes, slots) == want, (dec, slots)
             outcomes[want] += 1
         assert outcomes.keys() == {(True, True), (True, False), (False, False)}, outcomes
         assert short > 20, short
+        assert vertex_only > 20, vertex_only
 
 
 def diagonal_steps(n):

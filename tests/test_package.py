@@ -68,6 +68,15 @@ def fields_of(value, cls=None):
     return tuple(getattr(value, name) for name in FIELDS[cls or type(value)])
 
 
+def hashed_fields(value):
+    """What ``hash(value)`` hashes: the fields, except that a decomposition
+    hashes its stored polytope, translation and runs, so that no hash
+    expands its summands.  Equal decompositions have equal runs."""
+    if isinstance(value, MinkowskiDecomposition):
+        return (value.polytope, value.translation, *value._runs)
+    return fields_of(value)
+
+
 def examples():
     """(label, value) pairs: every value class through its public
     constructor, and through ``_of`` as a stage builds it, where one does."""
@@ -112,7 +121,7 @@ class TestValueClasses:
             with pytest.raises(TypeError):
                 hash(value)
         else:
-            assert hash(value) == hash(fields_of(value))
+            assert hash(value) == hash(hashed_fields(value))
 
     def test_equal_to_a_rebuilt_copy(self, label, value):
         cls = type(value)
@@ -171,7 +180,7 @@ class TestValueClasses:
         again = pickle.loads(pickle.dumps(value))
         assert again == value and repr(again) == repr(value)
         if not isinstance(value, UNHASHABLE):
-            assert hash(value) == hash(values) == hash(again)
+            assert hash(value) == hash(hashed_fields(value)) == hash(again)
 
 
 def rule_inputs():
